@@ -46,7 +46,6 @@ from .kernelcalc import (
     cyclic_table_n4_m3,
     gl_generation_report,
     kernel_basis_at,
-    kernel_component,
     minimal_generators_by_degree,
     resolve_resource_cap,
     secondary_table_m2,
@@ -75,6 +74,23 @@ def _check_m(ctx, param, value):
     return value
 
 
+def _check_degree(ctx, param, value):
+    if value is not None and value < 0:
+        raise click.BadParameter("degrees are nonnegative, got %d" % value)
+    return value
+
+
+def _check_cap(ctx, param, value):
+    try:
+        return resolve_resource_cap(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
+
+
+def degree_option(name, **kwargs):
+    return click.option(name, type=int, callback=_check_degree, **kwargs)
+
+
 n_option = click.option("--n", "n", type=int, required=True,
                         callback=_check_n,
                         help="order parameter of the rotation (n >= 3)")
@@ -85,6 +101,7 @@ format_option = click.option("--format", "fmt",
                              default="text", show_default=True,
                              help="output format")
 cap_option = click.option("--resource-cap", type=int, default=None,
+                          callback=_check_cap,
                           help="largest component basis size to attempt")
 force_option = click.option("--force", is_flag=True,
                             help="allow degree caps beyond the proven "
@@ -219,8 +236,8 @@ def kernel():
 @kernel.command("dim")
 @n_option
 @m_option
-@click.option("--max-degree", type=int, default=None,
-              help="largest total degree to report [default: 2n+2]")
+@degree_option("--max-degree", default=None,
+               help="largest total degree to report [default: 2n+2]")
 @format_option
 @cap_option
 @force_option
@@ -231,20 +248,21 @@ def kernel_dim(n, m, max_degree, fmt, resource_cap, force):
     rows = []
     lines = []
     for d in range(D + 1):
-        dim, _ = kernel_component(n, m, d, resource_cap=resource_cap)
+        dim = sum(len(kernel_basis_at(n, m, alpha, cap=resource_cap))
+                  for alpha in all_multidegrees(m, d))
         rows.append({"degree": d, "dimension": dim})
         lines.append("degree %d: %d" % (d, dim))
     emit("kernel dim",
          {"n": n, "m": m, "max_degree": D,
-          "resource_cap": resolve_resource_cap(resource_cap)},
+          "resource_cap": resource_cap},
          [{"name": "kernel_dimensions", "rows": rows}], [], fmt, lines)
 
 
 @kernel.command("basis")
 @n_option
 @m_option
-@click.option("--degree", type=int, required=True,
-              help="total degree of the component")
+@degree_option("--degree", required=True,
+               help="total degree of the component")
 @format_option
 @cap_option
 @force_option
@@ -267,15 +285,15 @@ def kernel_basis(n, m, degree, fmt, resource_cap, force):
         lines = ["(empty component)"]
     emit("kernel basis",
          {"n": n, "m": m, "degree": degree,
-          "resource_cap": resolve_resource_cap(resource_cap)},
+          "resource_cap": resource_cap},
          [{"name": "kernel_basis", "rows": rows}], [], fmt, lines)
 
 
 @kernel.command("mingens")
 @n_option
 @m_option
-@click.option("--max-degree", type=int, default=None,
-              help="largest total degree to scan [default: 2n+2]")
+@degree_option("--max-degree", default=None,
+               help="largest total degree to scan [default: 2n+2]")
 @format_option
 @cap_option
 @force_option
@@ -292,7 +310,7 @@ def kernel_mingens(n, m, max_degree, fmt, resource_cap, force):
     parts.append("total %d" % total)
     emit("kernel mingens",
          {"n": n, "m": m, "max_degree": D,
-          "resource_cap": resolve_resource_cap(resource_cap)},
+          "resource_cap": resource_cap},
          [{"name": "minimal_generators", "rows": rows},
           {"name": "total", "rows": [{"count": total}]}],
          [], fmt, [", ".join(parts)])
@@ -326,8 +344,8 @@ def decompose():
 @decompose.command("invariants")
 @n_option
 @m_option
-@click.option("--max-degree", type=int, default=None,
-              help="largest total degree [default: 2n+2]")
+@degree_option("--max-degree", default=None,
+               help="largest total degree [default: 2n+2]")
 @format_option
 @guarded
 def decompose_invariants(n, m, max_degree, fmt):
@@ -343,8 +361,8 @@ def decompose_invariants(n, m, max_degree, fmt):
 @decompose.command("ambient")
 @n_option
 @m_option
-@click.option("--max-degree", type=int, default=None,
-              help="largest total degree (at most 2n+2)")
+@degree_option("--max-degree", default=None,
+               help="largest total degree (at most 2n+2)")
 @format_option
 @guarded
 def decompose_ambient(n, m, max_degree, fmt):
@@ -364,8 +382,8 @@ def decompose_ambient(n, m, max_degree, fmt):
 @decompose.command("kernel")
 @n_option
 @m_option
-@click.option("--max-degree", type=int, default=None,
-              help="largest total degree (at most 2n+2)")
+@degree_option("--max-degree", default=None,
+               help="largest total degree (at most 2n+2)")
 @format_option
 @guarded
 def decompose_kernel(n, m, max_degree, fmt):
@@ -393,9 +411,9 @@ def hironaka():
 @hironaka.command("verify")
 @n_option
 @m_option
-@click.option("--max-degree", type=int, default=None,
-              help="check components through this total degree "
-                   "[default: 2n+2]")
+@degree_option("--max-degree", default=None,
+               help="check components through this total degree "
+                    "[default: 2n+2]")
 @click.option("--model", type=click.Choice(["dihedral", "cyclic"]),
               default="dihedral", show_default=True,
               help="full reflection group or its rotation subgroup")
@@ -442,7 +460,7 @@ def hironaka_verify(n, m, max_degree, model, fmt, resource_cap, force):
     lines.extend("  " + f for f in report.failures[:20])
     emit("hironaka verify",
          {"n": n, "m": m, "max_degree": D, "model": model,
-          "resource_cap": resolve_resource_cap(resource_cap)},
+          "resource_cap": resource_cap},
          [], verdicts, fmt, lines)
 
 
@@ -452,8 +470,8 @@ def hironaka_verify(n, m, max_degree, model, fmt, resource_cap, force):
 
 @main.command("hilbert")
 @n_option
-@click.option("--max-degree", type=int, default=None,
-              help="expand through this degree [default: 2n]")
+@degree_option("--max-degree", default=None,
+               help="expand through this degree [default: 2n]")
 @format_option
 @guarded
 def hilbert(n, max_degree, fmt):
@@ -606,7 +624,7 @@ def report(what, n, fmt, resource_cap):
     lines.append("GL-generation, m=3: %s" % ("OK" if ok3 else "FAIL"))
 
     emit("report paper",
-         {"n": n, "resource_cap": resolve_resource_cap(resource_cap)},
+         {"n": n, "resource_cap": resource_cap},
          tables, verdicts, fmt, lines)
 
 

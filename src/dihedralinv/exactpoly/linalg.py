@@ -234,23 +234,22 @@ def columns_for(polys):
     return sorted_monomials(monos, universe.nvars)
 
 
-def _canonical_relation(combo, factors, length):
+def _canonical_relation(combo, factors):
     """Turn a combination among scaled rows into an integer relation among the
-    original polynomials: first nonzero entry positive, entries coprime."""
-    vec = [Fraction(0)] * length
-    for k, v in combo.items():
-        vec[k] = v * factors[k]
+    original polynomials, as a dict index -> coefficient with ascending keys:
+    entries coprime, first entry positive."""
+    keys = sorted(combo)
+    values = [combo[k] * factors[k] for k in keys]
     den = 1
-    for c in vec:
+    for c in values:
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in vec]
+    ints = [c.numerator * (den // c.denominator) for c in values]
     g = 0
     for v in ints:
         g = gcd(g, v)
-    lead = next(v for v in ints if v)
-    if lead < 0:
+    if ints[0] < 0:
         g = -g
-    return [Fraction(v // g) for v in ints]
+    return {k: v // g for k, v in zip(keys, ints)}
 
 
 def linear_relations(polys):
@@ -259,25 +258,11 @@ def linear_relations(polys):
     Each relation is a list of Fractions (an integer vector with coprime
     entries and positive first nonzero entry); relations appear in the
     deterministic order in which dependent rows are met.  Empty iff the
-    inputs are linearly independent."""
+    inputs are linearly independent.  This is `nullspace_combinations`
+    written out densely."""
     polys = list(polys)
-    if not polys:
-        return []
-    col_index = {mono: i for i, mono in enumerate(columns_for(polys))}
-    space = RowSpace(track=True)
-    relations = []
-    factors = {}
-    for i, p in enumerate(polys):
-        row, f = scaled_row_from_polynomial(p, col_index)
-        factors[i] = f
-        if not row:
-            relations.append([Fraction(1 if j == i else 0)
-                              for j in range(len(polys))])
-            continue
-        if not space.insert_row(row, tag=i):
-            relations.append(_canonical_relation(space.last_combination,
-                                                 factors, len(polys)))
-    return relations
+    return [[Fraction(rel.get(j, 0)) for j in range(len(polys))]
+            for rel in nullspace_combinations(polys)]
 
 
 def span_dimension(polys):
@@ -293,8 +278,9 @@ def span_dimension(polys):
 
 
 def nullspace_combinations(polys, columns=None):
-    """Sparse variant of `linear_relations`: relations come back as integer
-    dicts index -> coefficient, and a precomputed column list is accepted."""
+    """A basis of the relations among `polys`, each an integer dict
+    index -> coefficient in the canonical form of `_canonical_relation`;
+    a precomputed column list is accepted."""
     polys = list(polys)
     if columns is None:
         columns = columns_for(polys)
@@ -309,7 +295,5 @@ def nullspace_combinations(polys, columns=None):
             out.append({i: 1})
             continue
         if not space.insert_row(row, tag=i):
-            vec = _canonical_relation(space.last_combination, factors,
-                                      len(polys))
-            out.append({j: int(c) for j, c in enumerate(vec) if c})
+            out.append(_canonical_relation(space.last_combination, factors))
     return out

@@ -75,6 +75,9 @@ class FreeAlgebra:
         self._num_rho = len(rho_vars)
         self._phi_cache = {Monomial.unit(): Polynomial.constant(
             self.xy_universe, 1)}
+        # filled on first use, so that building an algebra stays cheap
+        self._orders = {}     # reverse -> (variables, weights, count memos)
+        self._perm_maps = {}  # perm -> variable index map
 
     @property
     def xy_universe(self):
@@ -136,17 +139,44 @@ class FreeAlgebra:
 
     # -- graded components ----------------------------------------------
 
-    def monomials_of_weight(self, alpha, reverse=False):
-        """All monomials of F(n,m) with the given multidegree, enumerated
-        deterministically (descending lex in the variable exponents; the
-        reverse flag flips the variable order for order-robustness tests)."""
+    def _check_weight(self, alpha):
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.m:
             raise ValueError("weight length %d != m=%d"
                              % (len(alpha), self.m))
-        variables = list(range(self.universe.nvars))
-        if reverse:
-            variables.reverse()
+        return alpha
+
+    def _order(self, reverse):
+        """(variables, weights, memos) of one enumeration direction, where
+        memos[idx] maps a weight to its number of monomials in the
+        variables[idx:]."""
+        order = self._orders.get(reverse)
+        if order is None:
+            variables = list(range(self.universe.nvars))
+            if reverse:
+                variables.reverse()
+            weights = [self.universe.weight(v) for v in variables]
+            memos = [{} for _ in variables]
+            order = self._orders[reverse] = (variables, weights, memos)
+        return order
+
+    def count_of_weight(self, alpha):
+        """Number of monomials of F(n,m) with the given multidegree (the
+        coefficient of t^alpha in prod_v 1/(1 - t^{w_v})), without
+        enumerating them."""
+        alpha = self._check_weight(alpha)
+        _, weights, memos = self._order(False)
+        return _suffix_count(weights, memos, 0, alpha)
+
+    def monomials_of_weight(self, alpha, reverse=False):
+        """All monomials of F(n,m) with the given multidegree, enumerated
+        deterministically (descending lex in the variable exponents; the
+        reverse flag flips the variable order for order-robustness tests).
+        A branch of the recursion is entered only when the suffix count
+        says it holds a monomial, so every call below the root emits at
+        least one."""
+        alpha = self._check_weight(alpha)
+        variables, weights, memos = self._order(bool(reverse))
         out = []
         acc = []
 
@@ -154,19 +184,20 @@ class FreeAlgebra:
             if not any(remaining):
                 out.append(Monomial(acc))
                 return
-            if idx == len(variables):
-                return
             v = variables[idx]
-            w = self.universe.weight(v)
+            w = weights[idx]
             cap = min(r // wi for r, wi in zip(remaining, w) if wi)
             for e in range(cap, 0, -1):
-                acc.append((v, e))
-                rec(idx + 1,
-                    tuple(r - e * wi for r, wi in zip(remaining, w)))
-                acc.pop()
-            rec(idx + 1, remaining)
+                rest = tuple(r - e * wi for r, wi in zip(remaining, w))
+                if _suffix_count(weights, memos, idx + 1, rest):
+                    acc.append((v, e))
+                    rec(idx + 1, rest)
+                    acc.pop()
+            if _suffix_count(weights, memos, idx + 1, remaining):
+                rec(idx + 1, remaining)
 
-        rec(0, alpha)
+        if _suffix_count(weights, memos, 0, alpha):
+            rec(0, alpha)
         return out
 
     def monomial_elements_of_weight(self, alpha, reverse=False):
@@ -190,11 +221,14 @@ class FreeAlgebra:
     def s_act(self, perm, e):
         """Permutation action on the vector slots."""
         perm = tuple(perm)
-        if sorted(perm) != list(range(1, self.m + 1)):
-            raise ValueError("perm must be a permutation of 1..%d, got %r"
-                             % (self.m, perm))
-        var_map = {v: self.permuted_variable(perm, v)
-                   for v in range(self.universe.nvars)}
+        var_map = self._perm_maps.get(perm)
+        if var_map is None:
+            if sorted(perm) != list(range(1, self.m + 1)):
+                raise ValueError("perm must be a permutation of 1..%d, "
+                                 "got %r" % (self.m, perm))
+            var_map = self._perm_maps[perm] = {
+                v: self.permuted_variable(perm, v)
+                for v in range(self.universe.nvars)}
         return FreeElement(self, e.poly.permute_variables(var_map))
 
     def _shifted_variable(self, v, u_slot, v_slot):
@@ -242,6 +276,28 @@ class FreeAlgebra:
                 elif shifted in out:
                     del out[shifted]
         return FreeElement(self, Polynomial(self.universe, out))
+
+
+def _suffix_count(weights, memos, idx, remaining):
+    """Number of exponent vectors on weights[idx:] summing to the vector
+    `remaining` (0 if it has a negative entry), memoised in memos[idx]: sum
+    over the exponent e of variable idx of the count on weights[idx + 1:]
+    of remaining - e * weights[idx], so the recursion is at most
+    len(weights) deep whatever the weight."""
+    if idx == len(weights):
+        return 0 if any(remaining) else 1
+    memo = memos[idx]
+    hit = memo.get(remaining)
+    if hit is not None:
+        return hit
+    w = weights[idx]
+    total = 0
+    rest = remaining
+    while min(rest) >= 0:
+        total += _suffix_count(weights, memos, idx + 1, rest)
+        rest = tuple(r - wi for r, wi in zip(rest, w))
+    memo[remaining] = total
+    return total
 
 
 class FreeElement:

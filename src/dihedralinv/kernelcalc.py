@@ -45,12 +45,21 @@ class ResourceCapError(RuntimeError):
 
 
 def resolve_resource_cap(cap=None):
-    if cap is not None:
-        return int(cap)
-    env = os.environ.get(RESOURCE_CAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_RESOURCE_CAP
+    """The explicit cap, else the environment's, else the default; a cap
+    that is not a positive integer is a ValueError."""
+    if cap is None:
+        env = os.environ.get(RESOURCE_CAP_ENV)
+        if not env:
+            return DEFAULT_RESOURCE_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError("%s=%r is not an integer"
+                             % (RESOURCE_CAP_ENV, env)) from None
+    cap = int(cap)
+    if cap <= 0:
+        raise ValueError("the resource cap must be positive, got %d" % cap)
+    return cap
 
 
 def _guard(size, cap, what):
@@ -109,8 +118,9 @@ def _kernel_basis_sorted(n, m, alpha, cap, reverse=False):
     if hit is not None:
         return hit
     algebra = free_algebra(n, m)
+    _guard(algebra.count_of_weight(alpha), cap,
+           "kernel component %r of F(%d,%d)" % (alpha, n, m))
     monos = algebra.monomials_of_weight(alpha, reverse=reverse)
-    _guard(len(monos), cap, "kernel component %r of F(%d,%d)" % (alpha, n, m))
     columns = sorted_monomials(xy_monomials(m, alpha), 2 * m)
     _guard(len(columns), cap, "invariant component %r" % (alpha,))
     images = [algebra.phi_monomial(mo) for mo in monos]
@@ -125,13 +135,14 @@ def _kernel_basis_sorted(n, m, alpha, cap, reverse=False):
 
 def kernel_basis_at(n, m, alpha, cap=None, reverse=False):
     """Kernel basis at an arbitrary multidegree, by permutation transport
-    from the weakly decreasing representative."""
+    from the weakly decreasing representative.  The list is the caller's
+    own: changing it leaves the cache intact."""
     cap = resolve_resource_cap(cap)
     alpha = tuple(int(a) for a in alpha)
     sorted_alpha, perm = sort_permutation(alpha)
     basis = _kernel_basis_sorted(n, m, sorted_alpha, cap, reverse=reverse)
     if alpha == sorted_alpha:
-        return basis
+        return list(basis)
     algebra = free_algebra(n, m)
     return [algebra.s_act(perm, e) for e in basis]
 
@@ -271,9 +282,9 @@ class TruncatedIdeal:
             return hit
         if self.algebra is None:
             raise ValueError("empty ideal has no components")
-        columns = self.algebra.monomials_of_weight(alpha)
-        _guard(len(columns), self.resource_cap,
+        _guard(self.algebra.count_of_weight(alpha), self.resource_cap,
                "ideal slice %r" % (alpha,))
+        columns = self.algebra.monomials_of_weight(alpha)
         space = PolynomialSpace(self.algebra.universe, columns=columns)
         for row in self.spanning_polys(alpha):
             space.insert(row)
@@ -590,10 +601,11 @@ def furnish_check(T, H_gens, K_gens, params, d, resource_cap=None):
         by_weight.setdefault(w, []).append(e)
     for t in range(d + 1):
         for alpha in decreasing_multidegrees(params.m, t):
-            columns = algebra.monomials_of_weight(alpha)
-            if not columns:
+            size = algebra.count_of_weight(alpha)
+            if not size:
                 continue
-            _guard(len(columns), cap, "free component %r" % (alpha,))
+            _guard(size, cap, "free component %r" % (alpha,))
+            columns = algebra.monomials_of_weight(alpha)
             space = PolynomialSpace(algebra.universe, columns=columns)
             for e in by_weight.get(alpha, ()):
                 space.insert(e.poly)
@@ -602,11 +614,11 @@ def furnish_check(T, H_gens, K_gens, params, d, resource_cap=None):
                     continue
                 for row in ideal.spanning_polys(alpha):
                     space.insert(row)
-                    if space.rank == len(columns):
+                    if space.rank == size:
                         break
-                if space.rank == len(columns):
+                if space.rank == size:
                     break
-            if space.rank != len(columns):
+            if space.rank != size:
                 return False
     return True
 

@@ -187,6 +187,37 @@ def test_resource_cap_exit_code(runner):
         or "resource cap" in (result.stderr or "").lower()
 
 
+def test_malformed_resource_cap_env_exits_2(runner, monkeypatch):
+    monkeypatch.setenv("DIHEDRALINV_RESOURCE_CAP", "abc")
+    result = runner.invoke(main, ["kernel", "dim", "--n", "4", "--m", "2"])
+    assert result.exit_code == 2
+    assert "DIHEDRALINV_RESOURCE_CAP='abc' is not an integer" \
+        in result.output
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nonpositive_resource_cap_exits_2(runner, cap):
+    result = runner.invoke(main, ["kernel", "dim", "--n", "4", "--m", "2",
+                                  "--resource-cap", cap])
+    assert result.exit_code == 2
+    assert "the resource cap must be positive" in result.output
+    assert "basis monomials" not in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["kernel", "dim", "--n", "4", "--max-degree", "-1"],
+    ["kernel", "basis", "--n", "4", "--degree", "-2"],
+    ["kernel", "mingens", "--n", "4", "--max-degree", "-1"],
+    ["hironaka", "verify", "--n", "4", "--max-degree", "-1"],
+    ["decompose", "invariants", "--n", "4", "--max-degree", "-1"],
+    ["hilbert", "--n", "4", "--max-degree", "-1"],
+])
+def test_negative_degree_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "degrees are nonnegative" in result.output
+
+
 def test_report_paper(runner):
     result = run(runner, ["report", "paper", "--n", "4"])
     assert result.exit_code == 0

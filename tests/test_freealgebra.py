@@ -17,6 +17,7 @@ from dihedralinv.dihedral import (
     s_act_xy,
 )
 from dihedralinv.freealgebra import (
+    FreeAlgebra,
     LoweringOperator,
     free_algebra,
     gl_act,
@@ -83,6 +84,76 @@ def test_monomials_of_weight_reverse_same_set():
 def test_monomials_of_weight_validation():
     with pytest.raises(ValueError):
         free_algebra(4, 2).monomials_of_weight((2,))
+    with pytest.raises(ValueError):
+        free_algebra(4, 2).count_of_weight((2,))
+    assert free_algebra(4, 2).monomials_of_weight((6, -2)) == []
+    assert free_algebra(4, 2).count_of_weight((6, -2)) == 0
+
+
+def reference_monomials(A, alpha, reverse=False):
+    """The enumeration without count pruning or memo: the same recursion,
+    trying every exponent of every variable."""
+    variables = list(range(A.universe.nvars))
+    if reverse:
+        variables.reverse()
+    out = []
+    acc = []
+
+    def rec(idx, remaining):
+        if not any(remaining):
+            out.append(Monomial(acc))
+            return
+        if idx == len(variables):
+            return
+        v = variables[idx]
+        w = A.universe.weight(v)
+        cap = min(r // wi for r, wi in zip(remaining, w) if wi)
+        for e in range(cap, 0, -1):
+            acc.append((v, e))
+            rec(idx + 1, tuple(r - e * wi for r, wi in zip(remaining, w)))
+            acc.pop()
+        rec(idx + 1, remaining)
+
+    rec(0, tuple(alpha))
+    return out
+
+
+@st.composite
+def small_weights(draw):
+    """(n, m, alpha) with n in 3..6, m in 1..4 and |alpha| <= 12."""
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(1, 4))
+    left = draw(st.integers(0, 12))
+    alpha = []
+    for _ in range(m - 1):
+        alpha.append(draw(st.integers(0, left)))
+        left -= alpha[-1]
+    alpha.append(left)
+    return n, m, tuple(alpha)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_weights(), st.booleans())
+def test_pruned_enumeration_matches_reference(nm_alpha, reverse):
+    n, m, alpha = nm_alpha
+    A = free_algebra(n, m)
+    want = reference_monomials(A, alpha, reverse=reverse)
+    assert A.monomials_of_weight(alpha, reverse=reverse) == want
+    assert A.count_of_weight(alpha) == len(want)
+
+
+def test_count_of_weight_deep_single_slot():
+    # a fresh algebra, so one large weight fills the count memo from
+    # nothing; the count must not recurse once per unit of weight
+    A = FreeAlgebra(3, 1)
+    top = 2100
+    ways = [1] + [0] * top  # coefficients of prod_v 1/(1 - t^{w_v})
+    for v in range(A.universe.nvars):
+        (w,) = A.universe.weight(v)
+        for k in range(w, top + 1):
+            ways[k] += ways[k - w]
+    assert A.count_of_weight((top,)) == ways[top] > 0
+    assert len(A.monomials_of_weight((top,))) == ways[top]
 
 
 # ---------------------------------------------------------------------------

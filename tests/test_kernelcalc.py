@@ -8,8 +8,12 @@ acceptance suite.
 
 import pytest
 
+from dihedralinv import kernelcalc
 from dihedralinv.dihedral import DihedralParams
+from dihedralinv.exactpoly import Polynomial
 from dihedralinv.freealgebra import (
+    FreeAlgebra,
+    FreeElement,
     free_algebra,
     make_R222,
     make_R_2n2k,
@@ -59,11 +63,55 @@ def test_resource_cap_resolution(monkeypatch):
     monkeypatch.setenv("DIHEDRALINV_RESOURCE_CAP", "123")
     assert resolve_resource_cap() == 123
     assert resolve_resource_cap(77) == 77
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="must be positive"):
+            resolve_resource_cap(bad)
+    monkeypatch.setenv("DIHEDRALINV_RESOURCE_CAP", "abc")
+    with pytest.raises(ValueError, match="is not an integer"):
+        resolve_resource_cap()
+    assert resolve_resource_cap(77) == 77
 
 
 def test_resource_cap_enforced():
     with pytest.raises(ResourceCapError):
         kernel_component(6, 3, 10, resource_cap=50)
+
+
+def test_resource_cap_stops_before_enumeration(monkeypatch):
+    # a private algebra and kernel cache, so no cached component skips the
+    # guard; the spy records the size of every enumerated component
+    A = FreeAlgebra(4, 3)
+    monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
+    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
+    enumerated = []
+    real = A.monomials_of_weight
+
+    def spy(alpha, reverse=False):
+        monos = real(alpha, reverse=reverse)
+        enumerated.append(len(monos))
+        return monos
+
+    monkeypatch.setattr(A, "monomials_of_weight", spy)
+    with pytest.raises(ResourceCapError, match="kernel component"):
+        kernel_basis_at(4, 3, (4, 2, 2), cap=5)
+    assert enumerated == []
+    ideal = TruncatedIdeal([A.rho((2, 0, 0))], 8, resource_cap=5)
+    with pytest.raises(ResourceCapError, match="ideal slice"):
+        ideal.component_dimension((4, 2, 2))
+    assert enumerated == []
+    symbols = [FreeElement(A, Polynomial.variable(A.universe, v))
+               for v in range(A.universe.nvars)]
+    with pytest.raises(ResourceCapError, match="free component"):
+        furnish_check([A.one()], symbols, [], DihedralParams(4, 3), 8,
+                      resource_cap=5)
+    # furnish_check enumerates the components it passed, none over the cap
+    assert enumerated
+    assert all(size <= 5 for size in enumerated)
+
+
+def test_returned_basis_does_not_alias_the_cache():
+    kernel_basis_at(4, 3, (2, 2, 2)).clear()
+    assert kernel_component(4, 3, 6)[0] == 28
 
 
 # ---------------------------------------------------------------------------

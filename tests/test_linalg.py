@@ -1,6 +1,8 @@
 """Exact row reduction, relation extraction, nullspaces."""
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -133,3 +135,23 @@ def test_planted_relation_is_found(vecs, data):
     before = len(linear_relations(polys))
     after = len(linear_relations(polys + [planted]))
     assert after == before + 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(vectors(), min_size=1, max_size=6))
+def test_sparse_and_dense_relations_agree(vecs):
+    polys = [as_poly(v) for v in vecs]
+    sparse = nullspace_combinations(polys)
+    dense = linear_relations(polys)
+    assert dense == [[rel.get(j, 0) for j in range(len(polys))]
+                     for rel in sparse]
+    for rel in sparse:
+        keys = list(rel)
+        assert keys == sorted(keys)
+        assert all(type(c) is int and c for c in rel.values())
+        assert rel[keys[0]] > 0
+        assert reduce(gcd, rel.values()) == 1
+        total = Polynomial.zero(U)
+        for i, c in rel.items():
+            total = total + polys[i].scale(c)
+        assert total.is_zero()
