@@ -64,14 +64,11 @@ from .gltheory import (
 )
 from .kernelcalc import (
     HironakaSpec,
-    KernelReport,
     ResourceCapError,
     TruncatedIdeal,
     furnish_check,
     kernel_component,
-    kernel_report,
     minimal_generators_by_degree,
-    truncated_membership,
     verify_gl_generation,
     verify_hironaka,
 )

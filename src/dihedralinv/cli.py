@@ -120,6 +120,16 @@ def _resolve_degree(n, max_degree, force):
     return max_degree
 
 
+def _ambient_degree(n, max_degree):
+    """The ambient assembly holds through 2n+2 only, also the default."""
+    bound = 2 * n + 2
+    if max_degree is not None and max_degree > bound:
+        raise click.UsageError(
+            "the ambient assembly is only valid through degree 2n+2 = %d"
+            % bound)
+    return bound if max_degree is None else max_degree
+
+
 def guarded(fn):
     """Resource-cap overruns are reported as usage-level failures."""
 
@@ -368,11 +378,7 @@ def decompose_invariants(n, m, max_degree, fmt):
 def decompose_ambient(n, m, max_degree, fmt):
     """Decomposition of the ambient quotient (determinant relation killed)
     in low degrees."""
-    D = max_degree if max_degree is not None else 2 * n + 2
-    if D > 2 * n + 2:
-        raise click.UsageError(
-            "the ambient assembly is only valid through degree 2n+2 = %d"
-            % (2 * n + 2))
+    D = _ambient_degree(n, max_degree)
     tables, lines = _decomposition_tables(
         ambient_truncated(n, m, D), "ambient_decomposition")
     emit("decompose ambient", {"n": n, "m": m, "max_degree": D},
@@ -388,11 +394,7 @@ def decompose_ambient(n, m, max_degree, fmt):
 @guarded
 def decompose_kernel(n, m, max_degree, fmt):
     """Decomposition of the reduced kernel (ambient minus invariants)."""
-    D = max_degree if max_degree is not None else 2 * n + 2
-    if D > 2 * n + 2:
-        raise click.UsageError(
-            "the ambient assembly is only valid through degree 2n+2 = %d"
-            % (2 * n + 2))
+    D = _ambient_degree(n, max_degree)
     tables, lines = _decomposition_tables(
         kernel_decomposition(n, m, D), "kernel_decomposition")
     emit("decompose kernel", {"n": n, "m": m, "max_degree": D},

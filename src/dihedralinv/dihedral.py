@@ -74,14 +74,11 @@ def decreasing_multidegrees(m, total):
     yield from rec(total, total, m)
 
 
-def xy_monomials(m, alpha, reverse=False):
+def xy_monomials(m, alpha):
     """All monomials of multidegree alpha in the coordinate ring of m plane
     vectors: choose the x-exponent a_i <= alpha_i in each slot, y picks up
-    the rest.  Enumerated in descending lex order of the x-exponent vector
-    (ascending with reverse=True, for order-robustness tests)."""
+    the rest.  Enumerated in descending lex order of the x-exponent vector."""
     ranges = [range(a, -1, -1) for a in alpha]
-    if reverse:
-        ranges = [range(a + 1) for a in alpha]
     out = []
     for xs in product(*ranges):
         pairs = []

@@ -18,7 +18,6 @@ from .linalg import (
     columns_for,
     linear_relations,
     nullspace_combinations,
-    row_from_polynomial,
     scaled_row_from_polynomial,
     sorted_monomials,
     span_dimension,
@@ -49,7 +48,6 @@ __all__ = [
     "nullspace_combinations",
     "parse_polynomial",
     "rhopi_universe",
-    "row_from_polynomial",
     "s_polynomial",
     "scaled_row_from_polynomial",
     "sorted_monomials",

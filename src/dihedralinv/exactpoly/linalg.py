@@ -3,9 +3,11 @@
 Rows are sparse integer vectors (fraction-free: each polynomial row is scaled
 to integers and divided by the gcd of its entries) and elimination combines
 rows by cross-multiplication, so no rational arithmetic happens in the inner
-loop.  Pivoting is deterministic: the pivot of a row is its first nonzero
-entry in column order, where columns are ordered by the canonical graded-lex
-order of their monomials, leading monomial first.
+loop.  Columns are integer ids into a monomial basis that the caller knows
+up front (every graded or multigraded component does); pivoting is
+deterministic: the pivot of a row is its smallest column id.  With columns
+in the canonical graded-lex order (`sorted_monomials`), that is the leading
+monomial.
 
 With combination tracking enabled, every inserted row carries the coefficient
 vector expressing it in terms of the inserted rows; a row that reduces to zero
@@ -19,16 +21,10 @@ from fractions import Fraction
 from math import gcd
 
 
-def row_from_polynomial(poly, col_index=None):
-    """Sparse integer row of a polynomial (denominators cleared, gcd divided
-    out).  Columns are the monomials themselves, or integer ids when a
-    `col_index` map is supplied."""
-    row, _ = scaled_row_from_polynomial(poly, col_index)
-    return row
-
-
-def scaled_row_from_polynomial(poly, col_index=None):
-    """Integer row plus the positive rational factor f with row == f * poly.
+def scaled_row_from_polynomial(poly, col_index):
+    """Sparse integer row of a polynomial over the column ids `col_index`
+    (denominators cleared, gcd divided out), plus the positive rational
+    factor f with row == f * poly.
 
     The factor is needed whenever a combination among rows must be turned
     back into a combination among the original polynomials."""
@@ -40,9 +36,8 @@ def scaled_row_from_polynomial(poly, col_index=None):
     row = {}
     g = 0
     for mono, c in poly.terms.items():
-        key = mono if col_index is None else col_index[mono]
         v = int(c * den)
-        row[key] = v
+        row[col_index[mono]] = v
         g = gcd(g, v)
     if g > 1:
         for k in row:
@@ -51,16 +46,11 @@ def scaled_row_from_polynomial(poly, col_index=None):
 
 
 class RowSpace:
-    """Incrementally built echelon basis of a row space.
+    """Incrementally built echelon basis of a row space over integer
+    columns; the pivot of a row is its smallest column."""
 
-    key=None means integer columns with pivot = smallest index; otherwise
-    `key` maps a column label to a sort key and the pivot is the column with
-    the largest key (for monomial columns pass the graded-lex key, so the
-    pivot is the leading monomial)."""
-
-    def __init__(self, key=None, track=False):
+    def __init__(self, track=False):
         self.pivots = {}        # pivot column -> (row, combo or None)
-        self.key = key
         self.track = track
         self.last_combination = None
         self._ntags = 0
@@ -69,17 +59,12 @@ class RowSpace:
     def rank(self):
         return len(self.pivots)
 
-    def _pivot_col(self, row):
-        if self.key is None:
-            return min(row)
-        return max(row, key=self.key)
-
     def _reduce(self, row, combo):
         """Eliminate `row` against the stored pivots; returns the remainder
         and the consistently scaled combination."""
         pivots = self.pivots
         while row:
-            col = self._pivot_col(row)
+            col = min(row)
             hit = pivots.get(col)
             if hit is None:
                 break
@@ -133,7 +118,7 @@ class RowSpace:
             _gcd_normalize(row)
         else:
             row, combo = _joint_normalize(row, combo)
-        self.pivots[self._pivot_col(row)] = (row, combo)
+        self.pivots[min(row)] = (row, combo)
         return True
 
     def contains_row(self, row):
@@ -173,23 +158,13 @@ def _joint_normalize(row, combo):
 
 
 class PolynomialSpace:
-    """Row space spanned by polynomials over one universe.
+    """Row space spanned by polynomials over one universe, with rows over
+    the given monomial basis `columns` (column id = list position)."""
 
-    When the relevant monomial basis is known up front (as in every graded or
-    multigraded component computation), pass it as `columns`: rows then use
-    integer column ids, the fast path.  Without `columns`, rows are keyed by
-    the monomials themselves and pivots follow the graded-lex order, which
-    supports fully incremental insertion."""
-
-    def __init__(self, universe, columns=None, track=False):
+    def __init__(self, universe, columns, track=False):
         self.universe = universe
-        if columns is not None:
-            self.col_index = {mono: i for i, mono in enumerate(columns)}
-            self.space = RowSpace(track=track)
-        else:
-            self.col_index = None
-            nv = universe.nvars
-            self.space = RowSpace(key=lambda mo: mo.grlex_key(nv), track=track)
+        self.col_index = {mono: i for i, mono in enumerate(columns)}
+        self.space = RowSpace(track=track)
 
     @property
     def rank(self):
@@ -203,7 +178,7 @@ class PolynomialSpace:
         if poly.universe != self.universe:
             raise ValueError("mixed universes: %r vs %r"
                              % (poly.universe, self.universe))
-        return row_from_polynomial(poly, self.col_index)
+        return scaled_row_from_polynomial(poly, self.col_index)[0]
 
     def insert(self, poly, tag=None):
         return self.space.insert_row(self._row(poly), tag=tag)
@@ -270,10 +245,9 @@ def span_dimension(polys):
     polys = list(polys)
     if not polys:
         return 0
-    col_index = {mono: i for i, mono in enumerate(columns_for(polys))}
-    space = RowSpace()
+    space = PolynomialSpace(polys[0].universe, columns_for(polys))
     for p in polys:
-        space.insert_row(row_from_polynomial(p, col_index))
+        space.insert(p)
     return space.rank
 
 

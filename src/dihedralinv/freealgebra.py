@@ -62,8 +62,9 @@ class FreeAlgebra:
         self.m = m
         rho_vars = {}
         pi_vars = {}
-        for v in range(self.universe.nvars):
-            w = self.universe.weight(v)
+        self._weights = [self.universe.weight(v)
+                         for v in range(self.universe.nvars)]
+        for v, w in enumerate(self._weights):
             if self.universe.degree(v) == 2:
                 rho_vars[w] = v
             else:
@@ -75,8 +76,9 @@ class FreeAlgebra:
         self._num_rho = len(rho_vars)
         self._phi_cache = {Monomial.unit(): Polynomial.constant(
             self.xy_universe, 1)}
-        # filled on first use, so that building an algebra stays cheap
-        self._orders = {}     # reverse -> (variables, weights, count memos)
+        # memos[v] maps a weight to its number of monomials in the
+        # variables v, v + 1, ... (see _suffix_count)
+        self._memos = [{} for _ in self._weights]
         self._perm_maps = {}  # perm -> variable index map
 
     @property
@@ -128,13 +130,19 @@ class FreeAlgebra:
         return p_pol(w, m=self.m)
 
     def phi_monomial(self, mono):
-        cached = self._phi_cache.get(mono)
-        if cached is not None:
-            return cached
-        v, e = mono.exps[0]
-        rest = mono / Monomial.variable(v)
-        value = self.phi_monomial(rest) * self.variable_polarization(v)
-        self._phi_cache[mono] = value
+        """phi of a monomial, cached together with every prefix on the way:
+        strip one factor of the first variable at a time down to a cached
+        monomial, then multiply back up."""
+        cache = self._phi_cache
+        chain = []
+        while mono not in cache:
+            v = mono.exps[0][0]
+            chain.append((mono, v))
+            mono = mono / Monomial.variable(v)
+        value = cache[mono]
+        for mono, v in reversed(chain):
+            value = value * self.variable_polarization(v)
+            cache[mono] = value
         return value
 
     # -- graded components ----------------------------------------------
@@ -146,37 +154,21 @@ class FreeAlgebra:
                              % (len(alpha), self.m))
         return alpha
 
-    def _order(self, reverse):
-        """(variables, weights, memos) of one enumeration direction, where
-        memos[idx] maps a weight to its number of monomials in the
-        variables[idx:]."""
-        order = self._orders.get(reverse)
-        if order is None:
-            variables = list(range(self.universe.nvars))
-            if reverse:
-                variables.reverse()
-            weights = [self.universe.weight(v) for v in variables]
-            memos = [{} for _ in variables]
-            order = self._orders[reverse] = (variables, weights, memos)
-        return order
-
     def count_of_weight(self, alpha):
         """Number of monomials of F(n,m) with the given multidegree (the
         coefficient of t^alpha in prod_v 1/(1 - t^{w_v})), without
         enumerating them."""
         alpha = self._check_weight(alpha)
-        _, weights, memos = self._order(False)
-        return _suffix_count(weights, memos, 0, alpha)
+        return _suffix_count(self._weights, self._memos, 0, alpha)
 
-    def monomials_of_weight(self, alpha, reverse=False):
+    def monomials_of_weight(self, alpha):
         """All monomials of F(n,m) with the given multidegree, enumerated
-        deterministically (descending lex in the variable exponents; the
-        reverse flag flips the variable order for order-robustness tests).
+        deterministically (descending lex in the variable exponents).
         A branch of the recursion is entered only when the suffix count
         says it holds a monomial, so every call below the root emits at
         least one."""
         alpha = self._check_weight(alpha)
-        variables, weights, memos = self._order(bool(reverse))
+        weights, memos = self._weights, self._memos
         out = []
         acc = []
 
@@ -184,13 +176,12 @@ class FreeAlgebra:
             if not any(remaining):
                 out.append(Monomial(acc))
                 return
-            v = variables[idx]
             w = weights[idx]
             cap = min(r // wi for r, wi in zip(remaining, w) if wi)
             for e in range(cap, 0, -1):
                 rest = tuple(r - e * wi for r, wi in zip(remaining, w))
                 if _suffix_count(weights, memos, idx + 1, rest):
-                    acc.append((v, e))
+                    acc.append((idx, e))
                     rec(idx + 1, rest)
                     acc.pop()
             if _suffix_count(weights, memos, idx + 1, remaining):
@@ -200,9 +191,9 @@ class FreeAlgebra:
             rec(0, alpha)
         return out
 
-    def monomial_elements_of_weight(self, alpha, reverse=False):
+    def monomial_elements_of_weight(self, alpha):
         return [FreeElement(self, Polynomial.from_monomial(self.universe, mo))
-                for mo in self.monomials_of_weight(alpha, reverse=reverse)]
+                for mo in self.monomials_of_weight(alpha)]
 
     # -- symmetric-group and gl actions -----------------------------------
 
@@ -412,18 +403,33 @@ def is_highest_weight(e):
 
 
 def submodule_basis(e):
-    """Basis of the gl_m-submodule generated by e: saturate breadth-first
-    under all matrix units E_{u,v} (u != v), keeping an element whenever it
-    enlarges the exact rank.  First-found order, deterministic."""
+    """Basis of the gl_m-submodule generated by a multihomogeneous e:
+    saturate breadth-first under all matrix units E_{u,v} (u != v), keeping
+    an element whenever it enlarges the exact rank of its weight space.
+    The matrix units keep elements multihomogeneous and weight spaces are
+    direct summands, so that is the rank of the whole span growing.
+    First-found order, deterministic."""
     if e.is_zero():
         raise ValueError("zero element generates the zero module")
+    if e.weight() is None:
+        raise ValueError("submodule_basis needs a multihomogeneous element, "
+                         "got %r" % (e,))
     algebra = e.algebra
     units = [(u, v) for u in range(1, algebra.m + 1)
              for v in range(1, algebra.m + 1) if u != v]
-    space = PolynomialSpace(algebra.universe)
+    spaces = {}  # weight -> PolynomialSpace over its monomials
+
+    def enlarges(x):
+        w = x.weight()
+        space = spaces.get(w)
+        if space is None:
+            space = spaces[w] = PolynomialSpace(
+                algebra.universe, algebra.monomials_of_weight(w))
+        return space.insert(x.poly)
+
     basis = []
     queue = []
-    if space.insert(e.poly):
+    if enlarges(e):
         basis.append(e)
         queue.append(e)
     while queue:
@@ -432,7 +438,7 @@ def submodule_basis(e):
             child = algebra.gl_act(unit, current)
             if child.is_zero():
                 continue
-            if space.insert(child.poly):
+            if enlarges(child):
                 basis.append(child)
                 queue.append(child)
     return basis

@@ -15,9 +15,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import permutations
+from math import prod
 
 from .dihedral import (
-    DihedralParams,
     all_multidegrees,
     cyclic_invariant_basis,
     cyclic_invariant_dimension,
@@ -70,6 +70,14 @@ def _guard(size, cap, what):
             % (what, size, cap, RESOURCE_CAP_ENV))
 
 
+def _guard_invariant(alpha, cap):
+    """Cap check on the coordinate-ring component of multidegree alpha
+    before it is enumerated: slot i splits alpha_i between x_i and y_i in
+    alpha_i + 1 ways."""
+    _guard(prod(a + 1 for a in alpha), cap,
+           "invariant component %r" % (alpha,))
+
+
 # ---------------------------------------------------------------------------
 # coordinate-permutation bookkeeping
 
@@ -111,18 +119,19 @@ def orbit_size(alpha):
 _kernel_cache = {}
 
 
-def _kernel_basis_sorted(n, m, alpha, cap, reverse=False):
-    """Kernel basis at a weakly decreasing multidegree, cached."""
-    key = (n, m, alpha, reverse)
-    hit = _kernel_cache.get(key)
-    if hit is not None:
-        return hit
+def _kernel_basis_sorted(n, m, alpha, cap):
+    """Kernel basis at a weakly decreasing multidegree, cached.  Both
+    components are checked against the cap on every call, cached or not."""
     algebra = free_algebra(n, m)
     _guard(algebra.count_of_weight(alpha), cap,
            "kernel component %r of F(%d,%d)" % (alpha, n, m))
-    monos = algebra.monomials_of_weight(alpha, reverse=reverse)
+    _guard_invariant(alpha, cap)
+    key = (n, m, alpha)
+    hit = _kernel_cache.get(key)
+    if hit is not None:
+        return hit
+    monos = algebra.monomials_of_weight(alpha)
     columns = sorted_monomials(xy_monomials(m, alpha), 2 * m)
-    _guard(len(columns), cap, "invariant component %r" % (alpha,))
     images = [algebra.phi_monomial(mo) for mo in monos]
     basis = []
     for combo in nullspace_combinations(images, columns=columns):
@@ -133,14 +142,14 @@ def _kernel_basis_sorted(n, m, alpha, cap, reverse=False):
     return basis
 
 
-def kernel_basis_at(n, m, alpha, cap=None, reverse=False):
+def kernel_basis_at(n, m, alpha, cap=None):
     """Kernel basis at an arbitrary multidegree, by permutation transport
     from the weakly decreasing representative.  The list is the caller's
     own: changing it leaves the cache intact."""
     cap = resolve_resource_cap(cap)
     alpha = tuple(int(a) for a in alpha)
     sorted_alpha, perm = sort_permutation(alpha)
-    basis = _kernel_basis_sorted(n, m, sorted_alpha, cap, reverse=reverse)
+    basis = _kernel_basis_sorted(n, m, sorted_alpha, cap)
     if alpha == sorted_alpha:
         return list(basis)
     algebra = free_algebra(n, m)
@@ -164,15 +173,15 @@ def kernel_component(n, m, degree_or_multidegree, resource_cap=None):
 # minimal generators (graded Nakayama)
 
 
-def _new_generator_count_at(n, m, alpha, cap, reverse=False):
+def _new_generator_count_at(n, m, alpha, cap):
     """dim ker_alpha - dim (F_+ . ker)_alpha at one weakly decreasing
     multidegree: the span of variable times lower-kernel elements, against
     the kernel itself."""
     algebra = free_algebra(n, m)
-    kernel = _kernel_basis_sorted(n, m, alpha, cap, reverse=reverse)
+    kernel = _kernel_basis_sorted(n, m, alpha, cap)
     if not kernel:
         return 0
-    columns = algebra.monomials_of_weight(alpha, reverse=reverse)
+    columns = algebra.monomials_of_weight(alpha)
     space = PolynomialSpace(algebra.universe, columns=columns)
     for v in range(algebra.universe.nvars):
         w = algebra.universe.weight(v)
@@ -180,55 +189,25 @@ def _new_generator_count_at(n, m, alpha, cap, reverse=False):
         if any(b < 0 for b in beta):
             continue
         var_poly = Polynomial.variable(algebra.universe, v)
-        for e in kernel_basis_at(n, m, beta, cap, reverse=reverse):
+        for e in kernel_basis_at(n, m, beta, cap):
             space.insert(e.poly * var_poly)
     return len(kernel) - space.rank
 
 
-def minimal_generators_by_degree(n, m, D, resource_cap=None, reverse=False):
+def minimal_generators_by_degree(n, m, D, resource_cap=None):
     """Number of minimal generators of the kernel ideal in each degree
-    <= D (degrees with no new generators are omitted).  The reverse flag
-    re-runs with the opposite monomial enumeration order; the result must
-    not change."""
+    <= D (degrees with no new generators are omitted)."""
     cap = resolve_resource_cap(resource_cap)
     out = {}
     for d in range(D + 1):
         total = 0
         for alpha in decreasing_multidegrees(m, d):
-            count = _new_generator_count_at(n, m, alpha, cap,
-                                            reverse=reverse)
+            count = _new_generator_count_at(n, m, alpha, cap)
             if count:
                 total += count * orbit_size(alpha)
         if total:
             out[d] = total
     return out
-
-
-@dataclass
-class KernelReport:
-    """Per-degree kernel data: dimension, an explicit basis, and the number
-    of minimal ideal generators appearing in that degree."""
-
-    params: DihedralParams
-    per_degree: dict
-
-
-def kernel_report(n, m, D, resource_cap=None):
-    cap = resolve_resource_cap(resource_cap)
-    per_degree = {}
-    for d in range(D + 1):
-        dimension, basis = kernel_component(n, m, d, resource_cap=cap)
-        new_gens = 0
-        for alpha in decreasing_multidegrees(m, d):
-            count = _new_generator_count_at(n, m, alpha, cap)
-            if count:
-                new_gens += count * orbit_size(alpha)
-        per_degree[d] = {
-            "dimension": dimension,
-            "basis": basis,
-            "new_generators": new_gens,
-        }
-    return KernelReport(DihedralParams(n, m), per_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +296,6 @@ class TruncatedIdeal:
             self._space(alpha).contains(
                 Polynomial(self.algebra.universe, terms))
             for alpha, terms in slices.items())
-
-
-def truncated_membership(ideal, e):
-    """True iff e lies in the degree-truncated ideal (error above the cap)."""
-    return ideal.contains(e)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +390,8 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
     for t in range(D + 1):
         for alpha in decreasing_multidegrees(m, t):
             checked += 1
+            _guard_invariant(alpha, cap)
             columns = sorted_monomials(xy_monomials(m, alpha), 2 * m)
-            _guard(len(columns), cap, "invariant component %r" % (alpha,))
             space = PolynomialSpace(universe, columns=columns)
             for h, w in zip(primaries, weights):
                 beta = tuple(a - wi for a, wi in zip(alpha, w))

@@ -130,9 +130,17 @@ def test_decompose_invariants_matches_ambient_minus_kernel(runner):
 
 def test_decompose_ambient_refuses_deep_truncation(runner):
     result = runner.invoke(main, ["decompose", "ambient", "--n", "4",
-                                  "--m", "2", "--max-degree", "12",
-                                  "--force"])
-    assert result.exit_code != 0
+                                  "--m", "2", "--max-degree", "12"])
+    assert result.exit_code == 2
+    assert "only valid through degree 2n+2 = 10" in result.output
+
+
+def test_decompose_kernel_refuses_deep_truncation(runner):
+    result = runner.invoke(main, ["decompose", "kernel", "--n", "4",
+                                  "--m", "2", "--max-degree", "11"])
+    assert result.exit_code == 2
+    assert ("the ambient assembly is only valid through degree "
+            "2n+2 = 10") in result.output
 
 
 def test_hilbert_text(runner):

@@ -29,6 +29,7 @@ from dihedralinv.dihedral import (
     xy_monomials,
 )
 from dihedralinv.exactpoly import (
+    Monomial,
     Polynomial,
     parse_polynomial,
     span_dimension,
@@ -63,8 +64,11 @@ def test_xy_monomials_order_and_count():
     assert len(set(monos)) == 6
     U = xy_universe(2)
     assert all(mono.multidegree(U) == (2, 1) for mono in monos)
-    rev = list(xy_monomials(2, (2, 1), reverse=True))
-    assert rev == monos[::-1]
+    # descending lex in the x-exponent vector: x1^2*x2 first, y1^2*y2 last
+    x1, y1, x2, y2 = range(4)
+    assert monos[0] == Monomial([(x1, 2), (x2, 1)])
+    assert monos[1] == Monomial([(x1, 2), (y2, 1)])
+    assert monos[-1] == Monomial([(y1, 2), (y2, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedralinv.exactpoly import Monomial
+from dihedralinv.exactpoly import Monomial, PolynomialSpace, columns_for
 from dihedralinv.dihedral import (
     DihedralParams,
     all_multidegrees,
@@ -30,6 +30,7 @@ from dihedralinv.freealgebra import (
     s_act,
     submodule_basis,
 )
+from dihedralinv.gltheory import weyl_dim
 
 
 def test_symbol_constructors():
@@ -72,15 +73,6 @@ def test_graded_dimensions_fixture():
     assert dims == [1, 0, 6, 0, 36, 0, 146, 0, 561, 0, 1812]
 
 
-def test_monomials_of_weight_reverse_same_set():
-    A = free_algebra(4, 3)
-    fwd = A.monomials_of_weight((4, 2, 2))
-    rev = A.monomials_of_weight((4, 2, 2), reverse=True)
-    assert fwd != rev
-    assert sorted(fwd, key=lambda mo: mo.exps) \
-        == sorted(rev, key=lambda mo: mo.exps)
-
-
 def test_monomials_of_weight_validation():
     with pytest.raises(ValueError):
         free_algebra(4, 2).monomials_of_weight((2,))
@@ -90,12 +82,10 @@ def test_monomials_of_weight_validation():
     assert free_algebra(4, 2).count_of_weight((6, -2)) == 0
 
 
-def reference_monomials(A, alpha, reverse=False):
+def reference_monomials(A, alpha):
     """The enumeration without count pruning or memo: the same recursion,
     trying every exponent of every variable."""
-    variables = list(range(A.universe.nvars))
-    if reverse:
-        variables.reverse()
+    nvars = A.universe.nvars
     out = []
     acc = []
 
@@ -103,13 +93,12 @@ def reference_monomials(A, alpha, reverse=False):
         if not any(remaining):
             out.append(Monomial(acc))
             return
-        if idx == len(variables):
+        if idx == nvars:
             return
-        v = variables[idx]
-        w = A.universe.weight(v)
+        w = A.universe.weight(idx)
         cap = min(r // wi for r, wi in zip(remaining, w) if wi)
         for e in range(cap, 0, -1):
-            acc.append((v, e))
+            acc.append((idx, e))
             rec(idx + 1, tuple(r - e * wi for r, wi in zip(remaining, w)))
             acc.pop()
         rec(idx + 1, remaining)
@@ -133,13 +122,23 @@ def small_weights(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_weights(), st.booleans())
-def test_pruned_enumeration_matches_reference(nm_alpha, reverse):
+@given(small_weights())
+def test_pruned_enumeration_matches_reference(nm_alpha):
     n, m, alpha = nm_alpha
     A = free_algebra(n, m)
-    want = reference_monomials(A, alpha, reverse=reverse)
-    assert A.monomials_of_weight(alpha, reverse=reverse) == want
+    want = reference_monomials(A, alpha)
+    assert A.monomials_of_weight(alpha) == want
     assert A.count_of_weight(alpha) == len(want)
+
+
+def test_phi_monomial_deep_power():
+    # a fresh algebra, so the image of a high power is built from nothing;
+    # it must not recurse once per factor, and it caches every power
+    A = FreeAlgebra(3, 1)
+    (mono,) = (A.rho((2,)) ** 1500).poly.terms
+    ((v, _),) = mono.exps
+    assert A.phi_monomial(mono) == A.variable_polarization(v) ** 1500
+    assert len(A._phi_cache) == 1501
 
 
 def test_count_of_weight_deep_single_slot():
@@ -440,12 +439,30 @@ def test_submodule_sizes_two_slots():
         submodule_basis(free_algebra(4, 2).zero())
 
 
+def test_submodule_basis_rejects_mixed_weights():
+    A = free_algebra(4, 2)
+    with pytest.raises(ValueError, match="multihomogeneous"):
+        submodule_basis(make_R_n2(4, 2) + A.rho((2, 0)) ** 3)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_submodule_sizes_match_weyl_dimension(m):
+    # the per-weight saturation against the Weyl product formula, for every
+    # named relation at n = 4
+    named = [((4, 2), make_R_n2(4, m)), ((6, 2), make_R_2n2k(4, 1, m)),
+             ((4, 4), make_R_2n2k(4, 2, m))]
+    if m >= 3:
+        named.append(((2, 2, 2), make_R222(4, m)))
+    for weight, rel in named:
+        assert len(submodule_basis(rel)) == weyl_dim(weight, m), weight
+
+
 def test_submodule_spans_lowering_family():
     # the (n,2) ladder sits inside the submodule generated by its top
     family = lowering_family_Rn2(4, 2)
     basis = submodule_basis(family[0])
-    from dihedralinv.exactpoly import PolynomialSpace
-    space = PolynomialSpace(free_algebra(4, 2).universe)
+    polys = [e.poly for e in basis + family]
+    space = PolynomialSpace(free_algebra(4, 2).universe, columns_for(polys))
     for e in basis:
         space.insert(e.poly)
     for e in family:

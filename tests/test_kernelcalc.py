@@ -9,7 +9,7 @@ acceptance suite.
 import pytest
 
 from dihedralinv import kernelcalc
-from dihedralinv.dihedral import DihedralParams
+from dihedralinv.dihedral import DihedralParams, decreasing_multidegrees
 from dihedralinv.exactpoly import Polynomial
 from dihedralinv.freealgebra import (
     FreeAlgebra,
@@ -31,7 +31,6 @@ from dihedralinv.kernelcalc import (
     gl_generation_report,
     kernel_basis_at,
     kernel_component,
-    kernel_report,
     minimal_generators_by_degree,
     orbit_size,
     primary_elements,
@@ -39,7 +38,6 @@ from dihedralinv.kernelcalc import (
     secondary_table_m2,
     secondary_table_n4_m3,
     sort_permutation,
-    truncated_membership,
     verify_gl_generation,
     verify_hironaka,
     verify_hironaka_xy,
@@ -78,16 +76,15 @@ def test_resource_cap_enforced():
 
 
 def test_resource_cap_stops_before_enumeration(monkeypatch):
-    # a private algebra and kernel cache, so no cached component skips the
-    # guard; the spy records the size of every enumerated component
+    # a private algebra; the spy records the size of every enumerated
+    # component
     A = FreeAlgebra(4, 3)
     monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
-    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
     enumerated = []
     real = A.monomials_of_weight
 
-    def spy(alpha, reverse=False):
-        monos = real(alpha, reverse=reverse)
+    def spy(alpha):
+        monos = real(alpha)
         enumerated.append(len(monos))
         return monos
 
@@ -109,6 +106,48 @@ def test_resource_cap_stops_before_enumeration(monkeypatch):
     assert all(size <= 5 for size in enumerated)
 
 
+def test_resource_cap_applies_to_cached_components():
+    assert len(kernel_basis_at(4, 3, (4, 2, 2))) == 14
+    with pytest.raises(ResourceCapError, match="kernel component"):
+        kernel_basis_at(4, 3, (4, 2, 2), cap=5)
+    # the transported copies share the sorted component's guard
+    with pytest.raises(ResourceCapError, match="kernel component"):
+        kernel_basis_at(4, 3, (2, 4, 2), cap=5)
+
+
+def test_invariant_cap_stops_before_enumeration(monkeypatch):
+    # F(6,3) is empty at (5,2,2), but the coordinate-ring component has
+    # 6 * 3 * 3 = 54 monomials: the cap must fire before they are listed,
+    # cold or cached
+    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
+    seen = []
+    real = kernelcalc.xy_monomials
+
+    def spy(m, alpha):
+        seen.append(tuple(alpha))
+        return real(m, alpha)
+
+    monkeypatch.setattr(kernelcalc, "xy_monomials", spy)
+    needs_54 = r"invariant component \(5, 2, 2\) needs 54"
+    with pytest.raises(ResourceCapError, match=needs_54):
+        kernel_basis_at(6, 3, (5, 2, 2), cap=50)
+    assert seen == []
+    assert kernel_basis_at(6, 3, (5, 2, 2), cap=54) == []
+    assert seen == [(5, 2, 2)]
+    with pytest.raises(ResourceCapError, match=needs_54):
+        kernel_basis_at(6, 3, (5, 2, 2), cap=50)
+    seen.clear()
+    # the decomposition check guards its components the same way: with
+    # two slots, (6, 2) is the first weight over a cap of 20
+    with pytest.raises(ResourceCapError,
+                       match=r"invariant component \(6, 2\) needs 21"):
+        verify_hironaka(secondary_table_m2(4), DihedralParams(4, 2), 10,
+                        resource_cap=20)
+    assert seen
+    assert (6, 2) not in seen
+    assert all((a + 1) * (b + 1) <= 20 for a, b in seen)
+
+
 def test_returned_basis_does_not_alias_the_cache():
     kernel_basis_at(4, 3, (2, 2, 2)).clear()
     assert kernel_component(4, 3, 6)[0] == 28
@@ -119,13 +158,14 @@ def test_returned_basis_does_not_alias_the_cache():
 
 
 def test_kernel_dimensions_low_degrees():
-    for d in (0, 1, 2, 3, 4, 5):
+    for d in (0, 1, 2, 3, 4, 5, 7):
         dim, basis = kernel_component(4, 2, d)
         assert dim == 0 and basis == []
-    dim, basis = kernel_component(4, 2, 6)
-    assert dim == 3
-    assert all(phi(e).is_zero() for e in basis)
-    assert all(e.degree() == 6 for e in basis)
+    for d, want in ((6, 3), (8, 15)):
+        dim, basis = kernel_component(4, 2, d)
+        assert dim == want == len(basis)
+        assert all(phi(e).is_zero() for e in basis)
+        assert all(e.degree() == d for e in basis)
 
 
 def test_kernel_first_component_three_slots():
@@ -165,20 +205,26 @@ def test_minimal_generators_vanish_below_bound():
         assert minimal_generators_by_degree(n, 2, n + 1) == {}
 
 
-def test_minimal_generators_order_robust():
-    fwd = minimal_generators_by_degree(4, 2, 8)
-    rev = minimal_generators_by_degree(4, 2, 8, reverse=True)
-    assert fwd == rev == {6: 3, 8: 6}
+def _kernel_bases(n, m, degrees):
+    return [[e.poly for e in kernel_basis_at(n, m, alpha)]
+            for d in degrees for alpha in decreasing_multidegrees(m, d)]
 
 
-def test_kernel_report_layout():
-    rep = kernel_report(4, 2, 8)
-    assert rep.params == DihedralParams(4, 2)
-    assert sorted(rep.per_degree) == list(range(9))
-    assert rep.per_degree[6]["dimension"] == 3
-    assert rep.per_degree[6]["new_generators"] == 3
-    assert rep.per_degree[8]["new_generators"] == 6
-    assert rep.per_degree[8]["dimension"] == len(rep.per_degree[8]["basis"])
+def test_minimal_generators_order_robust(monkeypatch):
+    # the same counts from a private algebra and kernel cache whose
+    # enumeration lists every component backwards, so the kernel bases
+    # and the Nakayama columns come out in another order
+    forward = _kernel_bases(4, 2, (6, 8))
+    A = FreeAlgebra(4, 2)
+    monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
+    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
+    enumerate_forward = A.monomials_of_weight
+    monkeypatch.setattr(A, "monomials_of_weight",
+                        lambda alpha: enumerate_forward(alpha)[::-1])
+    assert minimal_generators_by_degree(4, 2, 8) == {6: 3, 8: 6}
+    backward = _kernel_bases(4, 2, (6, 8))
+    assert [len(b) for b in backward] == [len(b) for b in forward]
+    assert backward != forward
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +235,22 @@ def test_truncated_membership_positive():
     A = free_algebra(4, 2)
     R42 = make_R_n2(4, 2)
     ideal = TruncatedIdeal([R42], 8)
-    assert truncated_membership(ideal, A.rho((1, 1)) * R42)
-    assert truncated_membership(ideal, A.zero())
+    assert ideal.contains(A.rho((1, 1)) * R42)
+    assert ideal.contains(A.zero())
 
 
 def test_truncated_membership_negative():
     # the weight-(6,2) relation is not in the submodule ideal of the
     # weight-(4,2) one at degree 8
     ideal = TruncatedIdeal(submodule_basis(make_R_n2(4, 2)), 8)
-    assert not truncated_membership(ideal, make_R_2n2k(4, 1, 2))
+    assert not ideal.contains(make_R_2n2k(4, 1, 2))
 
 
 def test_truncated_membership_degree_cap():
     A = free_algebra(4, 2)
     ideal = TruncatedIdeal(submodule_basis(make_R_n2(4, 2)), 8)
-    with pytest.raises(ValueError):
-        truncated_membership(ideal, make_R_2n2k(4, 1, 2) * A.rho((1, 1)))
+    with pytest.raises(ValueError, match="exceeds the ideal truncation"):
+        ideal.contains(make_R_2n2k(4, 1, 2) * A.rho((1, 1)))
 
 
 def test_truncated_ideal_validation():
@@ -241,7 +287,7 @@ def test_mixed_generator_membership():
             + submodule_basis(make_R_n2(4, 3))
             + primary_elements(4, 3))
     ideal = TruncatedIdeal(gens, 6)
-    assert truncated_membership(ideal, A.pi((2, 1, 1)) * A.rho((1, 1, 0)))
+    assert ideal.contains(A.pi((2, 1, 1)) * A.rho((1, 1, 0)))
 
 
 # ---------------------------------------------------------------------------

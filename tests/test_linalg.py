@@ -66,7 +66,7 @@ def test_nullspace_combinations_vanish():
 
 
 def test_polynomial_space_incremental():
-    space = PolynomialSpace(U)
+    space = PolynomialSpace(U, columns_for([P("x1"), P("y1")]))
     assert space.insert(P("x1 + y1"))
     assert not space.insert(P("2*x1 + 2*y1"))
     assert space.insert(P("x1"))
@@ -82,10 +82,13 @@ def test_polynomial_space_with_columns():
     assert space.contains(P("2*x1 - 2*y1"))
     # monomial outside the declared basis: definitely not in the span
     assert not space.contains(P("x2"))
+    # the columns are required: there is no monomial-keyed mode
+    with pytest.raises(TypeError):
+        PolynomialSpace(U)
 
 
 def test_mixed_universe_rejected():
-    space = PolynomialSpace(U)
+    space = PolynomialSpace(U, columns_for([P("x1")]))
     with pytest.raises(ValueError):
         space.insert(parse_polynomial("x1", xy_universe(1)))
 
