@@ -1,20 +1,33 @@
 """Partition combinatorics and GL_m-module bookkeeping.
 
-Everything here is exact integer combinatorics: Kostka numbers by semistandard
-tableau enumeration, Schur module dimensions, Pieri products, the plethysm
-identities for symmetric powers of the quadratic and degree-n generator
-spaces, and the graded multiplicity table of the dihedral invariant ring.
-The linear-algebra modules verify their kernels against these tables, so this
-module deliberately shares no code with them.
+Everything here is exact integer combinatorics: Kostka numbers by
+horizontal-strip removal, Schur module dimensions, Pieri products, the
+plethysm identities for symmetric powers of the quadratic and degree-n
+generator spaces, and the graded multiplicity table of the dihedral invariant
+ring.  The linear-algebra modules verify their kernels against these tables,
+so this module deliberately shares no code with them.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
-from .exactpoly import compositions
+
+def _whole(value, what, least=None):
+    """operator.index(value), at least `least` if given; floats are refused."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError("%s must be an integer, got %r"
+                        % (what, value)) from None
+    if least is not None and value < least:
+        raise ValueError("%s must be at least %d, got %d"
+                         % (what, least, value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -23,8 +36,8 @@ from .exactpoly import compositions
 
 def normalize_partition(lam):
     """Canonical form: tuple of weakly decreasing positive parts (trailing
-    zeros stripped).  Errors on negative or increasing data."""
-    lam = tuple(int(p) for p in lam)
+    zeros stripped).  Errors on non-integer, negative or increasing data."""
+    lam = tuple(_whole(p, "partition part") for p in lam)
     for p in lam:
         if p < 0:
             raise ValueError("negative part in partition %r" % (lam,))
@@ -64,66 +77,74 @@ def height(lam):
 
 
 # ---------------------------------------------------------------------------
-# Kostka numbers and Schur dimensions
+# horizontal strips, Kostka numbers and Schur dimensions
+
+
+def _spread(room, cells):
+    """Every way to put `cells` cells into slots of the given room, as tuples
+    of per-slot counts; no slot leaves more cells than the rest can take."""
+    ways = [((), cells)]
+    spare = sum(room)
+    for r in room:
+        spare -= r
+        ways = [(way + (x,), left - x) for way, left in ways
+                for x in range(max(0, left - spare), min(r, left) + 1)]
+    return [way for way, left in ways if not left]
+
+
+@lru_cache(maxsize=None)
+def _kostka_sorted(lam, content):
+    # the cells holding the last symbol form a horizontal strip nu/mu, so
+    # remove one strip per entry, the largest (last) first; only the last
+    # row of a run of equal parts can lose cells (mu[i] >= nu[i+1]), and a
+    # shape left for `left` symbols has at most `left` rows
+    shapes = {lam: 1}
+    for left in range(len(content) - 1, -1, -1):
+        layer = {}
+        for nu, count in shapes.items():
+            below = nu[1:] + (0,)
+            rows = [nu.index(p) + nu.count(p) - 1 for p in set(nu)]
+            for way in _spread([nu[i] - below[i] for i in rows],
+                               content[left]):
+                mu = list(nu)
+                for i, x in zip(rows, way):
+                    mu[i] -= x
+                mu = tuple(mu) if mu[-1] else tuple(mu[:-1])
+                if len(mu) <= left:
+                    layer[mu] = layer.get(mu, 0) + count
+        shapes = layer
+    return shapes.get((), 0)
 
 
 def kostka(lam, alpha):
     """Number of semistandard tableaux of shape lam and content alpha,
-    counted by direct cell-by-cell backtracking."""
+    by horizontal-strip removal (Fulton, Young Tableaux, 2; Macdonald I.6).
+    K(lam, alpha) does not depend on the order of alpha, so the count is
+    memoised on lam and the sorted nonzero content."""
     lam = normalize_partition(lam)
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(_whole(a, "content entry") for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("negative content entry in %r" % (alpha,))
     if sum(lam) != sum(alpha):
         raise ValueError("shape size %d != content size %d"
                          % (sum(lam), sum(alpha)))
-    if not lam:
-        return 1
-    nsym = len(alpha)
-    if len(lam) > nsym:
-        return 0
-    rows = len(lam)
-    remaining = list(alpha)
-    # tableau[r] holds the filled values of row r
-    tableau = [[] for _ in range(rows)]
-
-    def fill(r, c):
-        if r == rows:
-            return 1
-        nr, nc = (r, c + 1) if c + 1 < lam[r] else (r + 1, 0)
-        lo = r  # 0-based symbol index; column-strictness forces symbol >= row
-        if c > 0:
-            lo = max(lo, tableau[r][c - 1])
-        if r > 0:
-            lo = max(lo, tableau[r - 1][c] + 1)
-        total = 0
-        for v in range(lo, nsym):
-            if not remaining[v]:
-                continue
-            remaining[v] -= 1
-            tableau[r].append(v)
-            total += fill(nr, nc)
-            tableau[r].pop()
-            remaining[v] += 1
-        return total
-
-    return fill(0, 0)
+    return _kostka_sorted(lam, tuple(sorted(a for a in alpha if a)))
 
 
 @lru_cache(maxsize=None)
 def _schur_dim_cached(lam, m):
-    if len(lam) > m:
-        return 0
-    if not lam:
-        return 1
-    return sum(kostka(lam, alpha) for alpha in compositions(sum(lam), m))
+    # each of the m! / prod(mult!) rearrangements of mu, padded with zeros
+    # to length m, is a content with Kostka number K(lam, mu)
+    return sum(factorial(m) // factorial(m - len(mu))
+               // prod(map(factorial, Counter(mu).values())) * kostka(lam, mu)
+               for mu in partitions(sum(lam), m))
 
 
 def schur_dim(lam, m):
     """Dimension of the irreducible polynomial GL_m module labeled by the
     partition lam: zero when the height exceeds m, else the sum of Kostka
     numbers over all contents of length m."""
-    return _schur_dim_cached(normalize_partition(lam), int(m))
+    return _schur_dim_cached(normalize_partition(lam), _whole(m, "m", 0))
 
 
 def weyl_dim(lam, m):
@@ -131,7 +152,7 @@ def weyl_dim(lam, m):
     prod_{i<j} (lam_i - lam_j + j - i)/(j - i); independent cross-check for
     the Kostka-sum route."""
     lam = normalize_partition(lam)
-    m = int(m)
+    m = _whole(m, "m", 0)
     if len(lam) > m:
         return 0
     full = lam + (0,) * (m - len(lam))
@@ -161,11 +182,11 @@ class DecompositionReport:
     __slots__ = ("m", "entries")
 
     def __init__(self, m, entries=None):
-        self.m = int(m)
+        self.m = _whole(m, "m", 0)
         table = {}
         for lam, mult in (entries or {}).items():
             lam = normalize_partition(lam)
-            mult = int(mult)
+            mult = _whole(mult, "multiplicity")
             if mult < 0:
                 raise ValueError("negative multiplicity %d for %r"
                                  % (mult, lam))
@@ -246,37 +267,15 @@ def pieri_row(lam, k, m):
     """Decomposition of S^lam tensor S^(k): one copy of every mu obtained
     from lam by adding a horizontal strip of k cells, height capped at m."""
     lam = normalize_partition(lam)
-    k = int(k)
+    k = _whole(k, "strip size")
     if k < 0:
         raise ValueError("strip size must be nonnegative")
-    if k == 0:
-        return DecompositionReport(m, {lam: 1})
-    if not lam:
-        return DecompositionReport(m, {(k,): 1})
-    rows = len(lam)
-    out = {}
-    current = []
-
-    def place(i, left):
-        # choose mu_i >= lam_i for row i; the strip condition caps mu_i at
-        # lam_{i-1}, and one fresh row of at most lam_{rows-1} cells may be
-        # appended at the bottom
-        if i == rows:
-            if left == 0:
-                mu = tuple(current)
-                out[mu] = out.get(mu, 0) + 1
-            elif left <= lam[rows - 1]:
-                mu = tuple(current) + (left,)
-                out[mu] = out.get(mu, 0) + 1
-            return
-        hi = lam[i] + left if i == 0 else min(lam[i - 1], lam[i] + left)
-        for mu_i in range(lam[i], hi + 1):
-            current.append(mu_i)
-            place(i + 1, left - (mu_i - lam[i]))
-            current.pop()
-
-    place(0, k)
-    return DecompositionReport(m, out)
+    # row i of the strip holds at most lam[i-1] - lam[i] cells (row 0 any
+    # number), and one fresh row of at most lam[-1] cells may start below
+    padded = lam + (0,)
+    room = (k,) + tuple(a - b for a, b in zip(padded, padded[1:]))
+    return DecompositionReport(m, {tuple(p + x for p, x in zip(padded, way)): 1
+                                   for way in _spread(room, k)})
 
 
 def symd_of_sym2(d, m):
@@ -317,8 +316,8 @@ def dbar_truncated(m, D):
 def hilbert_h(n, d):
     """Coefficient of t^d in 1/((1-t^2)(1-t^n)): the number of ways to write
     d = 2a + n*b with a, b >= 0."""
-    n = int(n)
-    d = int(d)
+    n = _whole(n, "n", 1)
+    d = _whole(d, "degree")
     if d < 0:
         return 0
     count = 0
@@ -333,6 +332,7 @@ def invariant_multiplicity(lam, n):
     group of order 2n: zero for height > 2, else h(lam1-lam2) when lam2 is
     even and h(lam1-lam2-n) when lam2 is odd."""
     lam = normalize_partition(lam)
+    n = _whole(n, "n", 1)
     if len(lam) > 2:
         return 0
     l1 = lam[0] if lam else 0
@@ -369,8 +369,8 @@ def ambient_truncated(n, m, D=None):
     t >= n with t-n even, one degree-n factor times the quadratic part of
     degree t-n (a Pieri product); at t = 2n the symmetric square of the
     degree-n space; and at t = 2n+2 that square times one quadratic factor."""
-    n = int(n)
-    m = int(m)
+    n = _whole(n, "n")
+    m = _whole(m, "m", 0)
     if D is None:
         D = 2 * n + 2
     if D > 2 * n + 2:

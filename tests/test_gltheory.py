@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedralinv import gltheory
 from dihedralinv.dihedral import DihedralParams, invariant_dimension
 from dihedralinv.exactpoly import compositions
 from dihedralinv.gltheory import (
@@ -45,6 +46,31 @@ def test_normalize_partition():
         normalize_partition((2, -1))
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: normalize_partition((2.7, 1)), TypeError,
+     "partition part must be an integer, got 2.7"),
+    (lambda: kostka((2,), (1.9, 1.2)), TypeError,
+     "content entry must be an integer, got 1.9"),
+    (lambda: schur_dim((1,), 2.5), TypeError, "m must be an integer"),
+    (lambda: pieri_row((2,), 1.5, 3), TypeError,
+     "strip size must be an integer"),
+    (lambda: DecompositionReport(3, {(2,): 1.5}), TypeError,
+     "multiplicity must be an integer"),
+    (lambda: schur_dim((1,), -1), ValueError, "m must be at least 0, got -1"),
+    (lambda: weyl_dim((1,), -1), ValueError, "m must be at least 0, got -1"),
+    (lambda: hilbert_h(0, 4), ValueError, "n must be at least 1, got 0"),
+    (lambda: invariant_multiplicity((2,), 0), ValueError,
+     "n must be at least 1, got 0"),
+], ids=["partition-float", "kostka-float", "schur-float-m", "pieri-float",
+        "report-float", "schur-negative-m", "weyl-negative-m",
+        "hilbert-n0", "invariant-n0"])
+def test_non_integer_and_out_of_range_input_rejected(call, error, message):
+    # the exactness contract: no float is truncated, and no bad size
+    # silently gives 0 or a ZeroDivisionError
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_partitions_enumeration():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1),
                                    (1, 1, 1, 1)]
@@ -54,6 +80,54 @@ def test_partitions_enumeration():
 
 # ---------------------------------------------------------------------------
 # Kostka numbers
+
+
+def _kostka_backtrack(lam, alpha):
+    """Reference count: fill the cells of lam row by row with symbols
+    0..len(alpha)-1, rows weakly and columns strictly increasing."""
+    lam = normalize_partition(lam)
+    rows, nsym = len(lam), len(alpha)
+    remaining = list(alpha)
+    tableau = [[] for _ in range(rows)]
+
+    def fill(r, c):
+        if r == rows:
+            return 1
+        nr, nc = (r, c + 1) if c + 1 < lam[r] else (r + 1, 0)
+        lo = r  # column-strictness forces symbol >= row
+        if c > 0:
+            lo = max(lo, tableau[r][c - 1])
+        if r > 0:
+            lo = max(lo, tableau[r - 1][c] + 1)
+        total = 0
+        for v in range(lo, nsym):
+            if remaining[v]:
+                remaining[v] -= 1
+                tableau[r].append(v)
+                total += fill(nr, nc)
+                tableau[r].pop()
+                remaining[v] += 1
+        return total
+
+    return fill(0, 0)
+
+
+def test_kostka_matches_backtracker():
+    # every shape of size <= 8 against every content of up to 4 entries,
+    # zeros and all orders included
+    for d in range(9):
+        for lam in partitions(d):
+            for parts in range(1, 5):
+                for alpha in compositions(d, parts):
+                    assert kostka(lam, alpha) \
+                        == _kostka_backtrack(lam, alpha), (lam, alpha)
+
+
+def test_kostka_depth_does_not_grow_with_content():
+    # more content entries than the recursion limit, on a fresh memo
+    gltheory._kostka_sorted.cache_clear()
+    assert kostka((1100,), (1,) * 1100) == 1
+    assert kostka((1,) * 1100, (1,) * 1100) == 1
 
 
 def test_kostka_golden_table():
@@ -121,15 +195,31 @@ def test_schur_dim_goldens():
     assert schur_dim((3, 1), 4) == 45
 
 
+def test_schur_dim_calls_kostka_by_module_name(monkeypatch):
+    # the benchmark traces gltheory.kostka under schur_dim; an inlined call
+    # would leave that layer empty
+    calls = []
+
+    def counting(lam, alpha):
+        calls.append((lam, alpha))
+        return real(lam, alpha)
+
+    real = gltheory.kostka
+    monkeypatch.setattr(gltheory, "kostka", counting)
+    gltheory._schur_dim_cached.cache_clear()
+    assert schur_dim((4, 2), 3) == 27
+    assert calls
+
+
 def test_schur_dim_vanishes_above_height():
     assert schur_dim((2, 2, 2), 2) == 0
     assert weyl_dim((1, 1, 1, 1), 3) == 0
 
 
 def test_schur_equals_weyl():
-    # tableau count against the Weyl dimension product
-    for d in range(0, 9):
-        for m in (1, 2, 3, 4):
+    # Kostka sum against the Weyl dimension product
+    for d in range(0, 15):
+        for m in range(1, 7):
             for lam in partitions(d, max_height=m) if d else [()]:
                 assert schur_dim(lam, m) == weyl_dim(lam, m), (lam, m)
 
