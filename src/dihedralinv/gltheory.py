@@ -118,9 +118,9 @@ def _kostka_sorted(lam, content):
 
 def kostka(lam, alpha):
     """Number of semistandard tableaux of shape lam and content alpha,
-    by horizontal-strip removal (Fulton, Young Tableaux, 2; Macdonald I.6).
-    K(lam, alpha) does not depend on the order of alpha, so the count is
-    memoised on lam and the sorted nonzero content."""
+    by horizontal-strip removal (Fulton, Young Tableaux, section 2;
+    Macdonald, Symmetric Functions, I.6).  K(lam, alpha) does not depend on
+    the order of alpha: the count is memoised on lam and sorted content."""
     lam = normalize_partition(lam)
     alpha = tuple(_whole(a, "content entry") for a in alpha)
     if any(a < 0 for a in alpha):
