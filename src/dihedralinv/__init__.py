@@ -19,10 +19,8 @@ from .exactpoly import (
     Polynomial,
     VariableUniverse,
     buchberger,
-    linear_relations,
     normal_form,
     parse_polynomial,
-    span_dimension,
     xy_universe,
     rhopi_universe,
 )

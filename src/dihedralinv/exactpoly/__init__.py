@@ -15,12 +15,8 @@ from .rings import (
 from .linalg import (
     PolynomialSpace,
     RowSpace,
-    columns_for,
-    linear_relations,
     nullspace_combinations,
     scaled_row_from_polynomial,
-    sorted_monomials,
-    span_dimension,
 )
 from .groebner import (
     MonomialOrder,
@@ -40,18 +36,14 @@ __all__ = [
     "RowSpace",
     "VariableUniverse",
     "buchberger",
-    "columns_for",
     "compositions",
     "leading_term",
-    "linear_relations",
     "normal_form",
     "nullspace_combinations",
     "parse_polynomial",
     "rhopi_universe",
     "s_polynomial",
     "scaled_row_from_polynomial",
-    "sorted_monomials",
-    "span_dimension",
     "staircase_generating_function",
     "staircase_monomials",
     "xy_universe",

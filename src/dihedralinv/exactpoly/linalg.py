@@ -5,14 +5,15 @@ to integers and divided by the gcd of its entries) and elimination combines
 rows by cross-multiplication, so no rational arithmetic happens in the inner
 loop.  Columns are integer ids into a monomial basis that the caller knows
 up front (every graded or multigraded component does); pivoting is
-deterministic: the pivot of a row is its smallest column id.  With columns
-in the canonical graded-lex order (`sorted_monomials`), that is the leading
-monomial.
+deterministic: the pivot of a row is its smallest column id.
 
-With combination tracking enabled, every inserted row carries the coefficient
-vector expressing it in terms of the inserted rows; a row that reduces to zero
-therefore hands back an exact linear relation.  This is the nullspace engine
-behind all kernel computations.
+`RowSpace` has a single reduction loop, which serves rank, membership and
+relations alike.  `nullspace_combinations` finds relations by row-reducing
+[A | I] (Cohen, *A Course in Computational Algebraic Number Theory*, ch. 2):
+row i carries a unit entry in a column past the monomial columns, so every
+row records the combination of inputs it stands for, and a row whose
+monomial part reduces to zero hands back an exact linear relation.  This is
+the nullspace engine behind all kernel computations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from math import gcd
 def scaled_row_from_polynomial(poly, col_index):
     """Sparse integer row of a polynomial over the column ids `col_index`
     (denominators cleared, gcd divided out), plus the positive rational
-    factor f with row == f * poly.
+    factor f with row == f * poly.  A monomial outside `col_index` is a
+    ValueError.
 
     The factor is needed whenever a combination among rows must be turned
     back into a combination among the original polynomials."""
@@ -35,10 +37,14 @@ def scaled_row_from_polynomial(poly, col_index):
         den = den * c.denominator // gcd(den, c.denominator)
     row = {}
     g = 0
-    for mono, c in poly.terms.items():
-        v = int(c * den)
-        row[col_index[mono]] = v
-        g = gcd(g, v)
+    try:
+        for mono, c in poly.terms.items():
+            v = int(c * den)
+            row[col_index[mono]] = v
+            g = gcd(g, v)
+    except KeyError:
+        raise ValueError("monomial %s is not in the column basis"
+                         % mono.text(poly.universe)) from None
     if g > 1:
         for k in row:
             row[k] //= g
@@ -49,26 +55,24 @@ class RowSpace:
     """Incrementally built echelon basis of a row space over integer
     columns; the pivot of a row is its smallest column."""
 
-    def __init__(self, track=False):
-        self.pivots = {}        # pivot column -> (row, combo or None)
-        self.track = track
-        self.last_combination = None
-        self._ntags = 0
+    def __init__(self):
+        self.pivots = {}        # pivot column -> row
 
     @property
     def rank(self):
         return len(self.pivots)
 
-    def _reduce(self, row, combo):
-        """Eliminate `row` against the stored pivots; returns the remainder
-        and the consistently scaled combination."""
+    def reduce(self, row):
+        """Eliminate a sparse integer row against the stored pivots and
+        return the remainder (gcd divided out after each step); it is empty
+        iff the row lies in the span.  `row` is never modified, but comes
+        back as it is when no pivot meets it."""
         pivots = self.pivots
         while row:
             col = min(row)
-            hit = pivots.get(col)
-            if hit is None:
+            prow = pivots.get(col)
+            if prow is None:
                 break
-            prow, pcombo = hit
             a = prow[col]
             b = row[col]
             g = gcd(a, b)
@@ -84,95 +88,42 @@ class RowSpace:
                     new[k] = w
                 elif k in new:
                     del new[k]
-            row = new
-            if combo is not None:
-                for k in list(combo):
-                    combo[k] *= a
-                if pcombo:
-                    for k, v in pcombo.items():
-                        w = combo.get(k, 0) - b * v
-                        if w:
-                            combo[k] = w
-                        elif k in combo:
-                            del combo[k]
-                row, combo = _joint_normalize(row, combo)
-            else:
-                _gcd_normalize(row)
-        return row, combo
+            row = _gcd_normalize(new)
+        return row
 
-    def insert_row(self, row, tag=None):
-        """Insert a sparse integer row; True iff the rank grew.  When a
-        tracked row reduces to zero, `last_combination` holds the integer
-        combination of inserted tags (this one included) that vanishes."""
-        row = dict(row)
-        combo = None
-        if self.track:
-            combo = {self._ntags if tag is None else tag: 1}
-        self._ntags += 1
-        row, combo = self._reduce(row, combo)
+    def insert_row(self, row):
+        """Insert a sparse integer row; True iff the rank grew."""
+        row = self.reduce(dict(row))
         if not row:
-            self.last_combination = combo
             return False
-        self.last_combination = None
-        if combo is None:
-            _gcd_normalize(row)
-        else:
-            row, combo = _joint_normalize(row, combo)
-        self.pivots[min(row)] = (row, combo)
+        self.pivots[min(row)] = _gcd_normalize(row)
         return True
-
-    def contains_row(self, row):
-        remainder, _ = self._reduce(dict(row), None)
-        return not remainder
 
 
 def _gcd_normalize(row):
-    if not row:
-        return row
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
             return row
-    for k in row:
-        row[k] //= g
-    return row
-
-
-def _joint_normalize(row, combo):
-    """Divide a tracked row and its combination by their common gcd, so the
-    identity (combo . inserted rows) == row survives exactly."""
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row, combo
-    for v in combo.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row, combo
     if g > 1:
-        row = {k: v // g for k, v in row.items()}
-        combo = {k: v // g for k, v in combo.items()}
-    return row, combo
+        for k in row:
+            row[k] //= g
+    return row
 
 
 class PolynomialSpace:
     """Row space spanned by polynomials over one universe, with rows over
     the given monomial basis `columns` (column id = list position)."""
 
-    def __init__(self, universe, columns, track=False):
+    def __init__(self, universe, columns):
         self.universe = universe
         self.col_index = {mono: i for i, mono in enumerate(columns)}
-        self.space = RowSpace(track=track)
+        self.space = RowSpace()
 
     @property
     def rank(self):
         return self.space.rank
-
-    @property
-    def last_combination(self):
-        return self.space.last_combination
 
     def _row(self, poly):
         if poly.universe != self.universe:
@@ -180,33 +131,14 @@ class PolynomialSpace:
                              % (poly.universe, self.universe))
         return scaled_row_from_polynomial(poly, self.col_index)[0]
 
-    def insert(self, poly, tag=None):
-        return self.space.insert_row(self._row(poly), tag=tag)
+    def insert(self, poly):
+        return self.space.insert_row(self._row(poly))
 
     def contains(self, poly):
-        try:
-            row = self._row(poly)
-        except KeyError:
-            # a monomial outside the declared column basis cannot be in the span
+        # a monomial outside the declared column basis cannot be in the span
+        if any(mono not in self.col_index for mono in poly.terms):
             return False
-        return self.space.contains_row(row)
-
-
-def sorted_monomials(monos, nvars):
-    """Canonical column order: graded lex, biggest (leading) monomial first."""
-    return sorted(monos, key=lambda mo: mo.grlex_key(nvars), reverse=True)
-
-
-def columns_for(polys):
-    if not polys:
-        return []
-    universe = polys[0].universe
-    monos = set()
-    for p in polys:
-        if p.universe != universe:
-            raise ValueError("mixed universes in polynomial list")
-        monos.update(p.terms)
-    return sorted_monomials(monos, universe.nvars)
+        return not self.space.reduce(self._row(poly))
 
 
 def _canonical_relation(combo, factors):
@@ -227,47 +159,28 @@ def _canonical_relation(combo, factors):
     return {k: v // g for k, v in zip(keys, ints)}
 
 
-def linear_relations(polys):
-    """A basis of the space of rational vectors c with sum(c_i*polys[i]) = 0.
+def nullspace_combinations(polys, columns):
+    """A basis of the relations among `polys`, whose monomials lie in
+    `columns`, each an integer dict index -> coefficient in the canonical
+    form of `_canonical_relation`; relations appear in the order in which
+    dependent polynomials are met.
 
-    Each relation is a list of Fractions (an integer vector with coprime
-    entries and positive first nonzero entry); relations appear in the
-    deterministic order in which dependent rows are met.  Empty iff the
-    inputs are linearly independent.  This is `nullspace_combinations`
-    written out densely."""
-    polys = list(polys)
-    return [[Fraction(rel.get(j, 0)) for j in range(len(polys))]
-            for rel in nullspace_combinations(polys)]
-
-
-def span_dimension(polys):
-    """Rank of the coefficient matrix of the given polynomials."""
-    polys = list(polys)
-    if not polys:
-        return 0
-    space = PolynomialSpace(polys[0].universe, columns_for(polys))
-    for p in polys:
-        space.insert(p)
-    return space.rank
-
-
-def nullspace_combinations(polys, columns=None):
-    """A basis of the relations among `polys`, each an integer dict
-    index -> coefficient in the canonical form of `_canonical_relation`;
-    a precomputed column list is accepted."""
-    polys = list(polys)
-    if columns is None:
-        columns = columns_for(polys)
+    Row i is reduced with a unit entry in column len(columns) + i; pivots
+    sit on monomial columns only, so a remainder with no monomial column
+    left is the vanishing combination."""
     col_index = {mono: i for i, mono in enumerate(columns)}
-    space = RowSpace(track=True)
+    ncols = len(columns)
+    space = RowSpace()
+    factors = []
     out = []
-    factors = {}
     for i, p in enumerate(polys):
         row, f = scaled_row_from_polynomial(p, col_index)
-        factors[i] = f
-        if not row:
-            out.append({i: 1})
-            continue
-        if not space.insert_row(row, tag=i):
-            out.append(_canonical_relation(space.last_combination, factors))
+        factors.append(f)
+        row[ncols + i] = 1
+        remainder = space.reduce(row)
+        if min(remainder) >= ncols:
+            out.append(_canonical_relation(
+                {k - ncols: v for k, v in remainder.items()}, factors))
+        else:
+            space.insert_row(remainder)
     return out

@@ -8,9 +8,10 @@ Two variable universes are supported:
   one variable pi[b] for every multi-index b of total n.
 
 Coefficients are `fractions.Fraction` throughout (always reduced, denominator
-positive, zero never stored).  Monomials store their exponents sparsely as a
-sorted tuple of (variable index, positive exponent) pairs.  The canonical term
-order used for serialization is graded lexicographic on exponent vectors.
+positive, zero never stored); only int and Fraction are accepted as input
+coefficients.  Monomials store their exponents sparsely as a sorted tuple of
+(variable index, positive exponent) pairs.  The canonical term order used for
+serialization is graded lexicographic on exponent vectors.
 """
 
 from __future__ import annotations
@@ -20,6 +21,18 @@ from functools import lru_cache
 import re
 
 _ONE = Fraction(1)
+
+
+def _exact(c):
+    """The coefficient c as a Fraction.  Only int and Fraction are exact:
+    a float (or a string) would be read as some nearby rational, so it is a
+    TypeError."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError("polynomial coefficients must be int or Fraction, "
+                    "got %s %r" % (type(c).__name__, c))
 
 
 def compositions(total, parts):
@@ -248,7 +261,7 @@ class Polynomial:
         clean = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for mono, c in items:
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 acc = clean.get(mono)
                 if acc is None:
@@ -269,7 +282,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, universe, c):
-        return cls(universe, {Monomial.unit(): Fraction(c)})
+        return cls(universe, {Monomial.unit(): c})
 
     @classmethod
     def variable(cls, universe, v, e=1):
@@ -277,7 +290,7 @@ class Polynomial:
 
     @classmethod
     def from_monomial(cls, universe, mono, c=1):
-        return cls(universe, {mono: Fraction(c)})
+        return cls(universe, {mono: c})
 
     # -- predicates / views --------------------------------------------
 
@@ -352,7 +365,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
         d = {}
@@ -376,7 +389,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         p = Polynomial.zero(self.universe)
         if c:
             p.terms = {m: c * v for m, v in self.terms.items()}

@@ -325,7 +325,7 @@ class FreeElement:
         if isinstance(other, FreeElement):
             self._check(other)
             return FreeElement(self.algebra, self.poly * other.poly)
-        return FreeElement(self.algebra, self.poly.scale(Fraction(other)))
+        return FreeElement(self.algebra, self.poly.scale(other))
 
     __rmul__ = __mul__
 

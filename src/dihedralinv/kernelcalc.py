@@ -31,7 +31,6 @@ from .exactpoly import (
     Polynomial,
     PolynomialSpace,
     nullspace_combinations,
-    sorted_monomials,
     xy_universe,
 )
 from .freealgebra import FreeElement, free_algebra, phi, submodule_basis
@@ -131,7 +130,7 @@ def _kernel_basis_sorted(n, m, alpha, cap):
     if hit is not None:
         return hit
     monos = algebra.monomials_of_weight(alpha)
-    columns = sorted_monomials(xy_monomials(m, alpha), 2 * m)
+    columns = xy_monomials(m, alpha)
     images = [algebra.phi_monomial(mo) for mo in monos]
     basis = []
     for combo in nullspace_combinations(images, columns=columns):
@@ -391,7 +390,7 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
         for alpha in decreasing_multidegrees(m, t):
             checked += 1
             _guard_invariant(alpha, cap)
-            columns = sorted_monomials(xy_monomials(m, alpha), 2 * m)
+            columns = xy_monomials(m, alpha)
             space = PolynomialSpace(universe, columns=columns)
             for h, w in zip(primaries, weights):
                 beta = tuple(a - wi for a, wi in zip(alpha, w))

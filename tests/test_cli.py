@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, exact text lines, JSON schema."""
 
+import hashlib
 import json
 
 import pytest
@@ -89,6 +90,20 @@ def test_kernel_basis_text(runner):
     assert "multidegree (4, 2):" in result.output
     assert "rho[2,0]*pi[2,2] - 2*rho[1,1]*pi[3,1] + rho[0,2]*pi[4,0]" \
         in result.output
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["--n", "4", "--m", "3", "--degree", "10"],
+     "f0ab23067c52ecf6193952b4cbb578e122f7ef2b7fffdfc115f3aff0fe24f6df"),
+    (["--n", "5", "--m", "2", "--degree", "12"],
+     "5df328666640f17f9ee22fe35dadcd975b98b8f3c7f6f5a1f71871317f34b8f5"),
+], ids=["n4-m3-d10", "n5-m2-d12"])
+def test_kernel_basis_json_digest(runner, args, digest):
+    # every printed kernel element, byte for byte: the basis, its order,
+    # and the scaling and sign of each relation
+    result = run(runner, ["kernel", "basis"] + args + ["--format", "json"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def test_kernel_basis_empty_component(runner):

@@ -31,8 +31,8 @@ from dihedralinv.dihedral import (
 from dihedralinv.exactpoly import (
     Monomial,
     Polynomial,
+    PolynomialSpace,
     parse_polynomial,
-    span_dimension,
     xy_universe,
 )
 from dihedralinv.gltheory import hilbert_h
@@ -69,6 +69,19 @@ def test_xy_monomials_order_and_count():
     assert monos[0] == Monomial([(x1, 2), (x2, 1)])
     assert monos[1] == Monomial([(x1, 2), (y2, 1)])
     assert monos[-1] == Monomial([(y1, 2), (y2, 1)])
+
+
+def test_xy_monomials_are_in_descending_grlex():
+    # the kernel and Hironaka code use this order as the column order: all
+    # monomials of one multidegree share a degree and y_i = alpha_i - x_i,
+    # so descending grlex is descending lex on the x-exponents
+    for m in range(1, 5):
+        for total in range(11):
+            for alpha in all_multidegrees(m, total):
+                monos = xy_monomials(m, alpha)
+                assert monos == sorted(
+                    monos, key=lambda mo: mo.grlex_key(2 * m),
+                    reverse=True), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +206,9 @@ def test_invariant_basis_matches_dimension(n, m):
             assert len(basis) == invariant_dimension(params, alpha)
             for f in basis:
                 assert is_invariant(f, params)
-            if basis:
-                assert span_dimension(basis) == len(basis)
+            space = PolynomialSpace(xy_universe(m), xy_monomials(m, alpha))
+            for f in basis:
+                assert space.insert(f)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

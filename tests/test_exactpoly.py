@@ -14,7 +14,6 @@ from dihedralinv.exactpoly import (
     compositions,
     parse_polynomial,
     rhopi_universe,
-    sorted_monomials,
     xy_universe,
 )
 
@@ -87,7 +86,7 @@ def test_monomial_grlex_order():
     monos = [Monomial.unit(), Monomial.variable(0, 2),
              Monomial.variable(1) * Monomial.variable(2),
              Monomial.variable(3)]
-    ordered = sorted_monomials(monos, 4)
+    ordered = sorted(monos, key=lambda mo: mo.grlex_key(4), reverse=True)
     degrees = [mo.degree for mo in ordered]
     assert degrees == sorted(degrees, reverse=True)
     assert ordered[-1] == Monomial.unit()
@@ -156,6 +155,25 @@ def test_permute_variables_roundtrip():
 def test_mixed_universe_rejected():
     with pytest.raises(ValueError):
         P("x1") + parse_polynomial("x1", xy_universe(1))
+
+
+X1 = Monomial.variable(0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Polynomial(U2, {X1: 0.1}),
+    lambda: Polynomial(U2, {X1: "1/3"}),
+    lambda: Polynomial.constant(U2, 0.5),
+    lambda: Polynomial.from_monomial(U2, X1, 0.25),
+    lambda: P("x1").scale(0.1),
+    lambda: P("x1") * 0.5,
+    lambda: 0.5 * P("x1"),
+], ids=["init-float", "init-str", "constant", "from_monomial", "scale",
+        "mul", "rmul"])
+def test_non_exact_coefficients_rejected(make):
+    # a float would silently become a nearby binary rational
+    with pytest.raises(TypeError):
+        make()
 
 
 # ---------------------------------------------------------------------------

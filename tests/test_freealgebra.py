@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedralinv.exactpoly import Monomial, PolynomialSpace, columns_for
+from dihedralinv.exactpoly import Monomial, PolynomialSpace
 from dihedralinv.dihedral import (
     DihedralParams,
     all_multidegrees,
@@ -61,6 +61,14 @@ def test_element_arithmetic_guard():
         A.rho((2, 0)) + B.rho((2, 0))
     assert (3 * A.one()).poly.coefficient(Monomial.unit()) == 3
     assert (A.pi((4, 0)) ** 2).degree() == 8
+
+
+def test_element_rejects_non_exact_scalar():
+    rho = free_algebra(4, 2).rho((2, 0))
+    with pytest.raises(TypeError):
+        rho * 0.1
+    with pytest.raises(TypeError):
+        0.1 * rho
 
 
 def test_graded_dimensions_fixture():
@@ -462,7 +470,8 @@ def test_submodule_spans_lowering_family():
     family = lowering_family_Rn2(4, 2)
     basis = submodule_basis(family[0])
     polys = [e.poly for e in basis + family]
-    space = PolynomialSpace(free_algebra(4, 2).universe, columns_for(polys))
+    columns = list(dict.fromkeys(mo for p in polys for mo in p.terms))
+    space = PolynomialSpace(free_algebra(4, 2).universe, columns)
     for e in basis:
         space.insert(e.poly)
     for e in family:

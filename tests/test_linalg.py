@@ -2,61 +2,73 @@
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedralinv.dihedral import xy_monomials
 from dihedralinv.exactpoly import (
+    Monomial,
     Polynomial,
     PolynomialSpace,
-    columns_for,
-    linear_relations,
+    RowSpace,
     nullspace_combinations,
     parse_polynomial,
-    span_dimension,
     xy_universe,
 )
 
 U = xy_universe(2)
+LINEAR = [Monomial.variable(v) for v in range(U.nvars)]  # x1, y1, x2, y2
 
 
 def P(text):
     return parse_polynomial(text, U)
 
 
+def rank(polys, columns):
+    space = PolynomialSpace(U, columns)
+    for p in polys:
+        space.insert(p)
+    return space.rank
+
+
 def test_span_dimension_basics():
-    assert span_dimension([]) == 0
-    assert span_dimension([Polynomial.zero(U)]) == 0
-    assert span_dimension([P("x1"), P("y1"), P("x1 + y1")]) == 2
-    assert span_dimension([P("x1*y2 - x2*y1"), P("2*x1*y2 - 2*x2*y1")]) == 1
+    assert rank([], LINEAR) == 0
+    assert rank([Polynomial.zero(U)], LINEAR) == 0
+    assert rank([P("x1"), P("y1"), P("x1 + y1")], LINEAR) == 2
+    assert rank([P("x1*y2 - x2*y1"), P("2*x1*y2 - 2*x2*y1")],
+                xy_monomials(2, (1, 1))) == 1
 
 
 def test_linear_relations_fixture():
-    rels = linear_relations([P("x1"), P("y1"), P("x1 + y1")])
-    assert rels == [[1, 1, -1]]
+    rels = nullspace_combinations([P("x1"), P("y1"), P("x1 + y1")], LINEAR)
+    assert rels == [{0: 1, 1: 1, 2: -1}]
 
 
 def test_linear_relations_scaling():
     # relations act on the original polynomials, not on normalized rows
-    rels = linear_relations([P("x1^2"), P("2*x1^2")])
-    assert rels == [[2, -1]]
-    rels = linear_relations([P("1/3*x1"), P("1/2*x1")])
-    assert rels == [[3, -2]]
+    rels = nullspace_combinations([P("x1^2"), P("2*x1^2")],
+                                  xy_monomials(2, (2, 0)))
+    assert rels == [{0: 2, 1: -1}]
+    rels = nullspace_combinations([P("1/3*x1"), P("1/2*x1")], LINEAR)
+    assert rels == [{0: 3, 1: -2}]
 
 
 def test_relations_canonical_form():
-    # first nonzero entry positive, integer entries coprime
-    for rel in linear_relations([P("x1"), P("2*x1"), P("3*x1")]):
-        lead = next(c for c in rel if c)
-        assert lead > 0
-        assert all(c == int(c) for c in rel)
+    # one relation per dependent polynomial, in input order; ascending
+    # indices, coprime integers, first entry positive; a zero polynomial is
+    # a relation by itself
+    polys = [P("x1"), P("2*x1"), P("3*x1"), Polynomial.zero(U), P("y1"),
+             P("x1 - y1")]
+    assert nullspace_combinations(polys, LINEAR) == [
+        {0: 2, 1: -1}, {0: 3, 2: -1}, {3: 1}, {0: 1, 4: -1, 5: -1}]
 
 
 def test_nullspace_combinations_vanish():
     polys = [P("x1"), P("y1"), P("x1 - y1"), P("x1 + y1")]
-    combos = nullspace_combinations(polys)
+    combos = nullspace_combinations(polys, LINEAR)
     assert len(combos) == 2  # rank 2 out of 4
     for combo in combos:
         total = Polynomial.zero(U)
@@ -65,8 +77,20 @@ def test_nullspace_combinations_vanish():
         assert total.is_zero()
 
 
+def test_row_space_reduce():
+    space = RowSpace()
+    assert space.insert_row({0: 2, 1: 2})
+    row = {0: 3, 1: 3}
+    assert space.reduce(row) == {}
+    assert row == {0: 3, 1: 3}
+    assert space.reduce({0: 1, 1: 2}) == {1: 1}
+    assert not space.insert_row({0: 5, 1: 5})
+    assert space.insert_row({1: 4, 2: 1})
+    assert space.rank == 2
+
+
 def test_polynomial_space_incremental():
-    space = PolynomialSpace(U, columns_for([P("x1"), P("y1")]))
+    space = PolynomialSpace(U, LINEAR[:2])
     assert space.insert(P("x1 + y1"))
     assert not space.insert(P("2*x1 + 2*y1"))
     assert space.insert(P("x1"))
@@ -76,8 +100,7 @@ def test_polynomial_space_incremental():
 
 
 def test_polynomial_space_with_columns():
-    cols = columns_for([P("x1"), P("y1")])
-    space = PolynomialSpace(U, columns=cols)
+    space = PolynomialSpace(U, columns=LINEAR[:2])
     space.insert(P("x1 - y1"))
     assert space.contains(P("2*x1 - 2*y1"))
     # monomial outside the declared basis: definitely not in the span
@@ -87,8 +110,16 @@ def test_polynomial_space_with_columns():
         PolynomialSpace(U)
 
 
+def test_monomial_outside_columns_is_named():
+    space = PolynomialSpace(U, LINEAR[:2])
+    with pytest.raises(ValueError, match="monomial x1\\*x2 is not in the"):
+        space.insert(P("x1*x2"))
+    with pytest.raises(ValueError, match="monomial x2 is not in the"):
+        nullspace_combinations([P("x1"), P("x1 + x2")], LINEAR[:2])
+
+
 def test_mixed_universe_rejected():
-    space = PolynomialSpace(U, columns_for([P("x1")]))
+    space = PolynomialSpace(U, LINEAR[:1])
     with pytest.raises(ValueError):
         space.insert(parse_polynomial("x1", xy_universe(1)))
 
@@ -111,17 +142,58 @@ def as_poly(vec):
     return out
 
 
+def solve(columns, rhs):
+    """x with sum(x[j] * columns[j]) == rhs, or None, by Gauss-Jordan
+    elimination over Fractions; the columns must be independent."""
+    k = len(columns)
+    rows = [[Fraction(col[r]) for col in columns] + [Fraction(rhs[r])]
+            for r in range(len(rhs))]
+    for c in range(k):
+        p = next(i for i in range(c, len(rows)) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [rows[j][k] for j in range(k)]
+
+
+def reference_relations(vecs):
+    """Dense oracle: vector i is dependent iff it lies in the span of the
+    independent vectors before it, and its relation writes it in terms of
+    them (unique up to scale), as coprime integers with a positive first
+    entry."""
+    indep = []
+    out = []
+    for i, vec in enumerate(vecs):
+        x = solve([vecs[j] for j in indep], vec)
+        if x is None:
+            indep.append(i)
+            continue
+        rel = {j: -c for j, c in zip(indep, x) if c}
+        rel[i] = Fraction(1)
+        den = lcm(*(c.denominator for c in rel.values()))
+        ints = {j: int(c * den) for j, c in rel.items()}
+        g = reduce(gcd, ints.values())
+        if ints[min(ints)] < 0:
+            g = -g
+        out.append({j: ints[j] // g for j in sorted(ints)})
+    return out
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.lists(vectors(), min_size=1, max_size=6))
 def test_rank_nullity_and_exact_recombination(vecs):
     polys = [as_poly(v) for v in vecs]
-    rels = linear_relations(polys)
-    rank = span_dimension(polys)
-    assert rank + len(rels) == len(polys)
+    rels = nullspace_combinations(polys, LINEAR)
+    assert rank(polys, LINEAR) + len(rels) == len(polys)
     for rel in rels:
         total = Polynomial.zero(U)
-        for p, c in zip(polys, rel):
-            total = total + p.scale(c)
+        for i, c in rel.items():
+            total = total + polys[i].scale(c)
         assert total.is_zero()
 
 
@@ -135,8 +207,8 @@ def test_planted_relation_is_found(vecs, data):
     planted = Polynomial.zero(U)
     for p, w in zip(polys, weights):
         planted = planted + p.scale(w)
-    before = len(linear_relations(polys))
-    after = len(linear_relations(polys + [planted]))
+    before = len(nullspace_combinations(polys, LINEAR))
+    after = len(nullspace_combinations(polys + [planted], LINEAR))
     assert after == before + 1
 
 
@@ -144,17 +216,11 @@ def test_planted_relation_is_found(vecs, data):
 @given(st.lists(vectors(), min_size=1, max_size=6))
 def test_sparse_and_dense_relations_agree(vecs):
     polys = [as_poly(v) for v in vecs]
-    sparse = nullspace_combinations(polys)
-    dense = linear_relations(polys)
-    assert dense == [[rel.get(j, 0) for j in range(len(polys))]
-                     for rel in sparse]
+    sparse = nullspace_combinations(polys, LINEAR)
+    assert sparse == reference_relations(vecs)
     for rel in sparse:
         keys = list(rel)
         assert keys == sorted(keys)
         assert all(type(c) is int and c for c in rel.values())
         assert rel[keys[0]] > 0
         assert reduce(gcd, rel.values()) == 1
-        total = Polynomial.zero(U)
-        for i, c in rel.items():
-            total = total + polys[i].scale(c)
-        assert total.is_zero()
