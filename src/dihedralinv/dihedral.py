@@ -78,17 +78,23 @@ def xy_monomials(m, alpha):
     """All monomials of multidegree alpha in the coordinate ring of m plane
     vectors: choose the x-exponent a_i <= alpha_i in each slot, y picks up
     the rest.  Enumerated in descending lex order of the x-exponent vector."""
-    ranges = [range(a, -1, -1) for a in alpha]
-    out = []
-    for xs in product(*ranges):
-        pairs = []
-        for i, (a, total) in enumerate(zip(xs, alpha), start=1):
-            if a:
-                pairs.append((x_index(i), a))
-            if total - a:
-                pairs.append((y_index(i), total - a))
-        out.append(Monomial(pairs))
-    return out
+    return [_xy_monomial(xs, alpha) for xs in _x_vectors(alpha)]
+
+
+def _x_vectors(alpha):
+    """The x-exponent vectors a <= alpha in descending lex order."""
+    return product(*[range(a, -1, -1) for a in alpha])
+
+
+def _xy_monomial(xs, alpha):
+    """The monomial of multidegree alpha with x-exponent vector xs."""
+    pairs = []
+    for i, (a, total) in enumerate(zip(xs, alpha), start=1):
+        if a:
+            pairs.append((x_index(i), a))
+        if total - a:
+            pairs.append((y_index(i), total - a))
+    return Monomial(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -259,38 +265,42 @@ def cyclic_invariant_dimension(params, alpha):
     return _rotation_count(params, alpha)
 
 
+def _rotation_invariant_xs(params, alpha):
+    """The x-exponent vectors of the rotation-invariant monomials of
+    multidegree alpha, in the order of `xy_monomials`: the rotation weight
+    of x-vector a is |a| - (|alpha| - |a|) = 2|a| - |alpha|."""
+    total = sum(alpha)
+    n = params.n
+    return [xs for xs in _x_vectors(alpha) if (2 * sum(xs) - total) % n == 0]
+
+
 def cyclic_invariant_basis(params, alpha):
     """The rotation-invariant monomials of multidegree alpha, as
     polynomials, in the shared enumeration order."""
     universe = xy_universe(params.m)
-    n = params.n
-    out = []
-    for mono in xy_monomials(params.m, alpha):
-        if rotation_weight(mono, params.m) % n == 0:
-            out.append(Polynomial.from_monomial(universe, mono))
-    return out
+    return [Polynomial.from_monomial(universe, _xy_monomial(xs, alpha))
+            for xs in _rotation_invariant_xs(params, alpha)]
 
 
 def invariant_basis(params, alpha):
     """Basis of the multidegree-alpha component of the dihedral invariant
     ring: mu + swap(mu) over swap-orbits of rotation-invariant monomials
-    (just mu for the swap-fixed monomial)."""
+    (just mu for the swap-fixed monomial).  The swap exchanges the x- and
+    y-exponents, so the partner of x-vector a is alpha - a."""
     universe = xy_universe(params.m)
-    m = params.m
-    n = params.n
-    smap = swap_map(m)
     seen = set()
     out = []
-    for mono in xy_monomials(m, alpha):
-        if mono in seen or rotation_weight(mono, m) % n:
+    for xs in _rotation_invariant_xs(params, alpha):
+        if xs in seen:
             continue
-        partner = Monomial((smap[v], e) for v, e in mono.exps)
-        seen.add(mono)
-        if partner == mono:
+        mono = _xy_monomial(xs, alpha)
+        partner = tuple(total - a for a, total in zip(xs, alpha))
+        if partner == xs:
             out.append(Polynomial.from_monomial(universe, mono))
         else:
             seen.add(partner)
-            out.append(Polynomial(universe, {mono: 1, partner: 1}))
+            out.append(Polynomial(universe, {
+                mono: 1, _xy_monomial(partner, alpha): 1}))
     return out
 
 

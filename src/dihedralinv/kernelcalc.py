@@ -8,6 +8,12 @@ minimal generator counts via the graded Nakayama criterion, degree-truncated
 ideal membership, verification of primary/secondary decompositions on the
 invariant-ring side, and the GL-ideal generation check that compares a
 truncated ideal against the kernel dimension by dimension.
+
+The decomposition check builds its components as integer rows directly: a
+monomial of the coordinate ring in a fixed multidegree is fixed by its
+y-exponent vector, whose mixed-radix code is its column, and codes add under
+products.  So no product polynomial is formed, and each invariant basis is
+fetched once per multidegree while the degrees still to come can reach it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import permutations
-from math import prod
+from math import gcd, prod
 
 from .dihedral import (
     all_multidegrees,
@@ -24,12 +30,15 @@ from .dihedral import (
     decreasing_multidegrees,
     invariant_basis,
     invariant_dimension,
+    is_invariant,
+    is_rotation_invariant,
     s_act_xy,
     xy_monomials,
 )
 from .exactpoly import (
     Polynomial,
     PolynomialSpace,
+    RowSpace,
     nullspace_combinations,
     xy_universe,
 )
@@ -220,6 +229,7 @@ class TruncatedIdeal:
 
     def __init__(self, generators, degree_cap, resource_cap=None):
         generators = list(generators)
+        self._weights = []
         if not generators:
             self.algebra = None
         else:
@@ -227,10 +237,12 @@ class TruncatedIdeal:
             for g in generators:
                 if g.algebra is not self.algebra:
                     raise ValueError("generators from different algebras")
-                if g.is_zero() or g.weight() is None:
+                w = g.weight()  # None when zero or not multihomogeneous
+                if w is None:
                     raise ValueError(
                         "ideal generators must be nonzero and "
                         "multihomogeneous, got %r" % (g,))
+                self._weights.append(w)
         self.generators = generators
         self.degree_cap = int(degree_cap)
         self.resource_cap = resolve_resource_cap(resource_cap)
@@ -243,8 +255,7 @@ class TruncatedIdeal:
         if self.algebra is None:
             return out
         algebra = self.algebra
-        for g in self.generators:
-            w = g.weight()
+        for g, w in zip(self.generators, self._weights):
             delta = tuple(a - wi for a, wi in zip(alpha, w))
             if any(x < 0 for x in delta):
                 continue
@@ -353,6 +364,54 @@ def _expand_lstar(secondaries, m):
     return order, by_beta
 
 
+def _y_terms(f):
+    """The terms of a polynomial in XY(m) as (y-exponent vector, int) pairs,
+    scaled by a positive integer that clears the denominators (the span is
+    unchanged)."""
+    den = 1
+    for c in f.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    m = f.universe.m
+    out = []
+    for mono, c in f.terms.items():
+        ys = [0] * m
+        for v, e in mono.exps:
+            if v % 2:
+                ys[v // 2] = e
+        out.append((ys, c.numerator * (den // c.denominator)))
+    return out
+
+
+def _strides(alpha):
+    """Place values of the column code at multidegree alpha: a monomial with
+    y-exponent vector y has code sum_i y_i * stride_i, mixed radix
+    (alpha_1 + 1, ..., alpha_m + 1) with slot 1 most significant, which is
+    its position in xy_monomials(m, alpha)."""
+    out = []
+    place = 1
+    for a in reversed(alpha):
+        out.append(place)
+        place *= a + 1
+    out.reverse()
+    return out
+
+
+def _coded(terms, strides):
+    """(column code, coefficient) pairs of y-terms at one multidegree."""
+    return [(sum(y * s for y, s in zip(ys, strides)), c) for ys, c in terms]
+
+
+def _product_row(left, right):
+    """The integer row of a product of two coded polynomials: codes add,
+    because the y-exponent vectors do."""
+    row = {}
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = k1 + k2
+            row[k] = row.get(k, 0) + c1 * c2
+    return {k: c for k, c in row.items() if c}
+
+
 def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
                        resource_cap=None):
     """Check a primary/secondary decomposition directly on the invariant
@@ -365,41 +424,72 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
 
     `model` picks the group: "dihedral" or "cyclic" (the index-2 rotation
     subgroup).  Primaries and secondaries are polynomials in the coordinate
-    ring; rows are closed under coordinate permutations first."""
+    ring, multihomogeneous and invariant under the model's group (else a
+    ValueError); rows are closed under coordinate permutations first.
+
+    A component is a set of integer rows.  Every input is multihomogeneous,
+    so a monomial of multidegree alpha is fixed by its y-exponent vector
+    and its column is the code of `_strides`, which adds under products:
+    the row of h * b is built from the terms of h and b without forming the
+    product polynomial.  The invariant basis at each beta = alpha - w(h) is
+    fetched once and kept while a later alpha can still reach it."""
     cap = resolve_resource_cap(resource_cap)
     if model == "dihedral":
         dim_fn, basis_fn = invariant_dimension, invariant_basis
+        invariant_fn = is_invariant
     elif model == "cyclic":
         dim_fn, basis_fn = cyclic_invariant_dimension, cyclic_invariant_basis
+        invariant_fn = is_rotation_invariant
     else:
         raise ValueError("unknown model %r" % (model,))
     m = params.m
     universe = xy_universe(m)
+
+    def check(f, what):
+        if f.universe != universe:
+            raise ValueError("%s %s is not in %r" % (what, f, universe))
+        if not invariant_fn(f, params):
+            raise ValueError("%s %s is not invariant in the %s model"
+                             % (what, f, model))
+
     weights = []
     for h in primaries:
         w = h.multidegree()
         if w is None or h.is_zero():
             raise ValueError("primaries must be nonzero multihomogeneous")
+        check(h, "primary")
         weights.append(w)
     lstar, by_beta = _expand_lstar(secondaries, m)
+    for _, g in lstar:  # the first copy of each element is the element
+        check(g, "secondary")
+    h_terms = [(_y_terms(h), w) for h, w in zip(primaries, weights)]
+    reach = max((sum(w) for w in weights), default=0)
+    bases = {}
     failures = []
     independence = True
     spanning = True
     checked = 0
     for t in range(D + 1):
+        for beta in [b for b in bases if sum(b) < t - reach]:
+            del bases[beta]
         for alpha in decreasing_multidegrees(m, t):
             checked += 1
             _guard_invariant(alpha, cap)
-            columns = xy_monomials(m, alpha)
-            space = PolynomialSpace(universe, columns=columns)
-            for h, w in zip(primaries, weights):
+            strides = _strides(alpha)
+            space = RowSpace()
+            for terms, w in h_terms:
                 beta = tuple(a - wi for a, wi in zip(alpha, w))
                 if any(b < 0 for b in beta):
                     continue
-                for b in basis_fn(params, beta):
-                    space.insert(h * b)
+                basis = bases.get(beta)
+                if basis is None:
+                    basis = bases[beta] = [_y_terms(b)
+                                           for b in basis_fn(params, beta)]
+                coded = _coded(terms, strides)
+                for b in basis:
+                    space.insert_row(_product_row(coded, _coded(b, strides)))
             for f in by_beta.get(alpha, ()):
-                if not space.insert(f):
+                if not space.insert_row(dict(_coded(_y_terms(f), strides))):
                     independence = False
                     failures.append(
                         "secondary at %r depends on the primary ideal and "

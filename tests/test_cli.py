@@ -185,6 +185,24 @@ def test_hironaka_verify_cyclic_model(runner):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize("args,digest", [
+    (["hironaka", "verify", "--n", "4", "--m", "3"],
+     "594c4b8ac6a065df38f9baf5de3336607fc2d2106585ea55f3e53fe898f9e918"),
+    (["hironaka", "verify", "--n", "4", "--m", "3", "--model", "cyclic"],
+     "5b56e47d564802e3822bdaacc754c7fe20d4baf8fac588fe5fd5936cda365eeb"),
+    (["hironaka", "verify", "--n", "5", "--m", "2"],
+     "b64fc0565ba8019743d96a374f912b2c8b3b4de984edfa5f73bb3f908c264146"),
+    (["report", "paper", "--n", "4"],
+     "3f012f2434c7f185bfc8cba374bd247c4bc81d9ceac4dce628e26e3f95479171"),
+], ids=["n4-m3", "n4-m3-cyclic", "n5-m2", "report-paper-n4"])
+def test_hironaka_json_digest(runner, args, digest):
+    # every verdict, witness and failure line of the free-module checks,
+    # byte for byte
+    result = run(runner, args + ["--format", "json"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
 def test_hironaka_no_builtin_table(runner):
     result = runner.invoke(main, ["hironaka", "verify", "--n", "5",
                                   "--m", "3"])

@@ -6,11 +6,18 @@ counterparts live in the gl tests and the two are reconciled in the
 acceptance suite.
 """
 
+import hashlib
+import math
+
 import pytest
 
 from dihedralinv import kernelcalc
-from dihedralinv.dihedral import DihedralParams, decreasing_multidegrees
-from dihedralinv.exactpoly import Polynomial
+from dihedralinv.dihedral import (
+    DihedralParams,
+    decreasing_multidegrees,
+    xy_monomials,
+)
+from dihedralinv.exactpoly import Polynomial, parse_polynomial, xy_universe
 from dihedralinv.freealgebra import (
     FreeAlgebra,
     FreeElement,
@@ -136,9 +143,17 @@ def test_invariant_cap_stops_before_enumeration(monkeypatch):
     assert seen == [(5, 2, 2)]
     with pytest.raises(ResourceCapError, match=needs_54):
         kernel_basis_at(6, 3, (5, 2, 2), cap=50)
-    seen.clear()
     # the decomposition check guards its components the same way: with
-    # two slots, (6, 2) is the first weight over a cap of 20
+    # two slots, (6, 2) is the first weight over a cap of 20.  It lists no
+    # monomials itself; it enumerates the invariant bases at alpha - w(h)
+    seen.clear()
+    real_basis = kernelcalc.invariant_basis
+
+    def basis_spy(params, beta):
+        seen.append(tuple(beta))
+        return real_basis(params, beta)
+
+    monkeypatch.setattr(kernelcalc, "invariant_basis", basis_spy)
     with pytest.raises(ResourceCapError,
                        match=r"invariant component \(6, 2\) needs 21"):
         verify_hironaka(secondary_table_m2(4), DihedralParams(4, 2), 10,
@@ -335,6 +350,97 @@ def test_hironaka_weight_mismatch_rejected():
     bad = HironakaSpec(spec.primaries, [((2, 2), [A.rho((1, 1))])])
     with pytest.raises(ValueError):
         verify_hironaka(bad, DihedralParams(4, 2), 8)
+
+
+@pytest.mark.parametrize("left,right", [
+    ("x1*y2 + y1*x2", "x1*y2 - y1*x2"),  # the cross terms cancel
+    ("3*x1^2 - 1/2*y1^2", "2*x1*x2 + 5*y1*y2"),
+    ("1/2*x1*y2 + 1/2*y1*x2", "x1^2*x2 + 7/3*x1*y1*y2"),
+], ids=["cancelling", "integer", "fractional"])
+def test_hironaka_product_rows_match_polynomial_products(left, right):
+    # the verifier's row of h * b, built from coded terms, is the row of
+    # the polynomial product over xy_monomials, times the factors that
+    # cleared the denominators of h and b
+    U = xy_universe(2)
+    h, b = parse_polynomial(left, U), parse_polynomial(right, U)
+    alpha = tuple(x + y for x, y in zip(h.multidegree(), b.multidegree()))
+    strides = kernelcalc._strides(alpha)
+    row = kernelcalc._product_row(
+        kernelcalc._coded(kernelcalc._y_terms(h), strides),
+        kernelcalc._coded(kernelcalc._y_terms(b), strides))
+    scale = math.prod(math.lcm(*(c.denominator for c in f.terms.values()))
+                      for f in (h, b))
+    index = {mo: i for i, mo in enumerate(xy_monomials(2, alpha))}
+    assert row == {index[mo]: c * scale for mo, c in (h * b).terms.items()}
+
+
+@pytest.mark.parametrize("text", [
+    "x1^2*x2^2 + x1^2*x2*y2 + y1^2*y2^2",
+    "x1^2*x2^2 + x1*y1*x2^2 + y1^2*y2^2",
+], ids=["x1^2*x2*y2", "x1*y1*x2^2"])
+def test_hironaka_rejects_non_dihedral_secondary(text):
+    # the added term is not rotation invariant, but it lies outside every
+    # invariant component and so leaves every rank as it was: the check
+    # would pass without reading the table's claim
+    spec = secondary_table_m2(4)
+    primaries = [phi(h) for h in spec.primaries]
+    rows = [(alpha, [phi(f) for f in elems])
+            for alpha, elems in spec.secondaries_S]
+    p22 = parse_polynomial("x1^2*x2^2 + y1^2*y2^2", xy_universe(2))
+    bad = parse_polynomial(text, xy_universe(2))
+    rows = [(alpha, [bad if f == p22 else f for f in elems])
+            for alpha, elems in rows]
+    assert sum(f == bad for _, elems in rows for f in elems) == 1
+    with pytest.raises(ValueError, match=r"secondary .* not invariant in "
+                                         r"the dihedral model"):
+        verify_hironaka_xy(primaries, rows, DihedralParams(4, 2), 10)
+
+
+def test_hironaka_rejects_non_rotation_invariant_secondary():
+    primaries, rows = cyclic_table_n4_m3()
+    bad = parse_polynomial("x1*y2 + x1*x2", xy_universe(3))
+    rows[1] = ((1, 1, 0), [bad, rows[1][1][1]])
+    with pytest.raises(ValueError, match=r"secondary .* not invariant in "
+                                         r"the cyclic model"):
+        verify_hironaka_xy(primaries, rows, DihedralParams(4, 3), 8,
+                           model="cyclic")
+
+
+def test_hironaka_dependent_secondary_detected():
+    # an exact copy of a secondary is dropped when the rows are closed
+    # under permutations, so the second copy of r110^2 is scaled
+    spec = secondary_table_n4_m3()
+    r110 = free_algebra(4, 3).rho((1, 1, 0))
+    rows = spec.secondaries_S + [((2, 2, 0), [(r110 * r110).scale(2)])]
+    rep = verify_hironaka(HironakaSpec(spec.primaries, rows),
+                          DihedralParams(4, 3), 10)
+    assert not rep.independence
+    assert not rep.hilbert_match
+    assert rep.spanning
+    assert rep.lstar_size == 67
+    assert rep.failures[0] == ("secondary at (2, 2, 0) depends on the "
+                               "primary ideal and earlier secondaries")
+    assert sum("depends on" in f for f in rep.failures) == 1
+
+
+def test_hironaka_cyclic_rows_dropped_failures():
+    primaries, rows = cyclic_table_n4_m3()
+    rep = verify_hironaka_xy(primaries, rows[:-3], DihedralParams(4, 3), 12,
+                             model="cyclic")
+    assert rep.independence
+    assert not rep.spanning and not rep.hilbert_match
+    assert (rep.lstar_size, rep.components_checked) == (118, 102)
+    assert rep.failures[:4] == [
+        "component (4, 4, 0): primaries+secondaries span 12 of 13",
+        "component (4, 3, 3): primaries+secondaries span 38 of 40",
+        "component (4, 4, 4): primaries+secondaries span 62 of 63",
+        "series coefficient at (4, 4, 0) is 12, invariant dimension is 13",
+    ]
+    # the whole list, byte for byte: 3 components and 40 series entries
+    assert len(rep.failures) == 43
+    digest = hashlib.sha256("\n".join(rep.failures).encode()).hexdigest()
+    assert digest == ("c896f05b52dc06db2be080379d2d4eba"
+                      "d4a801a9aaaaa8398b29aad0c26d5772")
 
 
 def test_secondary_table_shapes():
