@@ -31,12 +31,10 @@ from .dihedral import (
     p_pol,
     polarize,
     q_pol,
-    specialize_x2_zero,
 )
 from .freealgebra import (
     FreeAlgebra,
     FreeElement,
-    LoweringOperator,
     free_algebra,
     gl_act,
     is_highest_weight,
@@ -58,15 +56,10 @@ from .gltheory import (
     pieri_row,
     schur_dim,
     sym2_of_symn,
-    symd_of_sym2,
 )
 from .kernelcalc import (
-    HironakaSpec,
     ResourceCapError,
     TruncatedIdeal,
-    furnish_check,
-    kernel_component,
     minimal_generators_by_degree,
-    verify_gl_generation,
-    verify_hironaka,
+    verify_hironaka_xy,
 )

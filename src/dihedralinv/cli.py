@@ -50,7 +50,6 @@ from .kernelcalc import (
     resolve_resource_cap,
     secondary_table_m2,
     secondary_table_n4_m3,
-    verify_hironaka,
     verify_hironaka_xy,
 )
 from .dihedral import all_multidegrees
@@ -430,20 +429,17 @@ def hironaka_verify(n, m, max_degree, model, fmt, resource_cap, force):
     D = _resolve_degree(n, max_degree, force)
     params = DihedralParams(n, m)
     if model == "dihedral" and m == 2:
-        report = verify_hironaka(secondary_table_m2(n), params, D,
-                                 resource_cap=resource_cap)
+        primaries, rows = secondary_table_m2(n)
     elif model == "dihedral" and (n, m) == (4, 3):
-        report = verify_hironaka(secondary_table_n4_m3(), params, D,
-                                 resource_cap=resource_cap)
+        primaries, rows = secondary_table_n4_m3()
     elif model == "cyclic" and (n, m) == (4, 3):
         primaries, rows = cyclic_table_n4_m3()
-        report = verify_hironaka_xy(primaries, rows, params, D,
-                                    model="cyclic",
-                                    resource_cap=resource_cap)
     else:
         raise click.UsageError(
             "no built-in decomposition table for n=%d, m=%d, model=%s"
             % (n, m, model))
+    report = verify_hironaka_xy(primaries, rows, params, D, model=model,
+                                resource_cap=resource_cap)
     witness = [report.lstar_size, report.components_checked]
     verdicts = [
         {"claim": "secondaries are independent over the parameter ideal",
@@ -589,16 +585,15 @@ def report(what, n, fmt, resource_cap):
         if kd[t]:
             lines.append("reduced kernel, degree %d: %s" % (t, kd[t]))
 
-    hiro2 = verify_hironaka(secondary_table_m2(4), params2, 16,
-                            resource_cap=resource_cap)
-    hiro3 = verify_hironaka(secondary_table_n4_m3(), params3, 16,
-                            resource_cap=resource_cap)
-    cyc_primaries, cyc_rows = cyclic_table_n4_m3()
-    cyc = verify_hironaka_xy(cyc_primaries, cyc_rows, params3, 16,
-                             model="cyclic", resource_cap=resource_cap)
-    for label, rep in [("two-vector free module", hiro2),
-                       ("three-vector free module", hiro3),
-                       ("rotation-subgroup free module", cyc)]:
+    for label, table, params, model in [
+            ("two-vector free module", secondary_table_m2(4), params2,
+             "dihedral"),
+            ("three-vector free module", secondary_table_n4_m3(), params3,
+             "dihedral"),
+            ("rotation-subgroup free module", cyclic_table_n4_m3(), params3,
+             "cyclic")]:
+        rep = verify_hironaka_xy(*table, params, 16, model=model,
+                                 resource_cap=resource_cap)
         verdicts.append({"claim": label + " verified",
                          "status": _status(rep.ok),
                          "witness_dims": [rep.lstar_size,

@@ -9,7 +9,7 @@ stays in exact rational arithmetic and the root of unity never appears.
 Provides the polarized generators q (degree 2) and p (degree n) of the
 invariant ring, general polarization of binary forms, exact invariance and
 dimension oracles per multidegree, explicit symmetrized monomial bases, and
-the x2 -> 0 specialization used to split off the two-vector case.
+the permutation and polarization actions on the coordinate ring.
 """
 
 from __future__ import annotations
@@ -305,14 +305,7 @@ def invariant_basis(params, alpha):
 
 
 # ---------------------------------------------------------------------------
-# specialization and actions
-
-
-def specialize_x2_zero(f):
-    """Substitute x_2 = 0 (the splitting homomorphism for two vectors)."""
-    if f.universe.kind != "xy" or f.universe.m < 2:
-        raise ValueError("specialization needs at least two plane vectors")
-    return f.kill_variables({x_index(2)})
+# actions
 
 
 def s_act_xy(perm, f):

@@ -443,15 +443,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def kill_variables(self, kill):
-        """Set the given variables to zero (drop every term containing them)."""
-        kill = set(kill)
-        d = {m: c for m, c in self.terms.items()
-             if not any(v in kill for v, _ in m.exps)}
-        p = Polynomial.zero(self.universe)
-        p.terms = d
-        return p
-
     def permute_variables(self, var_map):
         """Rename variables via the index map `var_map` (a permutation of the
         universe's variable indices)."""

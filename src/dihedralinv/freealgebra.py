@@ -9,15 +9,15 @@ is the object every other module interrogates.
 gl_m acts on the symbols by shifting one unit of index between two slots
 (E_{u,v}.pi_b = b_v * pi_{b+e_u-e_v}), extended to products as a derivation;
 phi intertwines this with the polarization action on the coordinate ring.
-Highest weight vectors and saturation under the full set of matrix units
-give exact bases of the GL-submodules generated by the named relations:
-the 3x3 symmetric determinant in the rho symbols, the three-term relation
-of weight (n,2), and the weight-(2n-2k,2k) family.
+A matrix unit is passed as the index pair (u, v).  Highest weight vectors
+and saturation under the full set of matrix units give exact bases of the
+GL-submodules generated by the named relations: the 3x3 symmetric
+determinant in the rho symbols, the three-term relation of weight (n,2),
+and the weight-(2n-2k,2k) family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -29,22 +29,6 @@ from .exactpoly import (
     PolynomialSpace,
     rhopi_universe,
 )
-
-
-@dataclass(frozen=True)
-class LoweringOperator:
-    """The matrix unit E_{u,v} (1-based slot indices, u != v)."""
-
-    u: int
-    v: int
-
-    def __post_init__(self):
-        if self.u < 1 or self.v < 1:
-            raise ValueError("matrix unit indices are 1-based, got (%d,%d)"
-                             % (self.u, self.v))
-        if self.u == self.v:
-            raise ValueError("diagonal units are passed as index pairs, "
-                             "not LoweringOperator")
 
 
 @lru_cache(maxsize=None)
@@ -191,10 +175,6 @@ class FreeAlgebra:
             rec(0, alpha)
         return out
 
-    def monomial_elements_of_weight(self, alpha):
-        return [FreeElement(self, Polynomial.from_monomial(self.universe, mo))
-                for mo in self.monomials_of_weight(alpha)]
-
     # -- symmetric-group and gl actions -----------------------------------
 
     def permuted_variable(self, perm, v):
@@ -238,12 +218,10 @@ class FreeAlgebra:
         return c, table[target]
 
     def gl_act(self, E, e):
-        """Action of a matrix unit on an element: index-shift with the
-        source-slot index as factor on symbols, extended by Leibniz."""
-        if isinstance(E, LoweringOperator):
-            u, v = E.u, E.v
-        else:
-            u, v = E
+        """Action of the matrix unit E = (u, v) (1-based slots) on an
+        element: index-shift with the source-slot index as factor on
+        symbols, extended by Leibniz."""
+        u, v = E
         if not (1 <= u <= self.m and 1 <= v <= self.m):
             raise ValueError("matrix unit (%d,%d) out of range for m=%d"
                              % (u, v, self.m))
@@ -502,15 +480,3 @@ def make_R_2n2k(n, k, m):
     r02 = A.rho((0, 2))
     disc = r11 * r11 - r20 * r02
     return total - (4 ** k) * (r20 ** (n - 2 * k)) * (disc ** k)
-
-
-def lowering_family_Rn2(n, m):
-    """The explicit weight ladder under E_{2,1} starting from the (n,2)
-    relation: element j has weight (n-j, 2+j), j = 0..n-2, where
-    element_{j+1} = E_{2,1}.element_j / (n-2-j).  The divisor runs over
-    j = 0..n-3 only, so it never vanishes."""
-    family = [make_R_n2(n, m)]
-    for j in range(n - 2):
-        nxt = gl_act((2, 1), family[-1]).scale(Fraction(1, n - 2 - j))
-        family.append(nxt)
-    return family

@@ -72,10 +72,6 @@ def partitions(d, max_height=None):
     yield from rec(d, d, max_height)
 
 
-def height(lam):
-    return len(normalize_partition(lam))
-
-
 # ---------------------------------------------------------------------------
 # horizontal strips, Kostka numbers and Schur dimensions
 
@@ -194,6 +190,15 @@ class DecompositionReport:
                 table[lam] = table.get(lam, 0) + mult
         self.entries = table
 
+    @classmethod
+    def _of_table(cls, m, table):
+        """A report on a table that is already normal: positive
+        multiplicities on normalised partitions of height <= m."""
+        report = cls.__new__(cls)
+        report.m = m
+        report.entries = table
+        return report
+
     def multiplicity(self, lam):
         return self.entries.get(normalize_partition(lam), 0)
 
@@ -218,7 +223,7 @@ class DecompositionReport:
         merged = dict(self.entries)
         for lam, mult in other.entries.items():
             merged[lam] = merged.get(lam, 0) + mult
-        return DecompositionReport(self.m, merged)
+        return DecompositionReport._of_table(self.m, merged)
 
     def __sub__(self, other):
         if self.m != other.m:
@@ -235,7 +240,7 @@ class DecompositionReport:
                 merged[lam] = value
             else:
                 merged.pop(lam, None)
-        return DecompositionReport(self.m, merged)
+        return DecompositionReport._of_table(self.m, merged)
 
     def total_dim(self):
         """Dimension of the underlying vector space."""
@@ -276,14 +281,6 @@ def pieri_row(lam, k, m):
     room = (k,) + tuple(a - b for a, b in zip(padded, padded[1:]))
     return DecompositionReport(m, {tuple(p + x for p, x in zip(padded, way)): 1
                                    for way in _spread(room, k)})
-
-
-def symd_of_sym2(d, m):
-    """Decomposition of the d-th symmetric power of the space of quadratic
-    forms in m variables: one copy of S^(2 lam) for every partition lam of d
-    with at most m parts."""
-    return DecompositionReport(
-        m, {tuple(2 * p for p in lam): 1 for lam in partitions(d, m)})
 
 
 def sym2_of_symn(n, m):

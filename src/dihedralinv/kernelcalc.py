@@ -9,15 +9,18 @@ ideal membership, verification of primary/secondary decompositions on the
 invariant-ring side, and the GL-ideal generation check that compares a
 truncated ideal against the kernel dimension by dimension.
 
-The decomposition check builds its components as integer rows directly: a
-monomial of the coordinate ring in a fixed multidegree is fixed by its
-y-exponent vector, whose mixed-radix code is its column, and codes add under
-products.  So no product polynomial is formed, and each invariant basis is
-fetched once per multidegree while the degrees still to come can reach it.
+The decomposition check takes coordinate-ring polynomials only; the built-in
+tables written in the rho/pi symbols are mapped through phi before it sees
+them.  It builds its components as integer rows directly: a monomial of the
+coordinate ring in a fixed multidegree is fixed by its y-exponent vector,
+whose mixed-radix code is its column, and codes add under products.  So no
+product polynomial is formed, and each invariant basis is fetched once per
+multidegree while the degrees still to come can reach it.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -68,6 +71,14 @@ def resolve_resource_cap(cap=None):
     if cap <= 0:
         raise ValueError("the resource cap must be positive, got %d" % cap)
     return cap
+
+
+def _degree_bound(D):
+    """A total-degree bound; a negative one would check nothing and pass."""
+    D = operator.index(D)
+    if D < 0:
+        raise ValueError("the degree bound must be nonnegative, got %d" % D)
+    return D
 
 
 def _guard(size, cap, what):
@@ -164,19 +175,6 @@ def kernel_basis_at(n, m, alpha, cap=None):
     return [algebra.s_act(perm, e) for e in basis]
 
 
-def kernel_component(n, m, degree_or_multidegree, resource_cap=None):
-    """(dimension, basis) of the kernel of the presentation map in one
-    multidegree, or aggregated over a whole total degree."""
-    cap = resolve_resource_cap(resource_cap)
-    if isinstance(degree_or_multidegree, int):
-        basis = []
-        for alpha in all_multidegrees(m, degree_or_multidegree):
-            basis.extend(kernel_basis_at(n, m, alpha, cap))
-        return len(basis), basis
-    basis = kernel_basis_at(n, m, tuple(degree_or_multidegree), cap)
-    return len(basis), basis
-
-
 # ---------------------------------------------------------------------------
 # minimal generators (graded Nakayama)
 
@@ -205,6 +203,7 @@ def _new_generator_count_at(n, m, alpha, cap):
 def minimal_generators_by_degree(n, m, D, resource_cap=None):
     """Number of minimal generators of the kernel ideal in each degree
     <= D (degrees with no new generators are omitted)."""
+    D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
     out = {}
     for d in range(D + 1):
@@ -244,7 +243,7 @@ class TruncatedIdeal:
                         "multihomogeneous, got %r" % (g,))
                 self._weights.append(w)
         self.generators = generators
-        self.degree_cap = int(degree_cap)
+        self.degree_cap = _degree_bound(degree_cap)
         self.resource_cap = resolve_resource_cap(resource_cap)
         self._spaces = {}
 
@@ -313,16 +312,6 @@ class TruncatedIdeal:
 
 
 @dataclass
-class HironakaSpec:
-    """Primaries (a homogeneous system of parameters, as elements of the
-    free algebra) plus rows (multidegree, elements) whose coordinate-
-    permutation closure is the claimed free-module generating set."""
-
-    primaries: list
-    secondaries_S: list
-
-
-@dataclass
 class HironakaReport:
     independence: bool
     hilbert_match: bool
@@ -337,9 +326,11 @@ class HironakaReport:
 
 
 def _expand_lstar(secondaries, m):
-    """Close the rows under coordinate permutations: for each row, one
-    transported copy per distinct permuted multidegree (lexicographically
-    first permutation wins), with exact duplicates dropped."""
+    """Close the rows under coordinate permutations.  Every element the
+    caller lists stays at its multidegree, repeats included, so a repeat
+    fails independence.  Then each row gets one transported copy per other
+    permuted multidegree (lexicographically first permutation wins), which
+    is dropped when it equals an element already there."""
     by_beta = {}
     order = []
     for alpha, elems in secondaries:
@@ -349,7 +340,11 @@ def _expand_lstar(secondaries, m):
                 raise ValueError(
                     "secondary %s declared at %r has multidegree %r"
                     % (f, alpha, f.multidegree()))
-        seen_beta = set()
+        by_beta.setdefault(alpha, []).extend(elems)
+        order.extend((alpha, f) for f in elems)
+    for alpha, elems in secondaries:
+        alpha = tuple(alpha)
+        seen_beta = {alpha}
         for perm in permutations(range(1, m + 1)):
             beta = apply_perm(perm, alpha)
             if beta in seen_beta:
@@ -433,6 +428,7 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
     the row of h * b is built from the terms of h and b without forming the
     product polynomial.  The invariant basis at each beta = alpha - w(h) is
     fetched once and kept while a later alpha can still reach it."""
+    D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
     if model == "dihedral":
         dim_fn, basis_fn = invariant_dimension, invariant_basis
@@ -460,7 +456,7 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
         check(h, "primary")
         weights.append(w)
     lstar, by_beta = _expand_lstar(secondaries, m)
-    for _, g in lstar:  # the first copy of each element is the element
+    for _, g in lstar:  # listed elements come first: a failure names one
         check(g, "secondary")
     h_terms = [(_y_terms(h), w) for h, w in zip(primaries, weights)]
     reach = max((sum(w) for w in weights), default=0)
@@ -537,16 +533,6 @@ def _hilbert_series_check(primary_weights, lstar, params, D, dim_fn,
     return ok
 
 
-def verify_hironaka(spec, params, D, model="dihedral", resource_cap=None):
-    """Map a free-algebra decomposition claim through the presentation and
-    verify it on the invariant ring."""
-    primaries = [phi(h) for h in spec.primaries]
-    secondaries = [(tuple(alpha), [phi(f) for f in elems])
-                   for alpha, elems in spec.secondaries_S]
-    return verify_hironaka_xy(primaries, secondaries, params, D,
-                              model=model, resource_cap=resource_cap)
-
-
 # ---------------------------------------------------------------------------
 # built-in decomposition tables
 
@@ -567,18 +553,27 @@ def primary_elements(n, m):
     return out
 
 
+def _through_phi(n, m, rows):
+    """(primaries, rows) of a table written in the rho/pi symbols, both
+    mapped to the coordinate ring."""
+    return ([phi(h) for h in primary_elements(n, m)],
+            [(alpha, [phi(f) for f in elems]) for alpha, elems in rows])
+
+
 def secondary_table_m2(n):
     """The two-vector free-module table: powers of the mixed quadratic plus
-    the mixed degree-n symbols."""
+    the mixed degree-n symbols.  Returns (primaries, rows) on the
+    coordinate-ring side."""
     A = free_algebra(n, 2)
     rows = [((j, j), [A.rho((1, 1)) ** j]) for j in range(n + 1)]
     rows += [((n - i, i), [A.pi((n - i, i))]) for i in range(1, n)]
-    return HironakaSpec(primary_elements(n, 2), rows)
+    return _through_phi(n, 2, rows)
 
 
 def secondary_table_n4_m3():
     """The 13-row table of free-module generators for four-fold rotations on
-    three vectors (weakly decreasing multidegrees; 18 elements)."""
+    three vectors (weakly decreasing multidegrees; 18 elements).  Returns
+    (primaries, rows) on the coordinate-ring side."""
     A = free_algebra(4, 3)
     r110 = A.rho((1, 1, 0))
     r101 = A.rho((1, 0, 1))
@@ -600,7 +595,7 @@ def secondary_table_n4_m3():
         ((4, 4, 0), [r110 ** 4]),
         ((4, 3, 3), [A.pi((3, 1, 0)) * r101 * r011 * r011]),
     ]
-    return HironakaSpec(primary_elements(4, 3), rows)
+    return _through_phi(4, 3, rows)
 
 
 def cyclic_table_n4_m3():
@@ -640,53 +635,6 @@ def cyclic_table_n4_m3():
 
 
 # ---------------------------------------------------------------------------
-# spanning check: monomial lifts + two ideals cover the free algebra
-
-
-def furnish_check(T, H_gens, K_gens, params, d, resource_cap=None):
-    """True iff, in every multidegree of total degree <= d, the component of
-    the free algebra is spanned by the T-elements of that multidegree plus
-    the degree-truncated ideals generated by H_gens and K_gens.  All three
-    families must be stable under coordinate permutations (as spans), so
-    only weakly decreasing multidegrees are checked."""
-    cap = resolve_resource_cap(resource_cap)
-    algebra = free_algebra(params.n, params.m)
-    for e in list(T) + list(H_gens) + list(K_gens):
-        if e.algebra is not algebra:
-            raise ValueError("element from the wrong algebra: %r" % (e,))
-    h_ideal = TruncatedIdeal(H_gens, d, cap) if H_gens else None
-    k_ideal = TruncatedIdeal(K_gens, d, cap) if K_gens else None
-    by_weight = {}
-    for e in T:
-        w = e.weight()
-        if w is None:
-            raise ValueError("T-elements must be multihomogeneous")
-        by_weight.setdefault(w, []).append(e)
-    for t in range(d + 1):
-        for alpha in decreasing_multidegrees(params.m, t):
-            size = algebra.count_of_weight(alpha)
-            if not size:
-                continue
-            _guard(size, cap, "free component %r" % (alpha,))
-            columns = algebra.monomials_of_weight(alpha)
-            space = PolynomialSpace(algebra.universe, columns=columns)
-            for e in by_weight.get(alpha, ()):
-                space.insert(e.poly)
-            for ideal in (h_ideal, k_ideal):
-                if ideal is None:
-                    continue
-                for row in ideal.spanning_polys(alpha):
-                    space.insert(row)
-                    if space.rank == size:
-                        break
-                if space.rank == size:
-                    break
-            if space.rank != size:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # GL-ideal generation
 
 
@@ -695,6 +643,7 @@ def gl_generation_report(n, m, generator_hwvs, D, resource_cap=None):
     the truncated ideal, and compare its slice dimensions with the kernel's
     in every weakly decreasing multidegree of total degree <= D.  Returns
     (ok, rows) where rows aggregate both dimensions per total degree."""
+    D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
     expanded = []
     for g in generator_hwvs:
@@ -720,13 +669,3 @@ def gl_generation_report(n, m, generator_hwvs, D, resource_cap=None):
         rows.append({"degree": t, "ideal_dim": ideal_total,
                      "kernel_dim": kernel_total})
     return ok, rows
-
-
-def verify_gl_generation(n, m, generator_hwvs, D, resource_cap=None):
-    """True iff the GL-ideal generated by the given kernel elements equals
-    the full kernel of the presentation in every degree <= D (containment
-    is certified by evaluating the presentation map on the generators,
-    equality per multidegree by dimension count)."""
-    ok, _ = gl_generation_report(n, m, generator_hwvs, D,
-                                 resource_cap=resource_cap)
-    return ok

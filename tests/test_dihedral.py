@@ -25,7 +25,6 @@ from dihedralinv.dihedral import (
     q_pol,
     rotation_weight,
     s_act_xy,
-    specialize_x2_zero,
     swap_xy,
     xy_monomials,
 )
@@ -290,14 +289,6 @@ def test_gl_act_diagonal_scales_by_multidegree():
     f = parse(2, "x1^2*x2*y2^2")
     assert gl_act_xy(f, 1, 1) == f.scale(2)
     assert gl_act_xy(f, 2, 2) == f.scale(3)
-
-
-def test_specialization():
-    assert specialize_x2_zero(q_pol((1, 1))) == parse(2, "1/2*x1*y2")
-    assert specialize_x2_zero(p_pol((2, 2), n=4)) == parse(2, "y1^2*y2^2")
-    assert specialize_x2_zero(parse(2, "y1*y2")) == parse(2, "y1*y2")
-    with pytest.raises(ValueError):
-        specialize_x2_zero(parse(1, "x1"))
 
 
 @settings(max_examples=80, deadline=None)

@@ -21,7 +21,6 @@ from dihedralinv.gltheory import (
     ambient_truncated,
     cauchy_dim,
     dbar_truncated,
-    height,
     hilbert_h,
     invariant_multiplicity,
     invariants_truncated,
@@ -32,7 +31,6 @@ from dihedralinv.gltheory import (
     pieri_row,
     schur_dim,
     sym2_of_symn,
-    symd_of_sym2,
     weyl_dim,
 )
 
@@ -75,7 +73,6 @@ def test_partitions_enumeration():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1),
                                    (1, 1, 1, 1)]
     assert list(partitions(4, max_height=2)) == [(4,), (3, 1), (2, 2)]
-    assert height((3, 1)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +277,11 @@ def test_pieri_row_fixture():
 
 @pytest.mark.parametrize("d,m", [(d, m) for d in range(6) for m in (1, 2, 3)])
 def test_symmetric_powers_of_quadratics(d, m):
-    # dim S^d(S^2 C^m) = multiset coefficient on binom(m+1,2) symbols
-    assert symd_of_sym2(d, m).total_dim() == comb(comb(m + 1, 2) + d - 1, d)
+    # dim S^d(S^2 C^m) = multiset coefficient on binom(m+1,2) symbols, and
+    # S^d(S^2) holds one S^(2 lam) for every partition lam of d, height <= m
+    total = sum(schur_dim(tuple(2 * p for p in lam), m)
+                for lam in partitions(d, m))
+    assert total == comb(comb(m + 1, 2) + d - 1, d)
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3),
@@ -295,7 +295,8 @@ def test_dbar_matches_sym_powers_for_two_slots():
     # with two vector variables no partition exceeds height 2
     table = dbar_truncated(2, 8)
     for t in range(0, 9, 2):
-        assert table[t] == symd_of_sym2(t // 2, 2)
+        assert table[t] == DecompositionReport(
+            2, {tuple(2 * p for p in lam): 1 for lam in partitions(t // 2)})
     for t in range(1, 9, 2):
         assert not table[t]
 

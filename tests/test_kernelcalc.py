@@ -14,13 +14,13 @@ import pytest
 from dihedralinv import kernelcalc
 from dihedralinv.dihedral import (
     DihedralParams,
+    all_multidegrees,
     decreasing_multidegrees,
     xy_monomials,
 )
-from dihedralinv.exactpoly import Polynomial, parse_polynomial, xy_universe
+from dihedralinv.exactpoly import parse_polynomial, xy_universe
 from dihedralinv.freealgebra import (
     FreeAlgebra,
-    FreeElement,
     free_algebra,
     make_R222,
     make_R_2n2k,
@@ -29,15 +29,12 @@ from dihedralinv.freealgebra import (
     submodule_basis,
 )
 from dihedralinv.kernelcalc import (
-    HironakaSpec,
     ResourceCapError,
     TruncatedIdeal,
     apply_perm,
     cyclic_table_n4_m3,
-    furnish_check,
     gl_generation_report,
     kernel_basis_at,
-    kernel_component,
     minimal_generators_by_degree,
     orbit_size,
     primary_elements,
@@ -45,10 +42,14 @@ from dihedralinv.kernelcalc import (
     secondary_table_m2,
     secondary_table_n4_m3,
     sort_permutation,
-    verify_gl_generation,
-    verify_hironaka,
     verify_hironaka_xy,
 )
+
+
+def _kernel_in_degree(n, m, d, cap=None):
+    """The kernel basis in total degree d, multidegree by multidegree."""
+    return [e for alpha in all_multidegrees(m, d)
+            for e in kernel_basis_at(n, m, alpha, cap)]
 
 
 def test_permutation_helpers():
@@ -79,7 +80,7 @@ def test_resource_cap_resolution(monkeypatch):
 
 def test_resource_cap_enforced():
     with pytest.raises(ResourceCapError):
-        kernel_component(6, 3, 10, resource_cap=50)
+        _kernel_in_degree(6, 3, 10, cap=50)
 
 
 def test_resource_cap_stops_before_enumeration(monkeypatch):
@@ -103,14 +104,6 @@ def test_resource_cap_stops_before_enumeration(monkeypatch):
     with pytest.raises(ResourceCapError, match="ideal slice"):
         ideal.component_dimension((4, 2, 2))
     assert enumerated == []
-    symbols = [FreeElement(A, Polynomial.variable(A.universe, v))
-               for v in range(A.universe.nvars)]
-    with pytest.raises(ResourceCapError, match="free component"):
-        furnish_check([A.one()], symbols, [], DihedralParams(4, 3), 8,
-                      resource_cap=5)
-    # furnish_check enumerates the components it passed, none over the cap
-    assert enumerated
-    assert all(size <= 5 for size in enumerated)
 
 
 def test_resource_cap_applies_to_cached_components():
@@ -156,8 +149,8 @@ def test_invariant_cap_stops_before_enumeration(monkeypatch):
     monkeypatch.setattr(kernelcalc, "invariant_basis", basis_spy)
     with pytest.raises(ResourceCapError,
                        match=r"invariant component \(6, 2\) needs 21"):
-        verify_hironaka(secondary_table_m2(4), DihedralParams(4, 2), 10,
-                        resource_cap=20)
+        verify_hironaka_xy(*secondary_table_m2(4), DihedralParams(4, 2), 10,
+                           resource_cap=20)
     assert seen
     assert (6, 2) not in seen
     assert all((a + 1) * (b + 1) <= 20 for a, b in seen)
@@ -165,7 +158,7 @@ def test_invariant_cap_stops_before_enumeration(monkeypatch):
 
 def test_returned_basis_does_not_alias_the_cache():
     kernel_basis_at(4, 3, (2, 2, 2)).clear()
-    assert kernel_component(4, 3, 6)[0] == 28
+    assert len(_kernel_in_degree(4, 3, 6)) == 28
 
 
 # ---------------------------------------------------------------------------
@@ -174,24 +167,23 @@ def test_returned_basis_does_not_alias_the_cache():
 
 def test_kernel_dimensions_low_degrees():
     for d in (0, 1, 2, 3, 4, 5, 7):
-        dim, basis = kernel_component(4, 2, d)
-        assert dim == 0 and basis == []
+        assert _kernel_in_degree(4, 2, d) == []
     for d, want in ((6, 3), (8, 15)):
-        dim, basis = kernel_component(4, 2, d)
-        assert dim == want == len(basis)
+        basis = _kernel_in_degree(4, 2, d)
+        assert len(basis) == want
         assert all(phi(e).is_zero() for e in basis)
         assert all(e.degree() == d for e in basis)
 
 
 def test_kernel_first_component_three_slots():
-    dim, basis = kernel_component(4, 3, 6)
-    assert dim == 28
+    basis = _kernel_in_degree(4, 3, 6)
+    assert len(basis) == 28
     assert all(phi(e).is_zero() for e in basis)
 
 
 def test_kernel_multidegree_form():
-    dim, basis = kernel_component(4, 2, (4, 2))
-    assert dim == 1
+    basis = kernel_basis_at(4, 2, (4, 2))
+    assert len(basis) == 1
     assert basis[0].weight() == (4, 2)
 
 
@@ -203,7 +195,7 @@ def test_kernel_transport_to_unsorted_weight():
 
 
 def test_kernel_odd_degrees_empty():
-    assert kernel_component(4, 3, 7)[0] == 0
+    assert _kernel_in_degree(4, 3, 7) == []
     assert kernel_basis_at(4, 3, (3, 3, 1)) == []
 
 
@@ -285,14 +277,8 @@ def test_ideal_component_dimension_matches_kernel():
         + submodule_basis(make_R_n2(4, 3))
     ideal = TruncatedIdeal(gens, 6)
     total = sum(ideal.component_dimension(alpha)
-                for alpha in _all_weights(3, 6))
+                for alpha in all_multidegrees(3, 6))
     assert total == 28
-
-
-def _all_weights(m, total):
-    from dihedralinv.dihedral import all_multidegrees
-
-    return list(all_multidegrees(m, total))
 
 
 def test_mixed_generator_membership():
@@ -311,19 +297,17 @@ def test_mixed_generator_membership():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_hironaka_two_slots(n):
-    rep = verify_hironaka(secondary_table_m2(n), DihedralParams(n, 2),
-                          2 * n + 2)
+    rep = verify_hironaka_xy(*secondary_table_m2(n), DihedralParams(n, 2),
+                             2 * n + 2)
     assert rep.ok, rep.failures[:3]
     assert rep.lstar_size == 2 * n
     assert rep.independence and rep.hilbert_match and rep.spanning
 
 
 def test_hironaka_broken_table_detected():
-    spec = secondary_table_m2(4)
-    broken = HironakaSpec(spec.primaries,
-                          [row for row in spec.secondaries_S
-                           if row[0] != (4, 4)])
-    rep = verify_hironaka(broken, DihedralParams(4, 2), 10)
+    primaries, rows = secondary_table_m2(4)
+    broken = [row for row in rows if row[0] != (4, 4)]
+    rep = verify_hironaka_xy(primaries, broken, DihedralParams(4, 2), 10)
     assert rep.independence
     assert not rep.hilbert_match
     assert not rep.ok
@@ -331,7 +315,8 @@ def test_hironaka_broken_table_detected():
 
 
 def test_hironaka_three_slots():
-    rep = verify_hironaka(secondary_table_n4_m3(), DihedralParams(4, 3), 8)
+    rep = verify_hironaka_xy(*secondary_table_n4_m3(), DihedralParams(4, 3),
+                             8)
     assert rep.ok, rep.failures[:5]
     assert rep.lstar_size == 64
 
@@ -345,11 +330,11 @@ def test_hironaka_cyclic_model():
 
 
 def test_hironaka_weight_mismatch_rejected():
-    spec = secondary_table_m2(4)
-    A = free_algebra(4, 2)
-    bad = HironakaSpec(spec.primaries, [((2, 2), [A.rho((1, 1))])])
-    with pytest.raises(ValueError):
-        verify_hironaka(bad, DihedralParams(4, 2), 8)
+    primaries, _ = secondary_table_m2(4)
+    q11 = phi(free_algebra(4, 2).rho((1, 1)))
+    with pytest.raises(ValueError, match="declared at"):
+        verify_hironaka_xy(primaries, [((2, 2), [q11])],
+                           DihedralParams(4, 2), 8)
 
 
 @pytest.mark.parametrize("left,right", [
@@ -382,10 +367,7 @@ def test_hironaka_rejects_non_dihedral_secondary(text):
     # the added term is not rotation invariant, but it lies outside every
     # invariant component and so leaves every rank as it was: the check
     # would pass without reading the table's claim
-    spec = secondary_table_m2(4)
-    primaries = [phi(h) for h in spec.primaries]
-    rows = [(alpha, [phi(f) for f in elems])
-            for alpha, elems in spec.secondaries_S]
+    primaries, rows = secondary_table_m2(4)
     p22 = parse_polynomial("x1^2*x2^2 + y1^2*y2^2", xy_universe(2))
     bad = parse_polynomial(text, xy_universe(2))
     rows = [(alpha, [bad if f == p22 else f for f in elems])
@@ -407,13 +389,11 @@ def test_hironaka_rejects_non_rotation_invariant_secondary():
 
 
 def test_hironaka_dependent_secondary_detected():
-    # an exact copy of a secondary is dropped when the rows are closed
-    # under permutations, so the second copy of r110^2 is scaled
-    spec = secondary_table_n4_m3()
+    # a multiple of a secondary, listed as a row of its own
+    primaries, rows = secondary_table_n4_m3()
     r110 = free_algebra(4, 3).rho((1, 1, 0))
-    rows = spec.secondaries_S + [((2, 2, 0), [(r110 * r110).scale(2)])]
-    rep = verify_hironaka(HironakaSpec(spec.primaries, rows),
-                          DihedralParams(4, 3), 10)
+    rows = rows + [((2, 2, 0), [phi(r110 * r110).scale(2)])]
+    rep = verify_hironaka_xy(primaries, rows, DihedralParams(4, 3), 10)
     assert not rep.independence
     assert not rep.hilbert_match
     assert rep.spanning
@@ -421,6 +401,35 @@ def test_hironaka_dependent_secondary_detected():
     assert rep.failures[0] == ("secondary at (2, 2, 0) depends on the "
                                "primary ideal and earlier secondaries")
     assert sum("depends on" in f for f in rep.failures) == 1
+
+
+def test_hironaka_repeated_secondary_detected():
+    # the same element listed twice at the same multidegree is two
+    # secondaries: the repeat must fail independence and the series
+    # identity, not be merged into one
+    primaries, rows = secondary_table_n4_m3()
+    r110 = free_algebra(4, 3).rho((1, 1, 0))
+    rows = rows + [((2, 2, 0), [phi(r110 * r110)])]
+    rep = verify_hironaka_xy(primaries, rows, DihedralParams(4, 3), 10)
+    assert not rep.independence
+    assert not rep.hilbert_match
+    assert rep.spanning
+    # the repeat's transported copies meet the first copy's and are dropped
+    assert rep.lstar_size == 65
+    assert [f for f in rep.failures if "depends on" in f] == [
+        "secondary at (2, 2, 0) depends on the primary ideal and earlier "
+        "secondaries"]
+
+
+def test_hironaka_transported_copies_meet_listed_rows():
+    # the m = 2 tables list both (n-i, i) and (i, n-i): the swap carries
+    # each onto the other, and those copies are the listed elements again
+    primaries, rows = secondary_table_m2(4)
+    assert sum(len(elems) for _, elems in rows) == 8
+    assert sum(1 for alpha, _ in rows if alpha[0] != alpha[1]) == 2
+    rep = verify_hironaka_xy(primaries, rows, DihedralParams(4, 2), 10)
+    assert rep.ok, rep.failures[:3]
+    assert rep.lstar_size == 8
 
 
 def test_hironaka_cyclic_rows_dropped_failures():
@@ -444,33 +453,21 @@ def test_hironaka_cyclic_rows_dropped_failures():
 
 
 def test_secondary_table_shapes():
-    spec = secondary_table_m2(5)
-    assert len(spec.primaries) == 4
-    assert len(spec.secondaries_S) == 5 + 1 + 4
-    spec3 = secondary_table_n4_m3()
-    assert len(spec3.primaries) == 6
-    assert sum(len(elems) for _, elems in spec3.secondaries_S) == 18
+    primaries, rows = secondary_table_m2(5)
+    assert len(primaries) == 4
+    assert len(rows) == 5 + 1 + 4
+    primaries3, rows3 = secondary_table_n4_m3()
+    assert len(primaries3) == 6
+    assert sum(len(elems) for _, elems in rows3) == 18
 
 
 # ---------------------------------------------------------------------------
-# joint spanning and module generation
-
-
-def test_furnish_check_cases():
-    params = DihedralParams(4, 3)
-    spec = secondary_table_n4_m3()
-    T = [f for _, elems in spec.secondaries_S for f in elems]
-    H = primary_elements(4, 3)
-    K = submodule_basis(make_R222(4, 3)) + submodule_basis(make_R_n2(4, 3))
-    assert furnish_check(T, H, K, params, 6)
-    assert not furnish_check(T, H, [], params, 6)
-    A = free_algebra(4, 3)
-    assert furnish_check([A.one(), A.rho((1, 1, 0))], H, [], params, 2)
+# module generation
 
 
 def test_gl_generation_two_slots():
     gens = [make_R_n2(4, 2), make_R_2n2k(4, 1, 2), make_R_2n2k(4, 2, 2)]
-    assert verify_gl_generation(4, 2, gens, 10)
+    assert gl_generation_report(4, 2, gens, 10)[0]
 
 
 def test_gl_generation_missing_generator_witness():
@@ -482,8 +479,26 @@ def test_gl_generation_missing_generator_witness():
 
 
 def test_gl_generation_small_cases():
-    assert verify_gl_generation(3, 3, [make_R222(3, 3), make_R_n2(3, 3),
-                                       make_R_2n2k(3, 1, 3)], 8)
+    assert gl_generation_report(3, 3, [make_R222(3, 3), make_R_n2(3, 3),
+                                       make_R_2n2k(3, 1, 3)], 8)[0]
+
+
+def test_negative_degree_bounds_rejected():
+    # a negative bound checks no component, and must not read as a pass
+    A = free_algebra(4, 2)
+    calls = [
+        lambda: verify_hironaka_xy(*secondary_table_m2(4),
+                                   DihedralParams(4, 2), -1),
+        lambda: gl_generation_report(4, 2, [make_R_n2(4, 2)], -3),
+        lambda: minimal_generators_by_degree(4, 2, -1),
+        lambda: TruncatedIdeal([A.rho((2, 0))], -5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="degree bound must be "
+                                             "nonnegative"):
+            call()
+    assert gl_generation_report(4, 2, [make_R_n2(4, 2)], 0) \
+        == (True, [{"degree": 0, "ideal_dim": 0, "kernel_dim": 0}])
 
 
 def test_gl_generation_rejects_non_kernel_generator():
