@@ -94,7 +94,8 @@ def _xy_monomial(xs, alpha):
             pairs.append((x_index(i), a))
         if total - a:
             pairs.append((y_index(i), total - a))
-    return Monomial(pairs)
+    # x_i < y_i < x_{i+1}: the pairs are in variable order already
+    return Monomial._canonical(tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ def gl_act_xy(f, u, v):
             if not d[src]:
                 del d[src]
             d[dst] = d.get(dst, 0) + 1
-            key = Monomial(d.items())
+            key = Monomial._canonical(tuple(sorted(d.items())))
             val = out.get(key, 0) + c * e
             if val:
                 out[key] = val

@@ -7,6 +7,8 @@ such as the ideal (xy, x^n+y^n), so simplicity and determinism beat speed.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .rings import Monomial, Polynomial
 
 
@@ -84,7 +86,7 @@ def normal_form(f, basis, order):
         for (bm, bc), b in lead:
             if bm.divides(mono):
                 factor = mono / bm
-                scale = coeff / bc
+                scale = Fraction(coeff, bc)
                 for tm, tc in b.terms.items():
                     if tm is bm or tm == bm:
                         continue
@@ -104,8 +106,10 @@ def s_polynomial(f, g, order):
     fm, fc = leading_term(f, order)
     gm, gc = leading_term(g, order)
     lcm = fm.lcm(gm)
-    return f * Polynomial.from_monomial(f.universe, lcm / fm, 1 / fc) \
-        - g * Polynomial.from_monomial(g.universe, lcm / gm, 1 / gc)
+    return (f * Polynomial.from_monomial(f.universe, lcm / fm,
+                                         Fraction(1, fc))
+            - g * Polynomial.from_monomial(g.universe, lcm / gm,
+                                           Fraction(1, gc)))
 
 
 def buchberger(gens, order):
@@ -168,7 +172,7 @@ def _reduce_basis(basis, order):
     monic = []
     for b in keep:
         _, c = leading_term(b, order)
-        monic.append(b.scale(1 / c))
+        monic.append(b.scale(Fraction(1, c)))
     monic.sort(key=lambda b: key(leading_term(b, order)[0]))
     return monic
 

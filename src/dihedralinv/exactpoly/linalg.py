@@ -3,8 +3,11 @@
 Rows are sparse integer vectors (fraction-free: each polynomial row is scaled
 to integers and divided by the gcd of its entries) and elimination combines
 rows by cross-multiplication, so no rational arithmetic happens in the inner
-loop.  Columns are integer ids into a monomial basis that the caller knows
-up front (every graded or multigraded component does); pivoting is
+loop.  Denominators are cleared in integers too: a coefficient is an int or
+a Fraction (see `rings`), and it enters a row as numerator * (common
+denominator // its denominator), with no Fraction product per term.
+Columns are integer ids into a monomial basis that the caller knows up
+front (every graded or multigraded component does); pivoting is
 deterministic: the pivot of a row is its smallest column id.
 
 `RowSpace` has a single reduction loop, which serves rank, membership and
@@ -19,7 +22,7 @@ the nullspace engine behind all kernel computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def scaled_row_from_polynomial(poly, col_index):
@@ -34,12 +37,13 @@ def scaled_row_from_polynomial(poly, col_index):
         return {}, Fraction(1)
     den = 1
     for c in poly.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
     row = {}
     g = 0
     try:
         for mono, c in poly.terms.items():
-            v = int(c * den)
+            v = c if den == 1 else c.numerator * (den // c.denominator)
             row[col_index[mono]] = v
             g = gcd(g, v)
     except KeyError:
@@ -146,11 +150,12 @@ def _canonical_relation(combo, factors):
     original polynomials, as a dict index -> coefficient with ascending keys:
     entries coprime, first entry positive."""
     keys = sorted(combo)
-    values = [combo[k] * factors[k] for k in keys]
     den = 1
-    for c in values:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in values]
+    for k in keys:
+        den = lcm(den, factors[k].denominator)
+    # combo[k] * factors[k] scaled by the common denominator, in integers
+    ints = [combo[k] * factors[k].numerator * (den // factors[k].denominator)
+            for k in keys]
     g = 0
     for v in ints:
         g = gcd(g, v)

@@ -7,11 +7,16 @@ Two variable universes are supported:
   invariant ring: one variable rho[a] for every multi-index a of total 2 and
   one variable pi[b] for every multi-index b of total n.
 
-Coefficients are `fractions.Fraction` throughout (always reduced, denominator
-positive, zero never stored); only int and Fraction are accepted as input
-coefficients.  Monomials store their exponents sparsely as a sorted tuple of
-(variable index, positive exponent) pairs.  The canonical term order used for
-serialization is graded lexicographic on exponent vectors.
+Coefficients are exact rationals stored integer-first: an `int`, or a
+reduced `fractions.Fraction` whose denominator is greater than 1 (zero is
+never stored).  Only int and Fraction are accepted as input coefficients;
+an integral Fraction is stored as its int, so equal polynomials have equal
+terms whichever form they were built from.  Monomials store their exponents
+sparsely as a tuple of (variable index, positive exponent) pairs sorted by
+variable; products, quotients and the other operations that already have
+their pairs in that form build the monomial without re-checking it.  The
+canonical term order used for serialization is graded lexicographic on
+exponent vectors.
 """
 
 from __future__ import annotations
@@ -20,19 +25,29 @@ from fractions import Fraction
 from functools import lru_cache
 import re
 
-_ONE = Fraction(1)
-
 
 def _exact(c):
-    """The coefficient c as a Fraction.  Only int and Fraction are exact:
-    a float (or a string) would be read as some nearby rational, so it is a
-    TypeError."""
-    if isinstance(c, Fraction):
+    """The coefficient c in stored form: an int, or a Fraction with
+    denominator > 1.  Only int and Fraction are exact: a float (or a string)
+    would be read as some nearby rational, so it is a TypeError."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError("polynomial coefficients must be int or Fraction, "
                     "got %s %r" % (type(c).__name__, c))
+
+
+def _integral(terms):
+    """Store every integral Fraction among the values of `terms` as its int,
+    in place; returns `terms`.  Sums and products of ints stay ints, so only
+    results that involved a Fraction can need it."""
+    for mono, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[mono] = c.numerator
+    return terms
 
 
 def compositions(total, parts):
@@ -145,22 +160,40 @@ def rhopi_universe(n, m):
 
 
 class Monomial:
-    """A power product, stored sparsely: sorted tuple of (variable index,
-    exponent) pairs with all exponents positive."""
+    """A power product, stored sparsely: tuple of (variable index, exponent)
+    pairs, sorted by variable, every variable once, all exponents positive.
+
+    `Monomial(exps)` accepts the pairs in any order, drops zero exponents and
+    rejects negative or repeated ones.  `Monomial._canonical(pairs)` takes a
+    tuple already in the stored form and checks nothing; the arithmetic
+    below uses it for the pairs it builds itself."""
 
     __slots__ = ("exps", "_hash")
 
     def __init__(self, exps=()):
         pairs = tuple(sorted((v, e) for v, e in exps if e != 0))
+        last = None
         for v, e in pairs:
             if e < 0:
                 raise ValueError("negative exponent in monomial: %r" % (pairs,))
+            if v == last:
+                raise ValueError("repeated variable in monomial: %r"
+                                 % (pairs,))
+            last = v
         self.exps = pairs
         self._hash = hash(pairs)
 
     @classmethod
+    def _canonical(cls, pairs):
+        """The monomial of a tuple of pairs already in the stored form."""
+        mono = object.__new__(cls)
+        mono.exps = pairs
+        mono._hash = hash(pairs)
+        return mono
+
+    @classmethod
     def unit(cls):
-        return cls(())
+        return _UNIT
 
     @classmethod
     def variable(cls, v, e=1):
@@ -197,15 +230,34 @@ class Monomial:
         return (self.degree, self.dense(nvars))
 
     def __mul__(self, other):
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return Monomial(d.items())
+        a = self.exps
+        b = other.exps
+        # merge the two sorted pair lists, adding exponents on a shared
+        # variable
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            va = a[i][0]
+            vb = b[j][0]
+            if va < vb:
+                out.append(a[i])
+                i += 1
+            elif vb < va:
+                out.append(b[j])
+                j += 1
+            else:
+                out.append((va, a[i][1] + b[j][1]))
+                i += 1
+                j += 1
+        return Monomial._canonical(tuple(out) + a[i:] + b[j:])
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a monomial")
-        return Monomial((v, e * k) for v, e in self.exps)
+        if k == 0:
+            return _UNIT
+        return Monomial._canonical(tuple((v, e * k) for v, e in self.exps))
 
     def divides(self, other):
         od = dict(other.exps)
@@ -218,14 +270,18 @@ class Monomial:
             have = d.get(v, 0) - e
             if have < 0:
                 raise ValueError("monomial %r does not divide %r" % (other, self))
-            d[v] = have
-        return Monomial(d.items())
+            if have:
+                d[v] = have
+            else:
+                del d[v]
+        # only variables of self are left, in self's (sorted) order
+        return Monomial._canonical(tuple(d.items()))
 
     def lcm(self, other):
         d = dict(self.exps)
         for v, e in other.exps:
             d[v] = max(d.get(v, 0), e)
-        return Monomial(d.items())
+        return Monomial._canonical(tuple(sorted(d.items())))
 
     def weighted_degree(self, universe):
         return sum(e * universe.degree(v) for v, e in self.exps)
@@ -250,9 +306,13 @@ class Monomial:
         return "Monomial(%r)" % (self.exps,)
 
 
+_UNIT = Monomial()
+
+
 class Polynomial:
     """Sparse polynomial over a fixed universe: map Monomial -> nonzero
-    Fraction.  Immutable by convention; arithmetic returns new objects."""
+    coefficient (an int, or a Fraction with denominator > 1).  Immutable by
+    convention; arithmetic returns new objects."""
 
     __slots__ = ("universe", "terms")
 
@@ -272,7 +332,7 @@ class Polynomial:
                         clean[mono] = acc
                     else:
                         del clean[mono]
-        self.terms = clean
+        self.terms = _integral(clean)
 
     # -- constructors --------------------------------------------------
 
@@ -286,7 +346,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, universe, v, e=1):
-        return cls(universe, {Monomial.variable(v, e): _ONE})
+        return cls(universe, {Monomial.variable(v, e): 1})
 
     @classmethod
     def from_monomial(cls, universe, mono, c=1):
@@ -330,7 +390,7 @@ class Polynomial:
         return None
 
     def coefficient(self, mono):
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(mono, 0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -353,7 +413,7 @@ class Polynomial:
                 else:
                     del d[m]
         p = Polynomial.zero(self.universe)
-        p.terms = d
+        p.terms = _integral(d)
         return p
 
     def __neg__(self):
@@ -383,7 +443,7 @@ class Polynomial:
                     else:
                         del d[m]
         p = Polynomial.zero(self.universe)
-        p.terms = d
+        p.terms = _integral(d)
         return p
 
     __rmul__ = __mul__
@@ -391,8 +451,10 @@ class Polynomial:
     def scale(self, c):
         c = _exact(c)
         p = Polynomial.zero(self.universe)
-        if c:
-            p.terms = {m: c * v for m, v in self.terms.items()}
+        if c == 1:
+            p.terms = dict(self.terms)
+        elif c:
+            p.terms = _integral({m: c * v for m, v in self.terms.items()})
         return p
 
     def __pow__(self, k):
@@ -448,7 +510,8 @@ class Polynomial:
         universe's variable indices)."""
         d = {}
         for m, c in self.terms.items():
-            m2 = Monomial((var_map[v], e) for v, e in m.exps)
+            m2 = Monomial._canonical(
+                tuple(sorted([(var_map[v], e) for v, e in m.exps])))
             d[m2] = c
         p = Polynomial.zero(self.universe)
         p.terms = d
@@ -500,13 +563,13 @@ def parse_polynomial(s, universe):
     for raw in _TERM_SPLIT.split(s.replace(" ", "")):
         if not raw:
             continue
-        sign = _ONE
+        sign = 1
         while raw and raw[0] in "+-":
             if raw[0] == "-":
                 sign = -sign
             raw = raw[1:]
         if not raw:
-            if sign != _ONE:
+            if sign != 1:
                 raise ValueError("dangling sign in %r" % (s,))
             continue
         coeff = sign

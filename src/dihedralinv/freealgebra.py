@@ -120,9 +120,11 @@ class FreeAlgebra:
         cache = self._phi_cache
         chain = []
         while mono not in cache:
-            v = mono.exps[0][0]
+            (v, e), *rest = mono.exps
             chain.append((mono, v))
-            mono = mono / Monomial.variable(v)
+            if e > 1:
+                rest.insert(0, (v, e - 1))
+            mono = Monomial._canonical(tuple(rest))
         value = cache[mono]
         for mono, v in reversed(chain):
             value = value * self.variable_polarization(v)
@@ -158,7 +160,8 @@ class FreeAlgebra:
 
         def rec(idx, remaining):
             if not any(remaining):
-                out.append(Monomial(acc))
+                # acc holds (variable, positive exponent) in index order
+                out.append(Monomial._canonical(tuple(acc)))
                 return
             w = weights[idx]
             cap = min(r // wi for r, wi in zip(remaining, w) if wi)
@@ -237,8 +240,13 @@ class FreeAlgebra:
                 factor, target = self._shifted_variable(var, u - 1, v - 1)
                 if not factor:
                     continue
-                shifted = (mono / Monomial.variable(var)) \
-                    * Monomial.variable(target)
+                pairs = dict(mono.exps)
+                if exp == 1:
+                    del pairs[var]
+                else:
+                    pairs[var] = exp - 1
+                pairs[target] = pairs.get(target, 0) + 1
+                shifted = Monomial._canonical(tuple(sorted(pairs.items())))
                 value = out.get(shifted, 0) + c * exp * factor
                 if value:
                     out[shifted] = value
@@ -383,13 +391,16 @@ def is_highest_weight(e):
 def submodule_basis(e):
     """Basis of the gl_m-submodule generated by a multihomogeneous e:
     saturate breadth-first under all matrix units E_{u,v} (u != v), keeping
-    an element whenever it enlarges the exact rank of its weight space.
+    an element whenever it enlarges the exact rank of its weight space.  A
+    child of E_{u,v} has weight w + e_u - e_v, so weights are carried along
+    the queue, not recomputed from the terms.
     The matrix units keep elements multihomogeneous and weight spaces are
     direct summands, so that is the rank of the whole span growing.
     First-found order, deterministic."""
     if e.is_zero():
         raise ValueError("zero element generates the zero module")
-    if e.weight() is None:
+    weight = e.weight()
+    if weight is None:
         raise ValueError("submodule_basis needs a multihomogeneous element, "
                          "got %r" % (e,))
     algebra = e.algebra
@@ -397,8 +408,7 @@ def submodule_basis(e):
              for v in range(1, algebra.m + 1) if u != v]
     spaces = {}  # weight -> PolynomialSpace over its monomials
 
-    def enlarges(x):
-        w = x.weight()
+    def enlarges(x, w):
         space = spaces.get(w)
         if space is None:
             space = spaces[w] = PolynomialSpace(
@@ -406,19 +416,24 @@ def submodule_basis(e):
         return space.insert(x.poly)
 
     basis = []
+    # (element, weight) in breadth-first order; the loop walks the list by
+    # index, so it also visits the children it appends
     queue = []
-    if enlarges(e):
+    if enlarges(e, weight):
         basis.append(e)
-        queue.append(e)
-    while queue:
-        current = queue.pop(0)
+        queue.append((e, weight))
+    for current, w in queue:
         for unit in units:
             child = algebra.gl_act(unit, current)
             if child.is_zero():
                 continue
-            if enlarges(child):
+            cw = list(w)
+            cw[unit[0] - 1] += 1
+            cw[unit[1] - 1] -= 1
+            cw = tuple(cw)
+            if enlarges(child, cw):
                 basis.append(child)
-                queue.append(child)
+                queue.append((child, cw))
     return basis
 
 

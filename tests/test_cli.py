@@ -106,6 +106,19 @@ def test_kernel_basis_json_digest(runner, args, digest):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args,digest", [
+    (["kernel", "dim", "--n", "6", "--m", "3"],
+     "bd235d360ba2728d4146b735c1b5085aecd35051a504ed63de376c7585bef568"),
+    (["kernel", "mingens", "--n", "4", "--m", "4"],
+     "4a1468ec8e98a533ac890a3128d683af020a5c92979204d388cfd7a973a74680"),
+], ids=["dim-n6-m3", "mingens-n4-m4"])
+def test_kernel_json_digest(runner, args, digest):
+    # every dimension and minimal-generator count, byte for byte
+    result = run(runner, args + ["--format", "json"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
 def test_kernel_basis_empty_component(runner):
     result = run(runner, ["kernel", "basis", "--n", "4", "--m", "2",
                           "--degree", "4"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedralinv.dihedral import gl_act_xy, xy_monomials
 from dihedralinv.exactpoly import (
     Monomial,
     Polynomial,
@@ -16,6 +17,7 @@ from dihedralinv.exactpoly import (
     rhopi_universe,
     xy_universe,
 )
+from dihedralinv.freealgebra import free_algebra
 
 U2 = xy_universe(2)
 
@@ -80,6 +82,18 @@ def test_monomial_arithmetic():
     assert (a.lcm(b) / a) == Monomial.variable(2, 3)
     with pytest.raises(ValueError):
         b / a
+
+
+@pytest.mark.parametrize("pairs", [[(0, -1)], [(1, 2), (1, 1)],
+                                   [(2, 1), (0, 1), (2, 3)]],
+                         ids=["negative", "repeat", "repeat-unsorted"])
+def test_monomial_rejects_non_canonical_pairs(pairs):
+    with pytest.raises(ValueError):
+        Monomial(pairs)
+
+
+def test_monomial_accepts_any_order_and_zero_exponents():
+    assert Monomial([(3, 1), (0, 0), (1, 2)]).exps == ((1, 2), (3, 1))
 
 
 def test_monomial_grlex_order():
@@ -225,3 +239,110 @@ def test_ring_axioms(f, g, h):
 @given(polys())
 def test_parse_print_roundtrip(f):
     assert parse_polynomial(str(f), U2) == f
+
+
+# ---------------------------------------------------------------------------
+# stored forms: canonical monomials, integer-first coefficients
+
+
+def assert_canonical(mono):
+    """A monomial built without validation must equal, and hash like, its
+    validated copy: variables strictly increasing, exponents positive."""
+    validated = Monomial(mono.exps)
+    assert mono.exps == validated.exps
+    assert hash(mono) == hash(validated)
+    variables = [v for v, _ in mono.exps]
+    assert all(a < b for a, b in zip(variables, variables[1:]))
+    assert all(type(e) is int and e > 0 for _, e in mono.exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomials(), monomials(), st.integers(0, 3))
+def test_monomial_arithmetic_stays_canonical(a, b, k):
+    product = a * b
+    for mono in (product, a ** k, b ** 0, a.lcm(b), product / b,
+                 product / a, a / a):
+        assert_canonical(mono)
+    assert a ** 0 == a / a == Monomial.unit()
+    assert product / b == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), st.permutations(range(4)))
+def test_permute_variables_stays_canonical(f, perm):
+    var_map = dict(enumerate(perm))
+    inverse = {w: v for v, w in var_map.items()}
+    image = f.permute_variables(var_map)
+    for mono in image.terms:
+        assert_canonical(mono)
+    assert image.permute_variables(inverse) == f
+
+
+@st.composite
+def small_algebra_weights(draw):
+    """(n, m, alpha) with n in 3..5, m in 1..3 and |alpha| <= 8."""
+    n = draw(st.integers(3, 5))
+    m = draw(st.integers(1, 3))
+    alpha = tuple(draw(st.integers(0, 8 // m)) for _ in range(m))
+    return n, m, alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebra_weights())
+def test_enumerated_and_shifted_monomials_are_canonical(nm_alpha):
+    n, m, alpha = nm_alpha
+    A = free_algebra(n, m)
+    monos = A.monomials_of_weight(alpha)
+    for mono in monos:
+        assert_canonical(mono)
+    if not monos:
+        return
+    e = A.element(Polynomial(A.universe, {mono: 1 for mono in monos}))
+    for u in range(1, m + 1):
+        for v in range(1, m + 1):
+            for mono in A.gl_act((u, v), e).poly.terms:
+                assert_canonical(mono)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+def test_coordinate_monomials_are_canonical(alpha):
+    m = len(alpha)
+    monos = xy_monomials(m, alpha)
+    for mono in monos:
+        assert_canonical(mono)
+    f = Polynomial(xy_universe(m), {mono: 1 for mono in monos})
+    for u in range(1, m + 1):
+        for v in range(1, m + 1):
+            for mono in gl_act_xy(f, u, v).terms:
+                assert_canonical(mono)
+
+
+def assert_stored_coefficients(f):
+    for c in f.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys(), coeffs())
+def test_coefficients_are_int_unless_fractional(f, g, c):
+    half = f.scale(Fraction(1, 2))
+    for p in (f, g, f + g, f - g, -f, f * g, f.scale(c), f ** 2, half,
+              half + half, half * Polynomial.constant(U2, 2), c * g,
+              parse_polynomial(str(f), U2)):
+        assert_stored_coefficients(p)
+    assert half + half == f
+    assert type(f.coefficient(Monomial.variable(3, 7))) is int
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(monomials(), st.integers(-6, 6)), max_size=5))
+def test_int_and_fraction_input_agree(terms):
+    a = Polynomial(U2, terms)
+    b = Polynomial(U2, [(mono, Fraction(c)) for mono, c in terms])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.text() == b.text()
+    assert [type(c) for c in a.terms.values()] \
+        == [type(c) for c in b.terms.values()]
+    assert a.scale(3) == b.scale(Fraction(3))

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractions import Fraction
+
 from dihedralinv.exactpoly import (
     MonomialOrder,
     Polynomial,
@@ -42,6 +44,21 @@ def test_fixture_groebner_basis():
     assert set(map(str, basis)) == {"x1*y1", "x1^4 + y1^4", "x1^5"}
     initials = {leading_term(g, LEX_Y_FIRST)[0].text(U) for g in basis}
     assert initials == {"x1*y1", "y1^4", "x1^5"}
+
+
+def test_integer_input_stays_exact():
+    # integer coefficients divided by integer leading coefficients must give
+    # Fractions, never floats; the leading coefficients 2 and 3 force it
+    gens = [P("2*x1*y1"), P("x1^4 + 3*y1^4")]
+    produced = [s_polynomial(gens[0], gens[1], LEX_Y_FIRST),
+                normal_form(P("x1^5*y1 + 5*y1^5"), gens, LEX_Y_FIRST)]
+    produced += buchberger(gens, LEX_Y_FIRST)
+    for f in produced:
+        for c in f.terms.values():
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator > 1), c
+    assert set(map(str, produced[2:])) == {
+        "x1*y1", "1/3*x1^4 + y1^4", "x1^5"}
 
 
 @pytest.mark.parametrize("n", range(3, 9))
