@@ -5,7 +5,9 @@ to integers and divided by the gcd of its entries) and elimination combines
 rows by cross-multiplication, so no rational arithmetic happens in the inner
 loop.  Denominators are cleared in integers too: a coefficient is an int or
 a Fraction (see `rings`), and it enters a row as numerator * (common
-denominator // its denominator), with no Fraction product per term.
+denominator // its denominator), with no Fraction product per term.  The
+kernel components hand in phi images that are int polynomials already (see
+`freealgebra`), so their rows take no lcm pass at all.
 Columns are integer ids into a monomial basis that the caller knows up
 front (every graded or multigraded component does); pivoting is
 deterministic: the pivot of a row is its smallest column id.

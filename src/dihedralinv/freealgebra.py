@@ -6,6 +6,12 @@ and multigraded by the index vectors.  The substitution rho[a] -> q_a,
 pi[b] -> p_b defines the surjection phi onto the invariant ring; its kernel
 is the object every other module interrogates.
 
+The only denominator in phi is the 1/2 of a mixed q_{e_i+e_j} =
+(x_iy_j + x_jy_i)/2, so phi images are computed in integers: every symbol
+has an integer polarization (2q for a mixed rho, q or p otherwise), and the
+image of a monomial is kept as P = 2^k phi(mono), where k is the total
+exponent of mixed rho symbols in it.  `phi` divides the 2^k back out.
+
 gl_m acts on the symbols by shifting one unit of index between two slots
 (E_{u,v}.pi_b = b_v * pi_{b+e_u-e_v}), extended to products as a derivation;
 phi intertwines this with the polarization action on the coordinate ring.
@@ -58,6 +64,15 @@ class FreeAlgebra:
         self._rho_vars = rho_vars
         self._pi_vars = pi_vars
         self._num_rho = len(rho_vars)
+        # a mixed rho (two nonzero index slots) maps to a q with a 1/2
+        self._mixed = frozenset(v for w, v in rho_vars.items()
+                                if 2 not in w)
+        # the integer polarization of every symbol: 2q for a mixed rho
+        self._polarizations = [
+            p_pol(w) if v >= self._num_rho
+            else q_pol(w).scale(2) if v in self._mixed else q_pol(w)
+            for v, w in enumerate(self._weights)]
+        # mono -> 2^k phi(mono), k the total exponent of mixed rhos in mono
         self._phi_cache = {Monomial.unit(): Polynomial.constant(
             self.xy_universe, 1)}
         # memos[v] maps a weight to its number of monomials in the
@@ -106,17 +121,14 @@ class FreeAlgebra:
         return FreeElement(self, Polynomial.variable(
             self.universe, self._pi_vars[beta]))
 
-    def variable_polarization(self, v):
-        """phi of a single symbol: the q or p polarization."""
-        w = self.universe.weight(v)
-        if v < self._num_rho:
-            return q_pol(w, m=self.m)
-        return p_pol(w, m=self.m)
-
     def phi_monomial(self, mono):
-        """phi of a monomial, cached together with every prefix on the way:
-        strip one factor of the first variable at a time down to a cached
-        monomial, then multiply back up."""
+        """(P, k) with P = 2^k phi(mono) an int polynomial and k the total
+        exponent of mixed rho symbols in mono, so P is the product of the
+        integer polarizations.  P is cached together with every prefix on
+        the way: strip one factor of the first variable at a time down to a
+        cached monomial, then multiply back up."""
+        mixed = self._mixed
+        k = sum(e for v, e in mono.exps if v in mixed)
         cache = self._phi_cache
         chain = []
         while mono not in cache:
@@ -126,10 +138,11 @@ class FreeAlgebra:
                 rest.insert(0, (v, e - 1))
             mono = Monomial._canonical(tuple(rest))
         value = cache[mono]
+        polarizations = self._polarizations
         for mono, v in reversed(chain):
-            value = value * self.variable_polarization(v)
+            value = value * polarizations[v]
             cache[mono] = value
-        return value
+        return value, k
 
     # -- graded components ----------------------------------------------
 
@@ -359,11 +372,17 @@ class FreeElement:
 
 def phi(e):
     """The presentation map: substitute every symbol by its polarization and
-    expand in the coordinate ring."""
-    total = Polynomial.zero(e.algebra.xy_universe)
+    expand in the coordinate ring, summing c P / 2^k over the terms c mono
+    of e, with (P, k) the integer image of mono."""
+    algebra = e.algebra
+    out = {}
     for mono, c in e.poly.terms.items():
-        total = total + e.algebra.phi_monomial(mono).scale(c)
-    return total
+        image, k = algebra.phi_monomial(mono)
+        if k:
+            c = Fraction(c, 1 << k)
+        for xy, a in image.terms.items():
+            out[xy] = out.get(xy, 0) + c * a
+    return Polynomial(algebra.xy_universe, out)
 
 
 def gl_act(E, e):

@@ -153,9 +153,14 @@ def _kernel_basis_sorted(n, m, alpha, cap):
     columns = xy_monomials(m, alpha)
     images = [algebra.phi_monomial(mo) for mo in monos]
     basis = []
-    for combo in nullspace_combinations(images, columns=columns):
+    for combo in nullspace_combinations([P for P, _ in images],
+                                        columns=columns):
+        # a relation c among the P_i = 2^{k_i} phi(mono_i) is the phi
+        # relation c_i 2^{k_i}; c is coprime, so its gcd is a power of two
+        coeffs = {i: c << images[i][1] for i, c in combo.items()}
+        g = gcd(*coeffs.values())
         poly = Polynomial(algebra.universe,
-                          {monos[i]: c for i, c in combo.items()})
+                          {monos[i]: c // g for i, c in coeffs.items()})
         basis.append(FreeElement(algebra, poly))
     _kernel_cache[key] = basis
     return basis

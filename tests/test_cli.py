@@ -6,6 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from dihedralinv import freealgebra, kernelcalc
 from dihedralinv.cli import main
 
 
@@ -97,7 +98,11 @@ def test_kernel_basis_text(runner):
      "f0ab23067c52ecf6193952b4cbb578e122f7ef2b7fffdfc115f3aff0fe24f6df"),
     (["--n", "5", "--m", "2", "--degree", "12"],
      "5df328666640f17f9ee22fe35dadcd975b98b8f3c7f6f5a1f71871317f34b8f5"),
-], ids=["n4-m3-d10", "n5-m2-d12"])
+    # relations with up to six mixed rho symbols, where the 2^k of the
+    # integer phi images must be divided back out exactly
+    (["--n", "6", "--m", "3", "--degree", "12"],
+     "7d5df25e23bb9288ad0e5db5c8d27305c3f506994e9d57c919f61be6e9621918"),
+], ids=["n4-m3-d10", "n5-m2-d12", "n6-m3-d12"])
 def test_kernel_basis_json_digest(runner, args, digest):
     # every printed kernel element, byte for byte: the basis, its order,
     # and the scaling and sign of each relation
@@ -117,6 +122,24 @@ def test_kernel_json_digest(runner, args, digest):
     result = run(runner, args + ["--format", "json"])
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_kernel_dim_builds_each_polarization_once(runner, monkeypatch):
+    # a fresh algebra and kernel cache, so every phi image is built in this
+    # run; the polarizations come from one table per algebra
+    calls = []
+    for name in ("q_pol", "p_pol"):
+        def spy(*args, _real=getattr(freealgebra, name), **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(freealgebra, name, spy)
+    A = freealgebra.FreeAlgebra(4, 3)
+    monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
+    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
+    result = run(runner, ["kernel", "dim", "--n", "4", "--m", "3"])
+    assert result.exit_code == 0
+    assert len(A._phi_cache) > 1
+    assert len(calls) <= A.universe.nvars
 
 
 def test_kernel_basis_empty_component(runner):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedralinv.exactpoly import Monomial, Polynomial, PolynomialSpace
+from dihedralinv import kernelcalc
+from dihedralinv.exactpoly import (
+    Monomial,
+    Polynomial,
+    PolynomialSpace,
+    parse_polynomial,
+)
 from dihedralinv.dihedral import (
     DihedralParams,
     all_multidegrees,
@@ -142,9 +148,20 @@ def test_phi_monomial_deep_power():
     # it must not recurse once per factor, and it caches every power
     A = FreeAlgebra(3, 1)
     (mono,) = (A.rho((2,)) ** 1500).poly.terms
-    ((v, _),) = mono.exps
-    assert A.phi_monomial(mono) == A.variable_polarization(v) ** 1500
+    image, k = A.phi_monomial(mono)
+    assert k == 0
+    assert image == q_pol((2,)) ** 1500
     assert len(A._phi_cache) == 1501
+
+
+def test_phi_monomial_deep_mixed_power():
+    # a mixed rho carries the 1/2 of its q: the image is 2^k phi(mono)
+    A = FreeAlgebra(3, 2)
+    (mono,) = (A.rho((1, 1)) ** 300).poly.terms
+    image, k = A.phi_monomial(mono)
+    assert k == 300
+    assert image == parse_polynomial("x1*y2 + x2*y1", A.xy_universe) ** 300
+    assert all(type(c) is int for c in image.terms.values())
 
 
 def test_count_of_weight_deep_single_slot():
@@ -233,6 +250,96 @@ def test_phi_image_is_invariant(nm, data):
     for mono in monos:
         e = e + data.draw(st.integers(-2, 2)) * mono
     assert is_invariant(phi(e), params)
+
+
+# ---------------------------------------------------------------------------
+# integer phi images
+
+
+algebras = st.tuples(st.integers(3, 6), st.integers(1, 4)).map(
+    lambda nm: free_algebra(*nm))
+
+
+def _draw_monomial(draw, A):
+    """At most three symbols of A, each to a power in 1..4; half the draws
+    come from the rho symbols, so mixed rho powers are common."""
+    u = A.universe
+    rhos = [v for v in range(u.nvars) if u.degree(v) == 2]
+    exps = {}
+    for _ in range(draw(st.integers(0, 3))):
+        pool = rhos if draw(st.booleans()) else range(u.nvars)
+        v = draw(st.sampled_from(pool))
+        exps[v] = exps.get(v, 0) + draw(st.integers(1, 4))
+    return Monomial(exps.items())
+
+
+@st.composite
+def free_monomials(draw):
+    A = draw(algebras)
+    return A, _draw_monomial(draw, A)
+
+
+@st.composite
+def free_elements(draw):
+    """Elements with up to three terms and Fraction coefficients (zero
+    included)."""
+    A = draw(algebras)
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        terms[_draw_monomial(draw, A)] = Fraction(
+            draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+    return A.element(Polynomial(A.universe, terms))
+
+
+def _exact_polarizations(A):
+    """phi on the symbols, straight from q_pol and p_pol."""
+    u = A.universe
+    return {v: q_pol(u.weight(v)) if u.degree(v) == 2 else p_pol(u.weight(v))
+            for v in range(u.nvars)}
+
+
+def _is_mixed(A, v):
+    u = A.universe
+    return u.degree(v) == 2 and 2 not in u.weight(v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(free_monomials())
+def test_phi_monomial_is_integral(A_mono):
+    # P = 2^k phi(mono), with k the total exponent of mixed rho symbols
+    A, mono = A_mono
+    image, k = A.phi_monomial(mono)
+    assert all(type(c) is int for c in image.terms.values())
+    assert k == sum(e for v, e in mono.exps if _is_mixed(A, v))
+    oracle = _exact_polarizations(A)
+    exact = Polynomial.constant(A.xy_universe, 1)
+    for v, e in mono.exps:
+        exact = exact * oracle[v] ** e
+    assert image == exact.scale(2 ** k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_elements())
+def test_phi_matches_substitution(e):
+    A = e.algebra
+    oracle = _exact_polarizations(A)
+    assert phi(e) == e.poly.substitute(oracle)
+    assert phi(A.zero()) == A.zero().poly.substitute(oracle)
+    assert phi(A.zero()).is_zero()
+
+
+def test_phi_cache_stays_integral_over_a_kernel_walk(monkeypatch):
+    # a fresh algebra and kernel cache behind every component of degree
+    # <= 10, as `kernel dim` walks them
+    A = FreeAlgebra(4, 3)
+    monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
+    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
+    for d in range(11):
+        for alpha in all_multidegrees(3, d):
+            kernelcalc.kernel_basis_at(4, 3, alpha)
+    assert len(A._phi_cache) > 1
+    assert all(type(c) is int for image in A._phi_cache.values()
+               for c in image.terms.values())
 
 
 # ---------------------------------------------------------------------------
