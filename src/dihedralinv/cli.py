@@ -530,6 +530,10 @@ def groebner_demo(n, fmt):
 # one-shot reproduction
 
 
+# the published n = 4 minimal generator totals: (m, vectors, total)
+PAPER_MINGENS = ((2, "two", 9), (3, "three", 103))
+
+
 @main.command("report")
 @click.argument("what", type=click.Choice(["paper"]))
 @click.option("--n", "n", type=int, default=4, show_default=True,
@@ -557,24 +561,18 @@ def report(what, n, fmt, resource_cap):
                          "witness_dims": list(weight)})
         lines.append("%s: %s" % (name, "OK" if ok else "FAIL"))
 
-    mg2 = minimal_generators_by_degree(4, 2, 10, resource_cap=resource_cap)
-    mg3 = minimal_generators_by_degree(4, 3, 10, resource_cap=resource_cap)
-    tables.append({"name": "minimal_generators_m2",
-                   "rows": [{"degree": d, "count": c}
-                            for d, c in sorted(mg2.items())]})
-    tables.append({"name": "minimal_generators_m3",
-                   "rows": [{"degree": d, "count": c}
-                            for d, c in sorted(mg3.items())]})
-    verdicts.append({"claim": "two-vector kernel needs 9 generators",
-                     "status": _status(sum(mg2.values()) == 9),
-                     "witness_dims": sorted(mg2.values())})
-    verdicts.append({"claim": "three-vector kernel needs 103 generators",
-                     "status": _status(sum(mg3.values()) == 103),
-                     "witness_dims": sorted(mg3.values())})
-    lines.append("minimal generators, m=2: %s (total %d)"
-                 % (dict(sorted(mg2.items())), sum(mg2.values())))
-    lines.append("minimal generators, m=3: %s (total %d)"
-                 % (dict(sorted(mg3.items())), sum(mg3.values())))
+    for m, word, total in PAPER_MINGENS:
+        mg = minimal_generators_by_degree(4, m, 10,
+                                          resource_cap=resource_cap)
+        tables.append({"name": "minimal_generators_m%d" % m,
+                       "rows": [{"degree": d, "count": c}
+                                for d, c in sorted(mg.items())]})
+        verdicts.append({"claim": "%s-vector kernel needs %d generators"
+                                  % (word, total),
+                         "status": _status(sum(mg.values()) == total),
+                         "witness_dims": sorted(mg.values())})
+        lines.append("minimal generators, m=%d: %s (total %d)"
+                     % (m, dict(sorted(mg.items())), sum(mg.values())))
 
     kd = kernel_decomposition(4, 3, 10)
     kd_rows = [{"degree": t, "partition": row["partition"],
@@ -601,24 +599,16 @@ def report(what, n, fmt, resource_cap):
         lines.append("%s: %s (%d secondaries)"
                      % (label, "OK" if rep.ok else "FAIL", rep.lstar_size))
 
-    gens2 = [g for _, g, _ in named_relations(4, 2)]
-    gens3 = [g for _, g, _ in named_relations(4, 3)]
-    ok2, rows2 = gl_generation_report(4, 2, gens2, 10,
-                                      resource_cap=resource_cap)
-    ok3, rows3 = gl_generation_report(4, 3, gens3, 10,
-                                      resource_cap=resource_cap)
-    tables.append({"name": "gl_generation_m2", "rows": rows2})
-    tables.append({"name": "gl_generation_m3", "rows": rows3})
-    verdicts.append({"claim": "named relations generate the kernel "
-                              "GL-ideal, m=2",
-                     "status": _status(ok2),
-                     "witness_dims": [r["kernel_dim"] for r in rows2]})
-    verdicts.append({"claim": "named relations generate the kernel "
-                              "GL-ideal, m=3",
-                     "status": _status(ok3),
-                     "witness_dims": [r["kernel_dim"] for r in rows3]})
-    lines.append("GL-generation, m=2: %s" % ("OK" if ok2 else "FAIL"))
-    lines.append("GL-generation, m=3: %s" % ("OK" if ok3 else "FAIL"))
+    for m, _, _ in PAPER_MINGENS:
+        gens = [g for _, g, _ in named_relations(4, m)]
+        ok, rows = gl_generation_report(4, m, gens, 10,
+                                        resource_cap=resource_cap)
+        tables.append({"name": "gl_generation_m%d" % m, "rows": rows})
+        verdicts.append({"claim": "named relations generate the kernel "
+                                  "GL-ideal, m=%d" % m,
+                         "status": _status(ok),
+                         "witness_dims": [r["kernel_dim"] for r in rows]})
+        lines.append("GL-generation, m=%d: %s" % (m, "OK" if ok else "FAIL"))
 
     emit("report paper",
          {"n": n, "resource_cap": resource_cap},

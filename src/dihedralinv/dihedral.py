@@ -142,21 +142,17 @@ def polarize(g, m):
     }
 
 
-def _pad(alpha, m):
+def _multidegree(alpha):
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("negative multidegree entry in %r" % (alpha,))
-    if m is None:
-        return alpha
-    if len(alpha) > m:
-        raise ValueError("multidegree %r longer than m=%d" % (alpha, m))
-    return alpha + (0,) * (m - len(alpha))
+    return alpha
 
 
-def q_pol(alpha, m=None):
+def q_pol(alpha):
     """Polarization of q = xy at multidegree alpha (sum 2): x_iy_i when
     alpha = 2e_i, and (x_iy_j + x_jy_i)/2 when alpha = e_i + e_j."""
-    alpha = _pad(alpha, m)
+    alpha = _multidegree(alpha)
     if sum(alpha) != 2:
         raise ValueError("q polarization needs total degree 2, got %r"
                          % (alpha,))
@@ -174,10 +170,10 @@ def q_pol(alpha, m=None):
     })
 
 
-def p_pol(beta, n=None, m=None):
+def p_pol(beta, n=None):
     """Polarization of p = x^n + y^n at multidegree beta (sum n):
     x_1^{b_1}...x_m^{b_m} + y_1^{b_1}...y_m^{b_m}."""
-    beta = _pad(beta, m)
+    beta = _multidegree(beta)
     if n is not None and sum(beta) != n:
         raise ValueError("p polarization needs total degree %d, got %r"
                          % (n, beta))

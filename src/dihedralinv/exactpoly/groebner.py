@@ -1,8 +1,10 @@
-"""Gröbner bases for desk-scale ideals.
+"""Gröbner bases for desk-scale ideals under lex orders.
 
 Deliberately naive Buchberger (all pairs, no strategy) followed by a
 reduced-basis pass: the engine only ever meets two-to-four variable examples
-such as the ideal (xy, x^n+y^n), so simplicity and determinism beat speed.
+such as the ideal (xy, x^n+y^n) of the `groebner demo` command, so
+simplicity and determinism beat speed.  Orders are pure lex with a variable
+priority; the staircase is listed in graded lex, the serialization order.
 """
 
 from __future__ import annotations
@@ -11,37 +13,30 @@ from fractions import Fraction
 
 from .rings import Monomial, Polynomial
 
+# the largest staircase listed before it is taken to be infinite
+STAIRCASE_CAP = 20000
+
 
 class MonomialOrder:
-    """A monomial order: graded lex, or pure lex with an explicit variable
-    priority (most significant variable first)."""
+    """Pure lex order with an explicit variable priority (most significant
+    variable first)."""
 
-    __slots__ = ("kind", "priority")
+    __slots__ = ("priority",)
 
-    def __init__(self, kind, priority=None):
-        if kind not in ("grlex", "lex"):
-            raise ValueError("unknown order kind %r" % (kind,))
-        if kind == "lex":
-            priority = tuple(priority)
-            if len(set(priority)) != len(priority):
-                raise ValueError("duplicate variable in priority list")
-        self.kind = kind
+    def __init__(self, priority):
+        priority = tuple(priority)
+        if len(set(priority)) != len(priority):
+            raise ValueError("duplicate variable in priority list")
         self.priority = priority
-
-    @classmethod
-    def graded_lex(cls):
-        return cls("grlex")
 
     @classmethod
     def lex(cls, priority):
         """Lex order where priority[0] is the most significant variable.
         Variables missing from the list rank below the listed ones, in
         increasing index order."""
-        return cls("lex", priority)
+        return cls(priority)
 
     def key_function(self, nvars):
-        if self.kind == "grlex":
-            return lambda mono: mono.grlex_key(nvars)
         listed = self.priority
         rest = tuple(v for v in range(nvars) if v not in listed)
         cols = listed + rest
@@ -49,15 +44,12 @@ class MonomialOrder:
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
-                and self.kind == other.kind
                 and self.priority == other.priority)
 
     def __hash__(self):
-        return hash((self.kind, self.priority))
+        return hash(self.priority)
 
     def __repr__(self):
-        if self.kind == "grlex":
-            return "MonomialOrder.graded_lex()"
         return "MonomialOrder.lex(%r)" % (list(self.priority),)
 
 
@@ -177,10 +169,11 @@ def _reduce_basis(basis, order):
     return monic
 
 
-def staircase_monomials(basis, order, cap=20000):
+def staircase_monomials(basis, order):
     """Monomials outside the initial ideal of a Gröbner basis, smallest
-    first in graded lex.  Errors via the cap when the staircase is infinite
-    (the quotient is not finite-dimensional) or simply too large."""
+    first in graded lex.  Errors past STAIRCASE_CAP monomials: the
+    staircase is infinite (the quotient is not finite-dimensional) or
+    simply too large."""
     universe = basis[0].universe
     nvars = universe.nvars
     lead = [leading_term(b, order)[0] for b in basis]
@@ -196,10 +189,10 @@ def staircase_monomials(basis, order, cap=20000):
             if any(lm.divides(mono) for lm in lead):
                 continue
             out.append(mono)
-            if len(out) > cap:
+            if len(out) > STAIRCASE_CAP:
                 raise ValueError(
                     "staircase exceeds %d monomials (infinite quotient?)"
-                    % cap)
+                    % STAIRCASE_CAP)
             for v in range(nvars):
                 nxt.append(mono * Monomial.variable(v))
         frontier = nxt
@@ -207,10 +200,10 @@ def staircase_monomials(basis, order, cap=20000):
     return out
 
 
-def staircase_generating_function(basis, order, cap=20000):
+def staircase_generating_function(basis, order):
     """Degree generating function of the staircase: entry d counts staircase
     monomials of total degree d."""
-    monos = staircase_monomials(basis, order, cap=cap)
+    monos = staircase_monomials(basis, order)
     top = max((mo.degree for mo in monos), default=0)
     counts = [0] * (top + 1)
     for mo in monos:

@@ -12,8 +12,8 @@ Columns are integer ids into a monomial basis that the caller knows up
 front (every graded or multigraded component does); pivoting is
 deterministic: the pivot of a row is its smallest column id.
 
-`RowSpace` has a single reduction loop, which serves rank, membership and
-relations alike.  `nullspace_combinations` finds relations by row-reducing
+`RowSpace` has a single reduction loop, which serves ranks and relations
+alike.  `nullspace_combinations` finds relations by row-reducing
 [A | I] (Cohen, *A Course in Computational Algebraic Number Theory*, ch. 2):
 row i carries a unit entry in a column past the monomial columns, so every
 row records the combination of inputs it stands for, and a row whose
@@ -131,20 +131,13 @@ class PolynomialSpace:
     def rank(self):
         return self.space.rank
 
-    def _row(self, poly):
+    def insert(self, poly):
+        """Insert a polynomial; True iff the rank grew."""
         if poly.universe != self.universe:
             raise ValueError("mixed universes: %r vs %r"
                              % (poly.universe, self.universe))
-        return scaled_row_from_polynomial(poly, self.col_index)[0]
-
-    def insert(self, poly):
-        return self.space.insert_row(self._row(poly))
-
-    def contains(self, poly):
-        # a monomial outside the declared column basis cannot be in the span
-        if any(mono not in self.col_index for mono in poly.terms):
-            return False
-        return not self.space.reduce(self._row(poly))
+        row = scaled_row_from_polynomial(poly, self.col_index)[0]
+        return self.space.insert_row(row)
 
 
 def _canonical_relation(combo, factors):

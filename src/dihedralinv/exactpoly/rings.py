@@ -337,6 +337,16 @@ class Polynomial:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _of(cls, universe, terms):
+        """The polynomial of a dict already in the stored form (nonzero
+        int or non-integral Fraction values); `terms` is kept, not
+        copied."""
+        poly = object.__new__(cls)
+        poly.universe = universe
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, universe):
         return cls(universe)
 
@@ -412,14 +422,11 @@ class Polynomial:
                     d[m] = acc
                 else:
                     del d[m]
-        p = Polynomial.zero(self.universe)
-        p.terms = _integral(d)
-        return p
+        return Polynomial._of(self.universe, _integral(d))
 
     def __neg__(self):
-        p = Polynomial.zero(self.universe)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Polynomial._of(self.universe,
+                              {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -442,20 +449,18 @@ class Polynomial:
                         d[m] = acc
                     else:
                         del d[m]
-        p = Polynomial.zero(self.universe)
-        p.terms = _integral(d)
-        return p
+        return Polynomial._of(self.universe, _integral(d))
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = _exact(c)
-        p = Polynomial.zero(self.universe)
         if c == 1:
-            p.terms = dict(self.terms)
-        elif c:
-            p.terms = _integral({m: c * v for m, v in self.terms.items()})
-        return p
+            return Polynomial._of(self.universe, dict(self.terms))
+        if not c:
+            return Polynomial._of(self.universe, {})
+        return Polynomial._of(self.universe, _integral(
+            {m: c * v for m, v in self.terms.items()}))
 
     def __pow__(self, k):
         if k < 0:
@@ -513,9 +518,7 @@ class Polynomial:
             m2 = Monomial._canonical(
                 tuple(sorted([(var_map[v], e) for v, e in m.exps])))
             d[m2] = c
-        p = Polynomial.zero(self.universe)
-        p.terms = d
-        return p
+        return Polynomial._of(self.universe, d)
 
     # -- text form -------------------------------------------------------
 

@@ -50,27 +50,19 @@ class FreeAlgebra:
         self.universe = rhopi_universe(n, m)
         self.n = n
         self.m = m
-        rho_vars = {}
-        pi_vars = {}
         self._weights = [self.universe.weight(v)
                          for v in range(self.universe.nvars)]
-        for v, w in enumerate(self._weights):
-            if self.universe.degree(v) == 2:
-                rho_vars[w] = v
-            else:
-                pi_vars[w] = v
-        # n == 2 would make the two tables collide; the parameter guard in
-        # DihedralParams (n >= 3) rules that out
-        self._rho_vars = rho_vars
-        self._pi_vars = pi_vars
-        self._num_rho = len(rho_vars)
+        # index vector -> symbol: a rho index sums to 2 and a pi index to
+        # n >= 3 (the DihedralParams guard), so one table holds both
+        self._vars = {w: v for v, w in enumerate(self._weights)}
         # a mixed rho (two nonzero index slots) maps to a q with a 1/2
-        self._mixed = frozenset(v for w, v in rho_vars.items()
-                                if 2 not in w)
+        self._mixed = frozenset(v for v, w in enumerate(self._weights)
+                                if self.universe.degree(v) == 2
+                                and 2 not in w)
         # the integer polarization of every symbol: 2q for a mixed rho
         self._polarizations = [
-            p_pol(w) if v >= self._num_rho
-            else q_pol(w).scale(2) if v in self._mixed else q_pol(w)
+            q_pol(w).scale(2) if v in self._mixed
+            else q_pol(w) if self.universe.degree(v) == 2 else p_pol(w)
             for v, w in enumerate(self._weights)]
         # mono -> 2^k phi(mono), k the total exponent of mixed rhos in mono
         self._phi_cache = {Monomial.unit(): Polynomial.constant(
@@ -94,12 +86,6 @@ class FreeAlgebra:
     def one(self):
         return FreeElement(self, Polynomial.constant(self.universe, 1))
 
-    def element(self, poly):
-        if poly.universe != self.universe:
-            raise ValueError("polynomial lives in %r, not %r"
-                             % (poly.universe, self.universe))
-        return FreeElement(self, poly)
-
     def _pad(self, index):
         index = tuple(int(a) for a in index)
         if len(index) > self.m:
@@ -111,7 +97,7 @@ class FreeAlgebra:
         if sum(alpha) != 2:
             raise ValueError("rho index must sum to 2, got %r" % (alpha,))
         return FreeElement(self, Polynomial.variable(
-            self.universe, self._rho_vars[alpha]))
+            self.universe, self._vars[alpha]))
 
     def pi(self, beta):
         beta = self._pad(beta)
@@ -119,7 +105,7 @@ class FreeAlgebra:
             raise ValueError("pi index must sum to %d, got %r"
                              % (self.n, beta))
         return FreeElement(self, Polynomial.variable(
-            self.universe, self._pi_vars[beta]))
+            self.universe, self._vars[beta]))
 
     def phi_monomial(self, mono):
         """(P, k) with P = 2^k phi(mono) an int polynomial and k the total
@@ -200,10 +186,7 @@ class FreeAlgebra:
         target = [0] * self.m
         for i, a in enumerate(w):
             target[perm[i] - 1] = a
-        target = tuple(target)
-        if v < self._num_rho:
-            return self._rho_vars[target]
-        return self._pi_vars[target]
+        return self._vars[tuple(target)]
 
     def s_act(self, perm, e):
         """Permutation action on the vector slots."""
@@ -229,9 +212,7 @@ class FreeAlgebra:
         target = list(w)
         target[v_slot] -= 1
         target[u_slot] += 1
-        target = tuple(target)
-        table = self._rho_vars if v < self._num_rho else self._pi_vars
-        return c, table[target]
+        return c, self._vars[tuple(target)]
 
     def gl_act(self, E, e):
         """Action of the matrix unit E = (u, v) (1-based slots) on an
@@ -299,10 +280,6 @@ class FreeElement:
     def __init__(self, algebra, poly):
         self.algebra = algebra
         self.poly = poly
-
-    @property
-    def params(self):
-        return self.algebra.params
 
     def _check(self, other):
         if not isinstance(other, FreeElement) \
@@ -387,10 +364,6 @@ def phi(e):
 
 def gl_act(E, e):
     return e.algebra.gl_act(E, e)
-
-
-def s_act(perm, e):
-    return e.algebra.s_act(perm, e)
 
 
 def is_highest_weight(e):

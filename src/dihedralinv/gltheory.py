@@ -357,7 +357,7 @@ def invariants_truncated(n, m, D):
 # the ambient algebra and the reduced kernel
 
 
-def ambient_truncated(n, m, D=None):
+def ambient_truncated(n, m, D):
     """Graded decomposition, through total degree D <= 2n+2, of the reduced
     presentation's domain: the quadratic-generator subalgebra tensored with
     the span of products of at most two degree-n generators.
@@ -368,8 +368,6 @@ def ambient_truncated(n, m, D=None):
     degree-n space; and at t = 2n+2 that square times one quadratic factor."""
     n = _whole(n, "n")
     m = _whole(m, "m", 0)
-    if D is None:
-        D = 2 * n + 2
     if D > 2 * n + 2:
         raise ValueError("decomposition formula only covers degree <= 2n+2 "
                          "(asked for %d > %d)" % (D, 2 * n + 2))
@@ -394,13 +392,11 @@ def ambient_truncated(n, m, D=None):
     return table
 
 
-def kernel_decomposition(n, m, D=None):
+def kernel_decomposition(n, m, D):
     """Graded GL_m decomposition of the reduced presentation's kernel:
     the ambient table minus the invariant-ring table, degree by degree.
     A negative multiplicity in the difference raises (it would mean one of
     the two tables is wrong)."""
-    if D is None:
-        D = 2 * n + 2
     ambient = ambient_truncated(n, m, D)
     invariants = invariants_truncated(n, m, D)
     return {t: ambient[t] - invariants[t] for t in range(D + 1)}

@@ -4,10 +4,11 @@ Everything reduces to integer linear algebra on multigraded components, which
 stay small because the multigrading is exploited everywhere: kernels of the
 presentation map per multidegree (with transport along coordinate
 permutations, so only weakly decreasing multidegrees are ever computed),
-minimal generator counts via the graded Nakayama criterion, degree-truncated
-ideal membership, verification of primary/secondary decompositions on the
-invariant-ring side, and the GL-ideal generation check that compares a
-truncated ideal against the kernel dimension by dimension.
+minimal generator counts via the graded Nakayama criterion, verification of
+primary/secondary decompositions on the invariant-ring side, and the
+GL-ideal generation check that compares the rank of each ideal slice with
+the kernel dimension, multidegree by multidegree.  No check asks whether one
+element lies in an ideal: ranks settle every claim.
 
 The decomposition check takes coordinate-ring polynomials only; the built-in
 tables written in the rho/pi symbols are mapped through phi before it sees
@@ -227,11 +228,11 @@ def minimal_generators_by_degree(n, m, D, resource_cap=None):
 
 
 class TruncatedIdeal:
-    """The ideal generated by multihomogeneous elements of F(n,m), seen
-    degree by degree up to a cap: the multidegree-alpha slice is spanned by
-    generator times monomial products landing in that slice."""
+    """The ideal generated by multihomogeneous elements of F(n,m), seen one
+    multidegree at a time: the alpha slice is spanned by generator times
+    monomial products landing in it, and only its rank is computed."""
 
-    def __init__(self, generators, degree_cap, resource_cap=None):
+    def __init__(self, generators, resource_cap=None):
         generators = list(generators)
         self._weights = []
         if not generators:
@@ -248,9 +249,7 @@ class TruncatedIdeal:
                         "multihomogeneous, got %r" % (g,))
                 self._weights.append(w)
         self.generators = generators
-        self.degree_cap = _degree_bound(degree_cap)
         self.resource_cap = resolve_resource_cap(resource_cap)
-        self._spaces = {}
 
     def spanning_polys(self, alpha):
         """The generating rows of the alpha slice."""
@@ -268,48 +267,18 @@ class TruncatedIdeal:
                     algebra.universe, mono))
         return out
 
-    def _space(self, alpha):
-        alpha = tuple(alpha)
-        hit = self._spaces.get(alpha)
-        if hit is not None:
-            return hit
-        if self.algebra is None:
-            raise ValueError("empty ideal has no components")
-        _guard(self.algebra.count_of_weight(alpha), self.resource_cap,
-               "ideal slice %r" % (alpha,))
-        columns = self.algebra.monomials_of_weight(alpha)
-        space = PolynomialSpace(self.algebra.universe, columns=columns)
-        for row in self.spanning_polys(alpha):
-            space.insert(row)
-        self._spaces[alpha] = space
-        return space
-
     def component_dimension(self, alpha):
+        """The rank of the alpha slice; nothing is kept."""
         if self.algebra is None:
             return 0
-        return self._space(alpha).rank
-
-    def contains(self, e):
-        """Membership of an element of degree <= the cap; non-multihomogeneous
-        elements are tested slice by slice."""
-        if e.is_zero():
-            return True
-        if e.degree() > self.degree_cap:
-            raise ValueError(
-                "element degree %d exceeds the ideal truncation %d"
-                % (e.degree(), self.degree_cap))
-        if self.algebra is None:
-            return False
-        if e.algebra is not self.algebra:
-            raise ValueError("element belongs to a different algebra")
-        slices = {}
-        for mono, c in e.poly.terms.items():
-            alpha = mono.multidegree(self.algebra.universe)
-            slices.setdefault(alpha, {})[mono] = c
-        return all(
-            self._space(alpha).contains(
-                Polynomial(self.algebra.universe, terms))
-            for alpha, terms in slices.items())
+        alpha = tuple(alpha)
+        _guard(self.algebra.count_of_weight(alpha), self.resource_cap,
+               "ideal slice %r" % (alpha,))
+        space = PolynomialSpace(self.algebra.universe,
+                                self.algebra.monomials_of_weight(alpha))
+        for row in self.spanning_polys(alpha):
+            space.insert(row)
+        return space.rank
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +626,7 @@ def gl_generation_report(n, m, generator_hwvs, D, resource_cap=None):
                             "ideal_dim": -1, "kernel_dim": -1,
                             "note": "generator not in the kernel"}]
         expanded.extend(submodule_basis(g))
-    ideal = TruncatedIdeal(expanded, D, cap)
+    ideal = TruncatedIdeal(expanded, cap)
     ok = True
     rows = []
     for t in range(D + 1):

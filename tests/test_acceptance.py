@@ -30,6 +30,7 @@ from dihedralinv.exactpoly import (
     staircase_generating_function,
 )
 from dihedralinv.freealgebra import (
+    FreeElement,
     free_algebra,
     gl_act,
     is_highest_weight,
@@ -294,7 +295,7 @@ def _random_monomial_element(A, rng, total_choices):
     if not monos:
         return None
     mono = rng.choice(monos)
-    return A.element(Polynomial.from_monomial(A.universe, mono))
+    return FreeElement(A, Polynomial.from_monomial(A.universe, mono))
 
 
 def _suite_equivariance(rng, instances):

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from dihedralinv import freealgebra, kernelcalc
 from dihedralinv.cli import main
+from dihedralinv.exactpoly import Polynomial
 
 
 @pytest.fixture()
@@ -142,6 +143,26 @@ def test_kernel_dim_builds_each_polarization_once(runner, monkeypatch):
     assert len(calls) <= A.universe.nvars
 
 
+def test_kernel_dim_validates_few_polynomials(runner, monkeypatch):
+    # sums, products, scalings and renamings build their results in stored
+    # form; the validating constructor runs for the kernel basis elements
+    # (310 here) and the phi tables, not for every product
+    A = freealgebra.FreeAlgebra(4, 3)
+    monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
+    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
+    calls = []
+    real = Polynomial.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", spy)
+    result = run(runner, ["kernel", "dim", "--n", "4", "--m", "3"])
+    assert result.exit_code == 0
+    assert len(calls) <= 400
+
+
 def test_kernel_basis_empty_component(runner):
     result = run(runner, ["kernel", "basis", "--n", "4", "--m", "2",
                           "--degree", "4"])
@@ -205,6 +226,15 @@ def test_groebner_demo(runner):
     assert result.exit_code == 0
     assert "initial ideal: x1^5, x1*y1, y1^4" in result.output
     assert "generating function 1 2 2 2 1" in result.output
+
+
+def test_groebner_demo_json_digest(runner):
+    # the reduced basis with every coefficient, its order, the staircase
+    # and its generating function, byte for byte
+    result = run(runner, ["groebner", "demo", "--n", "5", "--format", "json"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() \
+        == "5a404da5b2b84c6a8f80f427a5eea5f12b6650f789cfdb4b2fd349d4b058aff0"
 
 
 def test_hironaka_verify_two_slots(runner):

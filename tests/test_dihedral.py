@@ -101,7 +101,6 @@ def test_q_pol_fixtures():
     assert str(q_pol((2, 0))) == "x1*y1"
     assert str(q_pol((0, 2))) == "x2*y2"
     assert q_pol((1, 1)) == parse(2, "1/2*x1*y2 + 1/2*x2*y1")
-    assert q_pol((2,), m=3) == parse(3, "x1*y1")
     with pytest.raises(ValueError):
         q_pol((2, 1))
     with pytest.raises(ValueError):

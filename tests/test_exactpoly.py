@@ -17,7 +17,7 @@ from dihedralinv.exactpoly import (
     rhopi_universe,
     xy_universe,
 )
-from dihedralinv.freealgebra import free_algebra
+from dihedralinv.freealgebra import FreeElement, free_algebra
 
 U2 = xy_universe(2)
 
@@ -297,7 +297,7 @@ def test_enumerated_and_shifted_monomials_are_canonical(nm_alpha):
         assert_canonical(mono)
     if not monos:
         return
-    e = A.element(Polynomial(A.universe, {mono: 1 for mono in monos}))
+    e = FreeElement(A, Polynomial(A.universe, {mono: 1 for mono in monos}))
     for u in range(1, m + 1):
         for v in range(1, m + 1):
             for mono in A.gl_act((u, v), e).poly.terms:

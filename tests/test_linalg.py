@@ -90,21 +90,26 @@ def test_row_space_reduce():
 
 
 def test_polynomial_space_incremental():
-    space = PolynomialSpace(U, LINEAR[:2])
+    space = PolynomialSpace(U, LINEAR)
     assert space.insert(P("x1 + y1"))
     assert not space.insert(P("2*x1 + 2*y1"))
     assert space.insert(P("x1"))
     assert space.rank == 2
-    assert space.contains(P("y1"))
-    assert not space.contains(P("x2"))
+    # y1 lies in the span, so inserting it leaves the rank as it is; x2 not
+    assert not space.insert(P("y1"))
+    assert space.rank == 2
+    assert space.insert(P("x2"))
+    assert space.rank == 3
 
 
 def test_polynomial_space_with_columns():
     space = PolynomialSpace(U, columns=LINEAR[:2])
     space.insert(P("x1 - y1"))
-    assert space.contains(P("2*x1 - 2*y1"))
-    # monomial outside the declared basis: definitely not in the span
-    assert not space.contains(P("x2"))
+    assert not space.insert(P("2*x1 - 2*y1"))
+    # a monomial outside the declared basis is refused, not dropped
+    with pytest.raises(ValueError):
+        space.insert(P("x2"))
+    assert space.rank == 1
     # the columns are required: there is no monomial-keyed mode
     with pytest.raises(TypeError):
         PolynomialSpace(U)

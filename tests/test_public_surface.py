@@ -1,8 +1,19 @@
-"""Every top-level function and class of the package (outside the command
-line module) must be used by the package itself: one the tests alone call
-checks nothing that the verifier reports.  The oracles below are the
-exception; they exist to give the tests a second route to a number the
-package computes another way."""
+"""Everything the package defines (outside the command line module) must be
+used by the package itself: a definition the tests alone call checks nothing
+that the verifier reports.
+
+- A top-level function or class needs a bare-name use (`name`), so a method
+  of the same name does not hide a module-level wrapper.
+- A public method needs an attribute use (`x.name`).
+- A use inside a definition of the same name (recursion, or a method calling
+  its namesake on another object) does not count, nor do the re-exports of
+  an `__init__.py`.
+
+The oracles and readers below are the exceptions.  An oracle gives the tests
+a second route to a number the package computes another way; a reader is a
+read-only accessor the tests state their expectations through.
+
+Every module also reads every name it imports."""
 
 import ast
 from pathlib import Path
@@ -11,45 +22,78 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dihedralinv"
 
 ORACLES = {"weyl_dim", "cauchy_dim", "polarize", "gl_act_xy"}
 
+READERS = {
+    # one coefficient of a polynomial, without reaching into its terms
+    "Polynomial.coefficient",
+    # the multiplicity of one Schur module in a decomposition table
+    "DecompositionReport.multiplicity",
+    # the variable names of a universe, in index order
+    "VariableUniverse.names",
+    # the dimension of a decomposition; the gl-tables benchmark reads it
+    "DecompositionReport.total_dim",
+}
+
+DEFS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path, ast.parse(path.read_text())
+
 
 def _definitions():
-    """(module path, node) for every top-level def or class outside cli.py."""
-    for path in sorted(PACKAGE.rglob("*.py")):
+    """(label, name, kind) for every top-level def or class outside cli.py
+    (kind "name") and every public method of those classes (kind "attr")."""
+    for path, tree in _modules():
         if path.name == "cli.py":
             continue
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield path, node
+        module = path.relative_to(PACKAGE).with_suffix("").as_posix()
+        for node in tree.body:
+            if not isinstance(node, DEFS):
+                continue
+            yield "%s.%s" % (module.replace("/", "."), node.name), \
+                node.name, "name"
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("_"):
+                    yield "%s.%s" % (node.name, item.name), item.name, "attr"
 
 
 def _uses():
-    """name -> set of (module path, line) where the package reads it.  A
-    package's re-exports in __init__.py and a definition's own body do not
-    count as uses."""
-    uses = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        if path.name == "__init__.py":
-            continue
-        for top in tree.body:
-            skip = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != skip:
-                    uses.setdefault(name, set()).add((path, node.lineno))
+    """{"name": names read bare, "attr": attribute names read}, over every
+    module but the __init__.py re-exports.  Assigning an attribute
+    (`self.x = ...`) is not a read."""
+    uses = {"name": set(), "attr": set()}
+
+    def visit(node, enclosing):
+        if isinstance(node, DEFS):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            uses["name"].add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load) \
+                and node.attr not in enclosing:
+            uses["attr"].add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path, tree in _modules():
+        if path.name != "__init__.py":
+            visit(tree, frozenset())
     return uses
 
 
-def test_every_definition_is_used_by_the_package():
+def _unused():
     uses = _uses()
-    unused = ["%s: %s" % (path.relative_to(PACKAGE), node.name)
-              for path, node in _definitions()
-              if node.name not in uses and node.name not in ORACLES]
+    return [label for label, name, kind in _definitions()
+            if name not in uses[kind]
+            and name not in ORACLES and label not in READERS]
+
+
+def test_every_definition_is_used_by_the_package():
+    unused = _unused()
     assert unused == [], "defined in the package, used only by tests " \
                          "(or by nothing): %s" % ", ".join(unused)
 
@@ -57,5 +101,32 @@ def test_every_definition_is_used_by_the_package():
 def test_oracles_are_not_used_by_the_package():
     # an oracle the package itself calls is no longer independent of it,
     # and no longer needs its place on the list
-    uses = _uses()
-    assert sorted(ORACLES & set(uses)) == []
+    assert sorted(ORACLES & _uses()["name"]) == []
+
+
+def test_readers_are_methods_the_package_does_not_read():
+    methods = {label: name for label, name, kind in _definitions()
+               if kind == "attr"}
+    assert sorted(READERS - set(methods)) == []
+    read = _uses()["attr"]
+    assert sorted(r for r in READERS if methods[r] in read) == []
+
+
+def test_every_import_is_read():
+    unread = []
+    for path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in read:
+                        unread.append("%s: %s"
+                                      % (path.relative_to(PACKAGE), bound))
+    assert unread == [], "imported and never read: %s" % ", ".join(unread)
