@@ -8,9 +8,11 @@ a Fraction (see `rings`), and it enters a row as numerator * (common
 denominator // its denominator), with no Fraction product per term.  The
 kernel components hand in phi images that are int polynomials already (see
 `freealgebra`), so their rows take no lcm pass at all.
-Columns are integer ids into a monomial basis that the caller knows up
-front (every graded or multigraded component does); pivoting is
-deterministic: the pivot of a row is its smallest column id.
+Pivoting is deterministic: the pivot of a row is its smallest column id.
+A nullspace numbers its columns by a monomial basis that the caller knows up
+front (every graded or multigraded component does), because the pivot order
+fixes which relation comes out.  A rank does not depend on the column order,
+so `PolynomialSpace` numbers each monomial the first time it sees one.
 
 `RowSpace` has a single reduction loop, which serves ranks and relations
 alike.  `nullspace_combinations` finds relations by row-reducing
@@ -119,12 +121,14 @@ def _gcd_normalize(row):
 
 
 class PolynomialSpace:
-    """Row space spanned by polynomials over one universe, with rows over
-    the given monomial basis `columns` (column id = list position)."""
+    """Row space spanned by polynomials over one universe.  A monomial gets
+    its column id the first time an inserted polynomial holds it, so no
+    basis is listed up front: the rank, and whether an insert raised it, do
+    not depend on the order of the columns."""
 
-    def __init__(self, universe, columns):
+    def __init__(self, universe):
         self.universe = universe
-        self.col_index = {mono: i for i, mono in enumerate(columns)}
+        self.col_index = {}
         self.space = RowSpace()
 
     @property
@@ -136,7 +140,10 @@ class PolynomialSpace:
         if poly.universe != self.universe:
             raise ValueError("mixed universes: %r vs %r"
                              % (poly.universe, self.universe))
-        row = scaled_row_from_polynomial(poly, self.col_index)[0]
+        col_index = self.col_index
+        for mono in poly.terms:
+            col_index.setdefault(mono, len(col_index))
+        row = scaled_row_from_polynomial(poly, col_index)[0]
         return self.space.insert_row(row)
 
 

@@ -16,10 +16,12 @@ gl_m acts on the symbols by shifting one unit of index between two slots
 (E_{u,v}.pi_b = b_v * pi_{b+e_u-e_v}), extended to products as a derivation;
 phi intertwines this with the polarization action on the coordinate ring.
 A matrix unit is passed as the index pair (u, v).  Highest weight vectors
-and saturation under the full set of matrix units give exact bases of the
-GL-submodules generated by the named relations: the 3x3 symmetric
+and saturation under the lowering units E_{u,v} (u > v) give exact bases of
+the GL-submodules generated by the named relations: the 3x3 symmetric
 determinant in the rho symbols, the three-term relation of weight (n,2),
-and the weight-(2n-2k,2k) family.
+and the weight-(2n-2k,2k) family.  Lowering units are enough because PBW
+gives U(gl_m).v = U(n-).v for a highest weight vector v (Humphreys,
+*Introduction to Lie Algebras and Representation Theory*, section 20).
 """
 
 from __future__ import annotations
@@ -381,30 +383,30 @@ def is_highest_weight(e):
 
 
 def submodule_basis(e):
-    """Basis of the gl_m-submodule generated by a multihomogeneous e:
-    saturate breadth-first under all matrix units E_{u,v} (u != v), keeping
-    an element whenever it enlarges the exact rank of its weight space.  A
-    child of E_{u,v} has weight w + e_u - e_v, so weights are carried along
-    the queue, not recomputed from the terms.
+    """Basis of the gl_m-submodule generated by a highest weight vector e:
+    saturate breadth-first under the lowering units E_{u,v} (u > v),
+    keeping an element whenever it enlarges the exact rank of its weight
+    space.  A child of E_{u,v} has weight w + e_u - e_v, so weights are
+    carried along the queue, not recomputed from the terms.
     The matrix units keep elements multihomogeneous and weight spaces are
-    direct summands, so that is the rank of the whole span growing.
-    First-found order, deterministic."""
+    direct summands, so that is the rank of the whole span growing.  The
+    span of the kept elements is closed under every lowering unit, and
+    U(gl_m).e = U(n-).e since the raising units kill e; an e they do not
+    kill is a ValueError.  First-found order, deterministic."""
     if e.is_zero():
         raise ValueError("zero element generates the zero module")
-    weight = e.weight()
+    weight = is_highest_weight(e)
     if weight is None:
-        raise ValueError("submodule_basis needs a multihomogeneous element, "
-                         "got %r" % (e,))
+        raise ValueError("submodule_basis needs a multihomogeneous highest "
+                         "weight vector, got %r" % (e,))
     algebra = e.algebra
-    units = [(u, v) for u in range(1, algebra.m + 1)
-             for v in range(1, algebra.m + 1) if u != v]
-    spaces = {}  # weight -> PolynomialSpace over its monomials
+    units = [(u, v) for u in range(2, algebra.m + 1) for v in range(1, u)]
+    spaces = {}  # weight -> PolynomialSpace of the kept elements
 
     def enlarges(x, w):
         space = spaces.get(w)
         if space is None:
-            space = spaces[w] = PolynomialSpace(
-                algebra.universe, algebra.monomials_of_weight(w))
+            space = spaces[w] = PolynomialSpace(algebra.universe)
         return space.insert(x.poly)
 
     basis = []

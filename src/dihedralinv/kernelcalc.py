@@ -10,6 +10,22 @@ GL-ideal generation check that compares the rank of each ideal slice with
 the kernel dimension, multidegree by multidegree.  No check asks whether one
 element lies in an ideal: ranks settle every claim.
 
+Each rank stops at a ceiling that is proven, because rows past it cannot
+change the answer:
+- the Nakayama span F_+ . ker lies in ker, so once its rank is dim ker_alpha
+  there is no new generator at alpha;
+- an ideal slice of generators with phi(g) = 0 lies in the kernel (phi is
+  GL-equivariant, so the whole submodule of g maps to zero), so its rank is
+  at most dim ker_alpha.  That dimension is checked against
+  count_of_weight(alpha) - invariant_dimension(alpha), since phi is onto the
+  invariants in every multidegree;
+- a Hironaka product h * b of an invariant primary and an invariant basis
+  element lies in the invariant component, so where no secondary sits the
+  rows stop at its dimension.  Where secondaries sit, every row goes in:
+  their independence needs the rank of the whole primary-ideal slice.
+Rank spaces number a monomial's column when they first meet it, so no
+component is enumerated just to give a rank its columns.
+
 The decomposition check takes coordinate-ring polynomials only; the built-in
 tables written in the rho/pi symbols are mapped through phi before it sees
 them.  It builds its components as integer rows directly: a monomial of the
@@ -193,8 +209,7 @@ def _new_generator_count_at(n, m, alpha, cap):
     kernel = _kernel_basis_sorted(n, m, alpha, cap)
     if not kernel:
         return 0
-    columns = algebra.monomials_of_weight(alpha)
-    space = PolynomialSpace(algebra.universe, columns=columns)
+    space = PolynomialSpace(algebra.universe)
     for v in range(algebra.universe.nvars):
         w = algebra.universe.weight(v)
         beta = tuple(a - wi for a, wi in zip(alpha, w))
@@ -203,6 +218,8 @@ def _new_generator_count_at(n, m, alpha, cap):
         var_poly = Polynomial.variable(algebra.universe, v)
         for e in kernel_basis_at(n, m, beta, cap):
             space.insert(e.poly * var_poly)
+            if space.rank == len(kernel):
+                return 0  # the span lies in the kernel, so it is all of it
     return len(kernel) - space.rank
 
 
@@ -230,7 +247,10 @@ def minimal_generators_by_degree(n, m, D, resource_cap=None):
 class TruncatedIdeal:
     """The ideal generated by multihomogeneous elements of F(n,m), seen one
     multidegree at a time: the alpha slice is spanned by generator times
-    monomial products landing in it, and only its rank is computed."""
+    monomial products landing in it, and only its rank is computed, up to
+    a ceiling the caller proves.  `count_of_weight(alpha)` always is one;
+    for generators in the kernel of phi, dim ker_alpha is one, since the
+    ideal they generate lies in the kernel."""
 
     def __init__(self, generators, resource_cap=None):
         generators = list(generators)
@@ -267,16 +287,19 @@ class TruncatedIdeal:
                     algebra.universe, mono))
         return out
 
-    def component_dimension(self, alpha):
-        """The rank of the alpha slice; nothing is kept."""
+    def component_dimension(self, alpha, ceiling):
+        """The rank of the alpha slice, where `ceiling` is a proven upper
+        bound on it: rows stop going in once the rank reaches it.  Nothing
+        is kept."""
         if self.algebra is None:
             return 0
         alpha = tuple(alpha)
         _guard(self.algebra.count_of_weight(alpha), self.resource_cap,
                "ideal slice %r" % (alpha,))
-        space = PolynomialSpace(self.algebra.universe,
-                                self.algebra.monomials_of_weight(alpha))
+        space = PolynomialSpace(self.algebra.universe)
         for row in self.spanning_polys(alpha):
+            if space.rank == ceiling:
+                break
             space.insert(row)
         return space.rank
 
@@ -401,7 +424,12 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
     and its column is the code of `_strides`, which adds under products:
     the row of h * b is built from the terms of h and b without forming the
     product polynomial.  The invariant basis at each beta = alpha - w(h) is
-    fetched once and kept while a later alpha can still reach it."""
+    fetched once and kept while a later alpha can still reach it.
+
+    The products lie in the invariant component, so at a multidegree with
+    no secondary they stop once their rank is its dimension, and the bases
+    they no longer need are not fetched.  A secondary's independence needs
+    the rank of every product at its multidegree."""
     D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
     if model == "dihedral":
@@ -435,6 +463,20 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
     h_terms = [(_y_terms(h), w) for h, w in zip(primaries, weights)]
     reach = max((sum(w) for w in weights), default=0)
     bases = {}
+
+    def product_rows(alpha, strides):
+        for terms, w in h_terms:
+            beta = tuple(a - wi for a, wi in zip(alpha, w))
+            if any(b < 0 for b in beta):
+                continue
+            basis = bases.get(beta)
+            if basis is None:
+                basis = bases[beta] = [_y_terms(b)
+                                       for b in basis_fn(params, beta)]
+            coded = _coded(terms, strides)
+            for b in basis:
+                yield _product_row(coded, _coded(b, strides))
+
     failures = []
     independence = True
     spanning = True
@@ -446,25 +488,19 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
             checked += 1
             _guard_invariant(alpha, cap)
             strides = _strides(alpha)
+            want = dim_fn(params, alpha)
+            here = by_beta.get(alpha, ())
             space = RowSpace()
-            for terms, w in h_terms:
-                beta = tuple(a - wi for a, wi in zip(alpha, w))
-                if any(b < 0 for b in beta):
-                    continue
-                basis = bases.get(beta)
-                if basis is None:
-                    basis = bases[beta] = [_y_terms(b)
-                                           for b in basis_fn(params, beta)]
-                coded = _coded(terms, strides)
-                for b in basis:
-                    space.insert_row(_product_row(coded, _coded(b, strides)))
-            for f in by_beta.get(alpha, ()):
+            for row in product_rows(alpha, strides):
+                space.insert_row(row)
+                if space.rank == want and not here:
+                    break
+            for f in here:
                 if not space.insert_row(dict(_coded(_y_terms(f), strides))):
                     independence = False
                     failures.append(
                         "secondary at %r depends on the primary ideal and "
                         "earlier secondaries" % (alpha,))
-            want = dim_fn(params, alpha)
             if space.rank != want:
                 spanning = False
                 failures.append(
@@ -616,7 +652,12 @@ def gl_generation_report(n, m, generator_hwvs, D, resource_cap=None):
     """Expand each claimed generator to a basis of its GL-submodule, build
     the truncated ideal, and compare its slice dimensions with the kernel's
     in every weakly decreasing multidegree of total degree <= D.  Returns
-    (ok, rows) where rows aggregate both dimensions per total degree."""
+    (ok, rows) where rows aggregate both dimensions per total degree.
+
+    The ideal lies in the kernel, so the kernel dimension is the ceiling of
+    each slice's rank.  That dimension is checked in its own right, as
+    count_of_weight(alpha) - invariant_dimension(alpha): phi is onto the
+    invariants in every multidegree."""
     D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
     expanded = []
@@ -627,6 +668,7 @@ def gl_generation_report(n, m, generator_hwvs, D, resource_cap=None):
                             "note": "generator not in the kernel"}]
         expanded.extend(submodule_basis(g))
     ideal = TruncatedIdeal(expanded, cap)
+    algebra = free_algebra(n, m)
     ok = True
     rows = []
     for t in range(D + 1):
@@ -634,7 +676,10 @@ def gl_generation_report(n, m, generator_hwvs, D, resource_cap=None):
         kernel_total = 0
         for alpha in decreasing_multidegrees(m, t):
             kdim = len(kernel_basis_at(n, m, alpha, cap))
-            idim = ideal.component_dimension(alpha)
+            if kdim != (algebra.count_of_weight(alpha)
+                        - invariant_dimension(algebra.params, alpha)):
+                ok = False
+            idim = ideal.component_dimension(alpha, kdim)
             if idim != kdim:
                 ok = False
             size = orbit_size(alpha)

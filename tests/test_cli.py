@@ -117,7 +117,9 @@ def test_kernel_basis_json_digest(runner, args, digest):
      "bd235d360ba2728d4146b735c1b5085aecd35051a504ed63de376c7585bef568"),
     (["kernel", "mingens", "--n", "4", "--m", "4"],
      "4a1468ec8e98a533ac890a3128d683af020a5c92979204d388cfd7a973a74680"),
-], ids=["dim-n6-m3", "mingens-n4-m4"])
+    (["kernel", "mingens", "--n", "5", "--m", "3"],
+     "e6e9094adf359437b31264629ef1639ab5b2625803bcc78d557e834cd4e8d14f"),
+], ids=["dim-n6-m3", "mingens-n4-m4", "mingens-n5-m3"])
 def test_kernel_json_digest(runner, args, digest):
     # every dimension and minimal-generator count, byte for byte
     result = run(runner, args + ["--format", "json"])

@@ -1,5 +1,6 @@
 """The free presentation ring, its gl_m action, and the named relations."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -581,13 +582,80 @@ def test_submodule_sizes_match_weyl_dimension(m):
         assert len(submodule_basis(rel)) == weyl_dim(weight, m), weight
 
 
+def _named_relations(n, m):
+    rels = [make_R_n2(n, m)] + [make_R_2n2k(n, k, m)
+                                for k in range(1, n // 2 + 1)]
+    if m >= 3:
+        rels.append(make_R222(n, m))
+    return rels
+
+
+def _full_unit_saturation(e):
+    """Breadth-first saturation under every matrix unit E_{u,v} (u != v),
+    keeping an element whenever it enlarges the rank of its weight space."""
+    A = e.algebra
+    units = [(u, v) for u in range(1, A.m + 1) for v in range(1, A.m + 1)
+             if u != v]
+    spaces = {}
+    basis = []
+
+    def keep(x):
+        space = spaces.setdefault(x.weight(), PolynomialSpace(A.universe))
+        if space.insert(x.poly):
+            basis.append(x)
+
+    keep(e)
+    for x in basis:
+        for unit in units:
+            child = gl_act(unit, x)
+            if not child.is_zero():
+                keep(child)
+    return basis
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in (4, 5) for m in (2, 3, 4)])
+def test_lowering_saturation_matches_full_units(n, m):
+    # the lowering span lies in the full one, so equal dimensions in every
+    # weight mean equal spans
+    for rel in _named_relations(n, m):
+        lowering = submodule_basis(rel)
+        full = _full_unit_saturation(rel)
+        assert len(lowering) == len(full)
+        assert Counter(e.weight() for e in lowering) \
+            == Counter(e.weight() for e in full)
+
+
+def test_submodule_basis_requires_highest_weight():
+    lowered = gl_act((2, 1), make_R_n2(4, 3))
+    assert is_highest_weight(lowered) is None
+    with pytest.raises(ValueError, match="highest weight vector, "
+                                         "got FreeElement\\(4,3; "):
+        submodule_basis(lowered)
+
+
+def test_submodule_basis_applies_lowering_units_only(monkeypatch):
+    # the (4,2) module at three slots has dimension 27; the highest weight
+    # check costs m - 1 = 2 raising units and the saturation 27 * 3 lowering
+    # units, where all six units took 162 calls
+    calls = []
+    real = FreeAlgebra.gl_act
+
+    def spy(self, E, e):
+        calls.append(E)
+        return real(self, E, e)
+
+    monkeypatch.setattr(FreeAlgebra, "gl_act", spy)
+    assert len(submodule_basis(make_R_n2(4, 3))) == 27
+    assert len(calls) == 83
+    assert calls[:2] == [(1, 2), (2, 3)]
+    assert all(u > v for u, v in calls[2:])
+
+
 def test_submodule_spans_lowering_family():
     # the (n,2) ladder sits inside the submodule generated by its top
     family = _lowering_ladder(4, 2)
     basis = submodule_basis(family[0])
-    polys = [e.poly for e in basis + family]
-    columns = list(dict.fromkeys(mo for p in polys for mo in p.terms))
-    space = PolynomialSpace(free_algebra(4, 2).universe, columns)
+    space = PolynomialSpace(free_algebra(4, 2).universe)
     for e in basis:
         space.insert(e.poly)
     for e in family:

@@ -10,6 +10,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedralinv import kernelcalc
 from dihedralinv.dihedral import (
@@ -18,7 +20,12 @@ from dihedralinv.dihedral import (
     decreasing_multidegrees,
     xy_monomials,
 )
-from dihedralinv.exactpoly import parse_polynomial, xy_universe
+from dihedralinv.exactpoly import (
+    PolynomialSpace,
+    RowSpace,
+    parse_polynomial,
+    xy_universe,
+)
 from dihedralinv.freealgebra import (
     FreeAlgebra,
     free_algebra,
@@ -102,7 +109,7 @@ def test_resource_cap_stops_before_enumeration(monkeypatch):
     assert enumerated == []
     ideal = TruncatedIdeal([A.rho((2, 0, 0))], resource_cap=5)
     with pytest.raises(ResourceCapError, match="ideal slice"):
-        ideal.component_dimension((4, 2, 2))
+        ideal.component_dimension((4, 2, 2), A.count_of_weight((4, 2, 2)))
     assert enumerated == []
 
 
@@ -240,10 +247,12 @@ def test_minimal_generators_order_robust(monkeypatch):
 
 def _in_ideal(gens, f):
     """Whether a multihomogeneous f lies in the ideal of gens: adding f as a
-    generator leaves the rank of the slice at its weight as it is."""
+    generator leaves the rank of the slice at its weight as it is.  The
+    slice lies in the weight space, whose size is a ceiling of its rank."""
     alpha = f.weight()
-    return (TruncatedIdeal(gens + [f]).component_dimension(alpha)
-            == TruncatedIdeal(gens).component_dimension(alpha))
+    ceiling = f.algebra.count_of_weight(alpha)
+    return (TruncatedIdeal(gens + [f]).component_dimension(alpha, ceiling)
+            == TruncatedIdeal(gens).component_dimension(alpha, ceiling))
 
 
 def test_truncated_membership_positive():
@@ -275,7 +284,8 @@ def test_ideal_component_dimension_matches_kernel():
     gens = submodule_basis(make_R222(4, 3)) \
         + submodule_basis(make_R_n2(4, 3))
     ideal = TruncatedIdeal(gens)
-    total = sum(ideal.component_dimension(alpha)
+    A = free_algebra(4, 3)
+    total = sum(ideal.component_dimension(alpha, A.count_of_weight(alpha))
                 for alpha in all_multidegrees(3, 6))
     assert total == 28
 
@@ -310,6 +320,55 @@ def test_hironaka_broken_table_detected():
     assert not rep.hilbert_match
     assert not rep.ok
     assert any("(4, 4)" in f for f in rep.failures)
+
+
+def test_hironaka_wrong_dimension_fails_the_series(monkeypatch):
+    # the rows stop at the invariant dimension where no secondary sits, so
+    # a dimension one short there no longer fails `spanning`; the series
+    # identity still reads the true count off the table
+    true_dim = kernelcalc.invariant_dimension
+
+    def short(params, alpha):
+        return true_dim(params, alpha) - (tuple(alpha) == (4, 2))
+
+    monkeypatch.setattr(kernelcalc, "invariant_dimension", short)
+    rep = verify_hironaka_xy(*secondary_table_m2(4), DihedralParams(4, 2),
+                             10)
+    assert rep.spanning
+    assert not rep.hilbert_match
+    assert not rep.ok
+    assert rep.failures == [
+        "series coefficient at (4, 2) is 4, invariant dimension is 3"]
+
+
+def test_hironaka_rows_stop_at_the_component_dimension(monkeypatch):
+    # the product rows of the three report-paper tables at D = 16, where
+    # inserting all of them took 801 / 5320 / 10492; each secondary at a
+    # weakly decreasing multidegree adds one insert
+    built = []
+    inserted = []
+    real_product, real_insert = kernelcalc._product_row, RowSpace.insert_row
+
+    def product(left, right):
+        built[-1] += 1
+        return real_product(left, right)
+
+    def insert(self, row):
+        inserted[-1] += 1
+        return real_insert(self, row)
+
+    monkeypatch.setattr(kernelcalc, "_product_row", product)
+    monkeypatch.setattr(RowSpace, "insert_row", insert)
+    params2, params3 = DihedralParams(4, 2), DihedralParams(4, 3)
+    for table, params, model in [
+            (secondary_table_m2(4), params2, "dihedral"),
+            (secondary_table_n4_m3(), params3, "dihedral"),
+            (cyclic_table_n4_m3(), params3, "cyclic")]:
+        built.append(0)
+        inserted.append(0)
+        assert verify_hironaka_xy(*table, params, 16, model=model).ok
+    assert built == [510, 3150, 5573]
+    assert [i - b for i, b in zip(inserted, built)] == [7, 18, 36]
 
 
 def test_hironaka_three_slots():
@@ -502,3 +561,88 @@ def test_gl_generation_rejects_non_kernel_generator():
     ok, rows = gl_generation_report(4, 2, [A.rho((2, 0))], 6)
     assert not ok
     assert rows[0]["note"] == "generator not in the kernel"
+
+
+def test_gl_generation_checks_the_kernel_dimension(monkeypatch):
+    # a kernel basis one relation short at (4, 2, 0) lowers the ideal's
+    # ceiling with it, so the slice ranks agree; the count
+    # count_of_weight - invariant_dimension still catches it
+    real = kernelcalc.kernel_basis_at
+
+    def short(n, m, alpha, cap=None):
+        basis = real(n, m, alpha, cap)
+        return basis[1:] if tuple(alpha) == (4, 2, 0) else basis
+
+    monkeypatch.setattr(kernelcalc, "kernel_basis_at", short)
+    gens = [make_R222(4, 3), make_R_n2(4, 3)]
+    ok, rows = gl_generation_report(4, 3, gens, 6)
+    assert not ok
+    (row,) = [r for r in rows if r["degree"] == 6]
+    assert row["ideal_dim"] == row["kernel_dim"] == 28 - 6
+
+
+@pytest.mark.parametrize("m,left_out,want", [
+    (3, "R222", [(6, 27, 28), (8, 222, 228), (10, 1056, 1056)]),
+    (3, "R44", [(6, 28, 28), (8, 213, 228), (10, 1056, 1056)]),
+    (2, "R62", [(6, 3, 3), (8, 10, 15), (10, 36, 43)]),
+])
+def test_gl_generation_without_one_generator(m, left_out, want):
+    # the rows of every generator set short of one named relation, as
+    # computed with every ideal row inserted: the ceilings change no
+    # verdict and no dimension
+    named = {"R222": make_R222(4, m) if m >= 3 else None,
+             "R42": make_R_n2(4, m), "R62": make_R_2n2k(4, 1, m),
+             "R44": make_R_2n2k(4, 2, m)}
+    gens = [g for name, g in named.items()
+            if g is not None and name != left_out]
+    ok, rows = gl_generation_report(4, m, gens, 10)
+    assert not ok
+    assert [(r["degree"], r["ideal_dim"], r["kernel_dim"]) for r in rows
+            if r["kernel_dim"]] == want
+
+
+def _relations(n, m):
+    rels = [make_R_n2(n, m)] + [make_R_2n2k(n, k, m)
+                                for k in range(1, n // 2 + 1)]
+    if m >= 3:
+        rels.append(make_R222(n, m))
+    return rels
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 2), (4, 2), (5, 2), (4, 3)]), st.data())
+def test_rank_rows_have_the_weight_of_their_space(nm, data):
+    # a rank space numbers every monomial it meets, so only its callers keep
+    # a row of another weight out: every row of the Nakayama span and of an
+    # ideal slice has weight alpha, and each weight space of a saturation
+    # gets rows of its own weight alone
+    n, m = nm
+    A = free_algebra(n, m)
+    degree = data.draw(st.integers(0, 10))
+    alpha = data.draw(st.sampled_from(
+        list(decreasing_multidegrees(m, degree))))
+    seen = []
+    real = PolynomialSpace.insert
+
+    def spy(space, poly):
+        seen.append((space, poly.multidegree()))
+        return real(space, poly)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PolynomialSpace, "insert", spy)
+        kernelcalc._new_generator_count_at(n, m, alpha,
+                                           resolve_resource_cap())
+        assert {w for _, w in seen} <= {alpha}
+        seen.clear()
+        gens = data.draw(st.lists(
+            st.sampled_from(_relations(n, m) + primary_elements(n, m)),
+            min_size=1, max_size=3))
+        TruncatedIdeal(gens).component_dimension(alpha,
+                                                 A.count_of_weight(alpha))
+        assert {w for _, w in seen} <= {alpha}
+        seen.clear()
+        submodule_basis(data.draw(st.sampled_from(_relations(n, m))))
+        weight_of = {}
+        for space, w in seen:
+            assert weight_of.setdefault(id(space), w) == w
+        assert len(set(weight_of.values())) == len(weight_of)

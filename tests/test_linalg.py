@@ -16,6 +16,7 @@ from dihedralinv.exactpoly import (
     RowSpace,
     nullspace_combinations,
     parse_polynomial,
+    scaled_row_from_polynomial,
     xy_universe,
 )
 
@@ -27,19 +28,18 @@ def P(text):
     return parse_polynomial(text, U)
 
 
-def rank(polys, columns):
-    space = PolynomialSpace(U, columns)
+def rank(polys):
+    space = PolynomialSpace(U)
     for p in polys:
         space.insert(p)
     return space.rank
 
 
 def test_span_dimension_basics():
-    assert rank([], LINEAR) == 0
-    assert rank([Polynomial.zero(U)], LINEAR) == 0
-    assert rank([P("x1"), P("y1"), P("x1 + y1")], LINEAR) == 2
-    assert rank([P("x1*y2 - x2*y1"), P("2*x1*y2 - 2*x2*y1")],
-                xy_monomials(2, (1, 1))) == 1
+    assert rank([]) == 0
+    assert rank([Polynomial.zero(U)]) == 0
+    assert rank([P("x1"), P("y1"), P("x1 + y1")]) == 2
+    assert rank([P("x1*y2 - x2*y1"), P("2*x1*y2 - 2*x2*y1")]) == 1
 
 
 def test_linear_relations_fixture():
@@ -90,7 +90,7 @@ def test_row_space_reduce():
 
 
 def test_polynomial_space_incremental():
-    space = PolynomialSpace(U, LINEAR)
+    space = PolynomialSpace(U)
     assert space.insert(P("x1 + y1"))
     assert not space.insert(P("2*x1 + 2*y1"))
     assert space.insert(P("x1"))
@@ -103,28 +103,48 @@ def test_polynomial_space_incremental():
 
 
 def test_polynomial_space_with_columns():
-    space = PolynomialSpace(U, columns=LINEAR[:2])
-    space.insert(P("x1 - y1"))
-    assert not space.insert(P("2*x1 - 2*y1"))
-    # a monomial outside the declared basis is refused, not dropped
-    with pytest.raises(ValueError):
-        space.insert(P("x2"))
-    assert space.rank == 1
-    # the columns are required: there is no monomial-keyed mode
+    # a monomial gets its column id the first time an insert holds it, and
+    # a dependent insert adds no column
+    x1, y1, x2, y2 = LINEAR
+    space = PolynomialSpace(U)
+    assert space.insert(P("x2"))
+    assert space.col_index == {x2: 0}
+    assert space.insert(P("y1 - x2"))
+    assert space.col_index == {x2: 0, y1: 1}
+    assert not space.insert(P("2*x2 - 2*y1"))
+    assert space.col_index == {x2: 0, y1: 1}
+    assert space.insert(P("x1*y2"))
+    assert space.col_index == {x2: 0, y1: 1, x1 * y2: 2}
+    assert space.rank == 3
+    # two orders of the same polynomials number the columns differently;
+    # either way an insert raises the rank iff it leaves the span so far
+    polys = [P("x1 + y1"), P("y2"), P("x1 + y1 + y2"), P("x1 - y1"),
+             P("3*y1")]
+    gains = []
+    for order in (polys, polys[::-1]):
+        space = PolynomialSpace(U)
+        gains.append([space.insert(p) for p in order])
+        assert space.rank == 3
+    assert gains == [[True, True, False, True, False],
+                     [True, True, True, False, False]]
+    # the columns are not declared: there is no basis-keyed mode
     with pytest.raises(TypeError):
-        PolynomialSpace(U)
+        PolynomialSpace(U, LINEAR)
 
 
 def test_monomial_outside_columns_is_named():
-    space = PolynomialSpace(U, LINEAR[:2])
+    # a row over fixed columns refuses a monomial outside them, not drops it
+    col_index = {mono: i for i, mono in enumerate(LINEAR[:2])}
     with pytest.raises(ValueError, match="monomial x1\\*x2 is not in the"):
-        space.insert(P("x1*x2"))
+        scaled_row_from_polynomial(P("x1*x2"), col_index)
+    assert scaled_row_from_polynomial(P("2*x1 - 4*y1"), col_index) \
+        == ({0: 1, 1: -2}, Fraction(1, 2))
     with pytest.raises(ValueError, match="monomial x2 is not in the"):
         nullspace_combinations([P("x1"), P("x1 + x2")], LINEAR[:2])
 
 
 def test_mixed_universe_rejected():
-    space = PolynomialSpace(U, LINEAR[:1])
+    space = PolynomialSpace(U)
     with pytest.raises(ValueError):
         space.insert(parse_polynomial("x1", xy_universe(1)))
 
@@ -194,7 +214,7 @@ def reference_relations(vecs):
 def test_rank_nullity_and_exact_recombination(vecs):
     polys = [as_poly(v) for v in vecs]
     rels = nullspace_combinations(polys, LINEAR)
-    assert rank(polys, LINEAR) + len(rels) == len(polys)
+    assert rank(polys) + len(rels) == len(polys)
     for rel in rels:
         total = Polynomial.zero(U)
         for i, c in rel.items():
