@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedralinv import kernelcalc
+from dihedralinv.cli import named_relations
 from dihedralinv.exactpoly import (
     Monomial,
     Polynomial,
@@ -582,14 +583,6 @@ def test_submodule_sizes_match_weyl_dimension(m):
         assert len(submodule_basis(rel)) == weyl_dim(weight, m), weight
 
 
-def _named_relations(n, m):
-    rels = [make_R_n2(n, m)] + [make_R_2n2k(n, k, m)
-                                for k in range(1, n // 2 + 1)]
-    if m >= 3:
-        rels.append(make_R222(n, m))
-    return rels
-
-
 def _full_unit_saturation(e):
     """Breadth-first saturation under every matrix unit E_{u,v} (u != v),
     keeping an element whenever it enlarges the rank of its weight space."""
@@ -617,7 +610,7 @@ def _full_unit_saturation(e):
 def test_lowering_saturation_matches_full_units(n, m):
     # the lowering span lies in the full one, so equal dimensions in every
     # weight mean equal spans
-    for rel in _named_relations(n, m):
+    for _, rel, _ in named_relations(n, m):
         lowering = submodule_basis(rel)
         full = _full_unit_saturation(rel)
         assert len(lowering) == len(full)

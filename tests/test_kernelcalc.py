@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedralinv import kernelcalc
+from dihedralinv.cli import named_relations
 from dihedralinv.dihedral import (
     DihedralParams,
     all_multidegrees,
@@ -582,31 +583,19 @@ def test_gl_generation_checks_the_kernel_dimension(monkeypatch):
 
 
 @pytest.mark.parametrize("m,left_out,want", [
-    (3, "R222", [(6, 27, 28), (8, 222, 228), (10, 1056, 1056)]),
-    (3, "R44", [(6, 28, 28), (8, 213, 228), (10, 1056, 1056)]),
-    (2, "R62", [(6, 3, 3), (8, 10, 15), (10, 36, 43)]),
-])
+    (3, "R_{2,2,2}", [(6, 27, 28), (8, 222, 228), (10, 1056, 1056)]),
+    (3, "R(4)_{4,4}", [(6, 28, 28), (8, 213, 228), (10, 1056, 1056)]),
+    (2, "R(4)_{6,2}", [(6, 3, 3), (8, 10, 15), (10, 36, 43)]),
+], ids=["m3-no-R222", "m3-no-R44", "m2-no-R62"])
 def test_gl_generation_without_one_generator(m, left_out, want):
     # the rows of every generator set short of one named relation, as
     # computed with every ideal row inserted: the ceilings change no
     # verdict and no dimension
-    named = {"R222": make_R222(4, m) if m >= 3 else None,
-             "R42": make_R_n2(4, m), "R62": make_R_2n2k(4, 1, m),
-             "R44": make_R_2n2k(4, 2, m)}
-    gens = [g for name, g in named.items()
-            if g is not None and name != left_out]
+    gens = [g for name, g, _ in named_relations(4, m) if name != left_out]
     ok, rows = gl_generation_report(4, m, gens, 10)
     assert not ok
     assert [(r["degree"], r["ideal_dim"], r["kernel_dim"]) for r in rows
             if r["kernel_dim"]] == want
-
-
-def _relations(n, m):
-    rels = [make_R_n2(n, m)] + [make_R_2n2k(n, k, m)
-                                for k in range(1, n // 2 + 1)]
-    if m >= 3:
-        rels.append(make_R222(n, m))
-    return rels
 
 
 @settings(max_examples=30, deadline=None)
@@ -618,6 +607,7 @@ def test_rank_rows_have_the_weight_of_their_space(nm, data):
     # gets rows of its own weight alone
     n, m = nm
     A = free_algebra(n, m)
+    relations = [g for _, g, _ in named_relations(n, m)]
     degree = data.draw(st.integers(0, 10))
     alpha = data.draw(st.sampled_from(
         list(decreasing_multidegrees(m, degree))))
@@ -635,13 +625,13 @@ def test_rank_rows_have_the_weight_of_their_space(nm, data):
         assert {w for _, w in seen} <= {alpha}
         seen.clear()
         gens = data.draw(st.lists(
-            st.sampled_from(_relations(n, m) + primary_elements(n, m)),
+            st.sampled_from(relations + primary_elements(n, m)),
             min_size=1, max_size=3))
         TruncatedIdeal(gens).component_dimension(alpha,
                                                  A.count_of_weight(alpha))
         assert {w for _, w in seen} <= {alpha}
         seen.clear()
-        submodule_basis(data.draw(st.sampled_from(_relations(n, m))))
+        submodule_basis(data.draw(st.sampled_from(relations)))
         weight_of = {}
         for space, w in seen:
             assert weight_of.setdefault(id(space), w) == w
