@@ -8,8 +8,9 @@ stays in exact rational arithmetic and the root of unity never appears.
 
 Provides the polarized generators q (degree 2) and p (degree n) of the
 invariant ring, general polarization of binary forms, exact invariance and
-dimension oracles per multidegree, explicit symmetrized monomial bases, and
-the permutation and polarization actions on the coordinate ring.
+dimension oracles per multidegree, symmetrized monomial bases written as
+y-exponent vectors, and the permutation and polarization actions on the
+coordinate ring.
 """
 
 from __future__ import annotations
@@ -78,24 +79,17 @@ def xy_monomials(m, alpha):
     """All monomials of multidegree alpha in the coordinate ring of m plane
     vectors: choose the x-exponent a_i <= alpha_i in each slot, y picks up
     the rest.  Enumerated in descending lex order of the x-exponent vector."""
-    return [_xy_monomial(xs, alpha) for xs in _x_vectors(alpha)]
-
-
-def _x_vectors(alpha):
-    """The x-exponent vectors a <= alpha in descending lex order."""
-    return product(*[range(a, -1, -1) for a in alpha])
-
-
-def _xy_monomial(xs, alpha):
-    """The monomial of multidegree alpha with x-exponent vector xs."""
-    pairs = []
-    for i, (a, total) in enumerate(zip(xs, alpha), start=1):
-        if a:
-            pairs.append((x_index(i), a))
-        if total - a:
-            pairs.append((y_index(i), total - a))
-    # x_i < y_i < x_{i+1}: the pairs are in variable order already
-    return Monomial._canonical(tuple(pairs))
+    out = []
+    for xs in product(*[range(a, -1, -1) for a in alpha]):
+        pairs = []
+        for i, (a, total) in enumerate(zip(xs, alpha), start=1):
+            if a:
+                pairs.append((x_index(i), a))
+            if total - a:
+                pairs.append((y_index(i), total - a))
+        # x_i < y_i < x_{i+1}: the pairs are in variable order already
+        out.append(Monomial._canonical(tuple(pairs)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +183,7 @@ def p_pol(beta, n=None):
 # invariance oracles
 
 
-def rotation_weight(mono, m):
+def rotation_weight(mono):
     """Sum of x-exponents minus sum of y-exponents."""
     w = 0
     for v, e in mono.exps:
@@ -209,17 +203,15 @@ def swap_xy(f):
 def is_invariant(f, params):
     """True iff every monomial has rotation weight divisible by n and the
     polynomial equals its coordinate swap."""
-    m = f.universe.m
     for mono in f.terms:
-        if rotation_weight(mono, m) % params.n:
+        if rotation_weight(mono) % params.n:
             return False
     return swap_xy(f) == f
 
 
 def is_rotation_invariant(f, params):
     """Invariance under the index-2 rotation subgroup only."""
-    m = f.universe.m
-    return all(rotation_weight(mono, m) % params.n == 0 for mono in f.terms)
+    return all(rotation_weight(mono) % params.n == 0 for mono in f.terms)
 
 
 def _rotation_count(params, alpha):
@@ -262,42 +254,41 @@ def cyclic_invariant_dimension(params, alpha):
     return _rotation_count(params, alpha)
 
 
-def _rotation_invariant_xs(params, alpha):
-    """The x-exponent vectors of the rotation-invariant monomials of
-    multidegree alpha, in the order of `xy_monomials`: the rotation weight
-    of x-vector a is |a| - (|alpha| - |a|) = 2|a| - |alpha|."""
+def _rotation_invariant_ys(params, alpha):
+    """The y-exponent vectors of the rotation-invariant monomials of
+    multidegree alpha, in ascending lex order, which is the order of
+    `xy_monomials`: the rotation weight of y-vector b is
+    (|alpha| - |b|) - |b| = |alpha| - 2|b|."""
     total = sum(alpha)
     n = params.n
-    return [xs for xs in _x_vectors(alpha) if (2 * sum(xs) - total) % n == 0]
+    return [ys for ys in product(*[range(a + 1) for a in alpha])
+            if (total - 2 * sum(ys)) % n == 0]
 
 
 def cyclic_invariant_basis(params, alpha):
-    """The rotation-invariant monomials of multidegree alpha, as
-    polynomials, in the shared enumeration order."""
-    universe = xy_universe(params.m)
-    return [Polynomial.from_monomial(universe, _xy_monomial(xs, alpha))
-            for xs in _rotation_invariant_xs(params, alpha)]
+    """The rotation-invariant monomials of multidegree alpha in the shared
+    enumeration order, each as the one-tuple of its y-exponent vector."""
+    return [(ys,) for ys in _rotation_invariant_ys(params, alpha)]
 
 
 def invariant_basis(params, alpha):
     """Basis of the multidegree-alpha component of the dihedral invariant
     ring: mu + swap(mu) over swap-orbits of rotation-invariant monomials
-    (just mu for the swap-fixed monomial).  The swap exchanges the x- and
-    y-exponents, so the partner of x-vector a is alpha - a."""
-    universe = xy_universe(params.m)
+    (just mu for the swap-fixed monomial).  Each element is the tuple of
+    the y-exponent vectors of its monomials, every coefficient 1.  The swap
+    exchanges the x- and y-exponents, so the partner of y-vector b is
+    alpha - b."""
     seen = set()
     out = []
-    for xs in _rotation_invariant_xs(params, alpha):
-        if xs in seen:
+    for ys in _rotation_invariant_ys(params, alpha):
+        if ys in seen:
             continue
-        mono = _xy_monomial(xs, alpha)
-        partner = tuple(total - a for a, total in zip(xs, alpha))
-        if partner == xs:
-            out.append(Polynomial.from_monomial(universe, mono))
+        partner = tuple(total - b for b, total in zip(ys, alpha))
+        if partner == ys:
+            out.append((ys,))
         else:
             seen.add(partner)
-            out.append(Polynomial(universe, {
-                mono: 1, _xy_monomial(partner, alpha): 1}))
+            out.append((ys, partner))
     return out
 
 

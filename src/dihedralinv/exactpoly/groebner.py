@@ -42,13 +42,6 @@ class MonomialOrder:
         cols = listed + rest
         return lambda mono: tuple(mono.exponent(v) for v in cols)
 
-    def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and self.priority == other.priority)
-
-    def __hash__(self):
-        return hash(self.priority)
-
     def __repr__(self):
         return "MonomialOrder.lex(%r)" % (list(self.priority),)
 
@@ -200,10 +193,9 @@ def staircase_monomials(basis, order):
     return out
 
 
-def staircase_generating_function(basis, order):
-    """Degree generating function of the staircase: entry d counts staircase
-    monomials of total degree d."""
-    monos = staircase_monomials(basis, order)
+def staircase_generating_function(monos):
+    """Degree generating function of a staircase given as its monomials:
+    entry d counts those of total degree d."""
     top = max((mo.degree for mo in monos), default=0)
     counts = [0] * (top + 1)
     for mo in monos:

@@ -370,9 +370,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def __len__(self):
-        return len(self.terms)
-
     def sorted_terms(self):
         """Terms in canonical order: graded lex, leading term first."""
         nv = self.universe.nvars

@@ -296,9 +296,6 @@ class FreeElement:
         self._check(other)
         return FreeElement(self.algebra, self.poly - other.poly)
 
-    def __neg__(self):
-        return FreeElement(self.algebra, -self.poly)
-
     def __mul__(self, other):
         if isinstance(other, FreeElement):
             self._check(other)
@@ -325,9 +322,6 @@ class FreeElement:
 
     def is_zero(self):
         return self.poly.is_zero()
-
-    def __bool__(self):
-        return bool(self.poly)
 
     def degree(self):
         """Graded degree (rho counts 2, pi counts n); -1 for zero."""

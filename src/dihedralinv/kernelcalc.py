@@ -423,8 +423,11 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
     so a monomial of multidegree alpha is fixed by its y-exponent vector
     and its column is the code of `_strides`, which adds under products:
     the row of h * b is built from the terms of h and b without forming the
-    product polynomial.  The invariant basis at each beta = alpha - w(h) is
-    fetched once and kept while a later alpha can still reach it.
+    product polynomial.  The invariant basis at each beta = alpha - w(h)
+    comes as y-exponent vectors; it is fetched once and kept while a later
+    alpha can still reach it.  Each invariant dimension is computed once,
+    at its weakly decreasing multidegree, and the series check reads it
+    there.
 
     The products lie in the invariant component, so at a multidegree with
     no secondary they stop once their rank is its dimension, and the bases
@@ -471,16 +474,17 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
                 continue
             basis = bases.get(beta)
             if basis is None:
-                basis = bases[beta] = [_y_terms(b)
-                                       for b in basis_fn(params, beta)]
+                basis = bases[beta] = basis_fn(params, beta)
             coded = _coded(terms, strides)
             for b in basis:
-                yield _product_row(coded, _coded(b, strides))
+                yield _product_row(coded, _coded([(ys, 1) for ys in b],
+                                                 strides))
 
     failures = []
     independence = True
     spanning = True
     checked = 0
+    dims = {}
     for t in range(D + 1):
         for beta in [b for b in bases if sum(b) < t - reach]:
             del bases[beta]
@@ -488,7 +492,7 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
             checked += 1
             _guard_invariant(alpha, cap)
             strides = _strides(alpha)
-            want = dim_fn(params, alpha)
+            want = dims[alpha] = dim_fn(params, alpha)
             here = by_beta.get(alpha, ())
             space = RowSpace()
             for row in product_rows(alpha, strides):
@@ -506,18 +510,18 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
                 failures.append(
                     "component %r: primaries+secondaries span %d of %d"
                     % (alpha, space.rank, want))
-    hilbert_match = _hilbert_series_check(weights, lstar, params, D, dim_fn,
+    hilbert_match = _hilbert_series_check(weights, lstar, m, D, dims,
                                           failures)
     return HironakaReport(independence, hilbert_match, spanning,
                           len(lstar), checked, failures)
 
 
-def _hilbert_series_check(primary_weights, lstar, params, D, dim_fn,
-                          failures):
+def _hilbert_series_check(primary_weights, lstar, m, D, dims, failures):
     """Multigraded series identity: convolve the secondary multidegree
     counts with one geometric series per primary, then compare against the
-    invariant dimensions through total degree D."""
-    m = params.m
+    invariant dimensions through total degree D.  Those are symmetric under
+    coordinate permutations, so `dims` holds them at the weakly decreasing
+    multidegrees only."""
     series = {}
     for beta, _ in lstar:
         if sum(beta) <= D:
@@ -533,7 +537,7 @@ def _hilbert_series_check(primary_weights, lstar, params, D, dim_fn,
                 series[alpha] = series.get(alpha, 0) + carry
     ok = True
     for alpha in grid:
-        want = dim_fn(params, alpha)
+        want = dims[tuple(sorted(alpha, reverse=True))]
         got = series.get(alpha, 0)
         if got != want:
             ok = False

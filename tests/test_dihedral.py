@@ -26,7 +26,9 @@ from dihedralinv.dihedral import (
     rotation_weight,
     s_act_xy,
     swap_xy,
+    x_index,
     xy_monomials,
+    y_index,
 )
 from dihedralinv.exactpoly import (
     Monomial,
@@ -40,6 +42,16 @@ from dihedralinv.gltheory import hilbert_h
 
 def parse(m, text):
     return parse_polynomial(text, xy_universe(m))
+
+
+def from_y_vectors(alpha, element):
+    """A basis element given as the y-exponent vectors of its monomials
+    (coefficient 1 each), as a polynomial of multidegree alpha."""
+    return Polynomial(xy_universe(len(alpha)), {
+        Monomial([(x_index(i), a - b) for i, (a, b)
+                  in enumerate(zip(alpha, ys), start=1)]
+                 + [(y_index(i), b) for i, b in enumerate(ys, start=1)]): 1
+        for ys in element})
 
 
 def test_params_validation():
@@ -183,7 +195,7 @@ def test_rotation_weight_and_swap():
     U = xy_universe(2)
     f = parse(2, "x1^3*y2")
     (mono,) = f.terms
-    assert rotation_weight(mono, 2) == 2
+    assert rotation_weight(mono) == 2
     assert swap_xy(f) == parse(2, "y1^3*x2")
     assert swap_xy(swap_xy(f)) == f
 
@@ -210,7 +222,8 @@ def test_invariant_basis_matches_dimension(n, m):
     params = DihedralParams(n, m)
     for total in range(0, 2 * n + 1):
         for alpha in all_multidegrees(m, total):
-            basis = invariant_basis(params, alpha)
+            basis = [from_y_vectors(alpha, b)
+                     for b in invariant_basis(params, alpha)]
             assert len(basis) == invariant_dimension(params, alpha)
             for f in basis:
                 assert is_invariant(f, params)
@@ -234,12 +247,29 @@ def test_cyclic_dimension_brute_force():
     for total in range(0, 9):
         for alpha in all_multidegrees(2, total):
             monos = [mono for mono in xy_monomials(2, alpha)
-                     if rotation_weight(mono, 2) % 4 == 0]
+                     if rotation_weight(mono) % 4 == 0]
             assert cyclic_invariant_dimension(params, alpha) == len(monos)
-            basis = cyclic_invariant_basis(params, alpha)
-            assert len(basis) == len(monos)
+            basis = [from_y_vectors(alpha, b)
+                     for b in cyclic_invariant_basis(params, alpha)]
+            assert basis == [Polynomial.from_monomial(xy_universe(2), mono)
+                             for mono in monos]
             for f in basis:
                 assert is_rotation_invariant(f, params)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_dimensions_are_symmetric_under_slot_permutations(n):
+    # the Hironaka series check reads every multidegree's dimension off its
+    # weakly decreasing rearrangement
+    for m in range(1, 5):
+        params = DihedralParams(n, m)
+        for total in range(11):
+            for alpha in all_multidegrees(m, total):
+                rep = tuple(sorted(alpha, reverse=True))
+                assert invariant_dimension(params, alpha) \
+                    == invariant_dimension(params, rep)
+                assert cyclic_invariant_dimension(params, alpha) \
+                    == cyclic_invariant_dimension(params, rep)
 
 
 def test_dihedral_dimension_halves_cyclic_pairs():
@@ -298,7 +328,7 @@ def test_random_invariants_pass_oracle(n, m, data):
     params = DihedralParams(n, m)
     total = data.draw(st.integers(0, n + 2))
     alpha = data.draw(st.sampled_from(list(all_multidegrees(m, total))))
-    basis = invariant_basis(params, alpha)
+    basis = [from_y_vectors(alpha, b) for b in invariant_basis(params, alpha)]
     if not basis:
         return
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),

@@ -67,7 +67,7 @@ def test_fixture_staircase(n):
     basis = fixture_basis(n)
     stairs = staircase_monomials(basis, LEX_Y_FIRST)
     assert len(stairs) == 2 * n
-    genf = staircase_generating_function(basis, LEX_Y_FIRST)
+    genf = staircase_generating_function(stairs)
     assert genf == [1] + [2] * (n - 1) + [1]
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedralinv import kernelcalc
+from dihedralinv import dihedral, kernelcalc
 from dihedralinv.cli import named_relations
 from dihedralinv.dihedral import (
     DihedralParams,
@@ -326,7 +326,8 @@ def test_hironaka_broken_table_detected():
 def test_hironaka_wrong_dimension_fails_the_series(monkeypatch):
     # the rows stop at the invariant dimension where no secondary sits, so
     # a dimension one short there no longer fails `spanning`; the series
-    # identity still reads the true count off the table
+    # identity still reads the true count off the table, and (2, 4) reads
+    # its dimension at (4, 2)
     true_dim = kernelcalc.invariant_dimension
 
     def short(params, alpha):
@@ -339,7 +340,33 @@ def test_hironaka_wrong_dimension_fails_the_series(monkeypatch):
     assert not rep.hilbert_match
     assert not rep.ok
     assert rep.failures == [
-        "series coefficient at (4, 2) is 4, invariant dimension is 3"]
+        "series coefficient at (4, 2) is 4, invariant dimension is 3",
+        "series coefficient at (2, 4) is 4, invariant dimension is 3"]
+
+
+def test_hironaka_counts_each_dimension_once(monkeypatch):
+    # one dimension per weakly decreasing multidegree checked: the series
+    # check reads the table the main loop filled
+    calls = []
+    real = dihedral._rotation_count
+
+    def spy(params, alpha):
+        calls[-1] += 1
+        return real(params, alpha)
+
+    monkeypatch.setattr(dihedral, "_rotation_count", spy)
+    params2, params3 = DihedralParams(4, 2), DihedralParams(4, 3)
+    checked = []
+    for table, params, model in [
+            (secondary_table_m2(4), params2, "dihedral"),
+            (secondary_table_n4_m3(), params3, "dihedral"),
+            (cyclic_table_n4_m3(), params3, "cyclic")]:
+        calls.append(0)
+        rep = verify_hironaka_xy(*table, params, 16, model=model)
+        assert rep.ok
+        checked.append(rep.components_checked)
+    assert checked == [81, 204, 204]
+    assert calls == checked
 
 
 def test_hironaka_rows_stop_at_the_component_dimension(monkeypatch):

@@ -3,8 +3,11 @@ used by the package itself: a definition the tests alone call checks nothing
 that the verifier reports.
 
 - A top-level function or class needs a bare-name use (`name`), so a method
-  of the same name does not hide a module-level wrapper.
-- A public method needs an attribute use (`x.name`).
+  of the same name does not hide a module-level wrapper.  In the command
+  line module, whose public functions are commands, this holds for the
+  private (single underscore) helpers.
+- A method, public or private, needs an attribute use (`x.name`).  Dunder
+  methods are left out: Python calls them by protocol.
 - A use inside a definition of the same name (recursion, or a method calling
   its namesake on another object) does not count, nor do the re-exports of
   an `__init__.py`.
@@ -41,15 +44,19 @@ def _modules():
         yield path, ast.parse(path.read_text())
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _definitions():
     """(label, name, kind) for every top-level def or class outside cli.py
-    (kind "name") and every public method of those classes (kind "attr")."""
+    and every private one in it (kind "name"), and every method of those
+    classes but the dunders (kind "attr")."""
     for path, tree in _modules():
-        if path.name == "cli.py":
-            continue
+        cli = path.name == "cli.py"
         module = path.relative_to(PACKAGE).with_suffix("").as_posix()
         for node in tree.body:
-            if not isinstance(node, DEFS):
+            if not isinstance(node, DEFS) or cli and not _private(node.name):
                 continue
             yield "%s.%s" % (module.replace("/", "."), node.name), \
                 node.name, "name"
@@ -57,7 +64,7 @@ def _definitions():
                 continue
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) \
-                        and not item.name.startswith("_"):
+                        and not item.name.startswith("__"):
                     yield "%s.%s" % (node.name, item.name), item.name, "attr"
 
 
