@@ -1,7 +1,8 @@
 """Exact polynomial arithmetic: sparse rational polynomials over the two
 variable universes used throughout the package (the coordinate ring of m
-plane vectors, and the free polynomial ring on the rho/pi symbols), exact
-linear algebra over their monomial bases, and a small Gröbner engine."""
+plane vectors, and the free polynomial ring on the rho/pi symbols), ranks
+and nullspaces of their int polynomials as integer rows over the monomial
+bases, and a small Gröbner engine."""
 
 from .rings import (
     Monomial,

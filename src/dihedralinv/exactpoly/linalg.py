@@ -1,13 +1,10 @@
-"""Exact linear algebra over the rationals on monomial bases.
+"""Exact linear algebra over the integers on monomial bases.
 
-Rows are sparse integer vectors (fraction-free: each polynomial row is scaled
-to integers and divided by the gcd of its entries) and elimination combines
-rows by cross-multiplication, so no rational arithmetic happens in the inner
-loop.  Denominators are cleared in integers too: a coefficient is an int or
-a Fraction (see `rings`), and it enters a row as numerator * (common
-denominator // its denominator), with no Fraction product per term.  The
-kernel components hand in phi images that are int polynomials already (see
-`freealgebra`), so their rows take no lcm pass at all.
+Rows are sparse integer vectors: every polynomial handed in has int
+coefficients (phi images are kept as 2^k phi(mono), see `freealgebra`), and a
+Fraction coefficient is a TypeError.  Elimination combines rows by
+cross-multiplication and divides out the gcd of each stored or reduced row,
+so no rational arithmetic happens anywhere.
 Pivoting is deterministic: the pivot of a row is its smallest column id.
 A nullspace numbers its columns by a monomial basis that the caller knows up
 front (every graded or multigraded component does), because the pivot order
@@ -25,38 +22,24 @@ the nullspace engine behind all kernel computations.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def scaled_row_from_polynomial(poly, col_index):
-    """Sparse integer row of a polynomial over the column ids `col_index`
-    (denominators cleared, gcd divided out), plus the positive rational
-    factor f with row == f * poly.  A monomial outside `col_index` is a
-    ValueError.
-
-    The factor is needed whenever a combination among rows must be turned
-    back into a combination among the original polynomials."""
-    if not poly.terms:
-        return {}, Fraction(1)
-    den = 1
-    for c in poly.terms.values():
-        if type(c) is not int:
-            den = lcm(den, c.denominator)
+    """Sparse integer row of an int polynomial over the column ids
+    `col_index`.  A monomial outside `col_index` is a ValueError and a
+    coefficient that is not an int is a TypeError."""
     row = {}
-    g = 0
     try:
         for mono, c in poly.terms.items():
-            v = c if den == 1 else c.numerator * (den // c.denominator)
-            row[col_index[mono]] = v
-            g = gcd(g, v)
+            if type(c) is not int:
+                raise TypeError("rows need int coefficients, got %s at %s"
+                                % (c, mono.text(poly.universe)))
+            row[col_index[mono]] = c
     except KeyError:
         raise ValueError("monomial %s is not in the column basis"
                          % mono.text(poly.universe)) from None
-    if g > 1:
-        for k in row:
-            row[k] //= g
-    return row, Fraction(den, g if g else 1)
+    return row
 
 
 class RowSpace:
@@ -143,27 +126,20 @@ class PolynomialSpace:
         col_index = self.col_index
         for mono in poly.terms:
             col_index.setdefault(mono, len(col_index))
-        row = scaled_row_from_polynomial(poly, col_index)[0]
-        return self.space.insert_row(row)
+        return self.space.insert_row(
+            scaled_row_from_polynomial(poly, col_index))
 
 
-def _canonical_relation(combo, factors):
-    """Turn a combination among scaled rows into an integer relation among the
-    original polynomials, as a dict index -> coefficient with ascending keys:
-    entries coprime, first entry positive."""
+def _canonical_relation(combo):
+    """An integer relation as a dict index -> coefficient with ascending
+    keys: entries coprime, first entry positive."""
     keys = sorted(combo)
-    den = 1
-    for k in keys:
-        den = lcm(den, factors[k].denominator)
-    # combo[k] * factors[k] scaled by the common denominator, in integers
-    ints = [combo[k] * factors[k].numerator * (den // factors[k].denominator)
-            for k in keys]
     g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if ints[0] < 0:
+    for k in keys:
+        g = gcd(g, combo[k])
+    if combo[keys[0]] < 0:
         g = -g
-    return {k: v // g for k, v in zip(keys, ints)}
+    return {k: combo[k] // g for k in keys}
 
 
 def nullspace_combinations(polys, columns):
@@ -178,16 +154,14 @@ def nullspace_combinations(polys, columns):
     col_index = {mono: i for i, mono in enumerate(columns)}
     ncols = len(columns)
     space = RowSpace()
-    factors = []
     out = []
     for i, p in enumerate(polys):
-        row, f = scaled_row_from_polynomial(p, col_index)
-        factors.append(f)
+        row = scaled_row_from_polynomial(p, col_index)
         row[ncols + i] = 1
         remainder = space.reduce(row)
         if min(remainder) >= ncols:
             out.append(_canonical_relation(
-                {k - ncols: v for k, v in remainder.items()}, factors))
+                {k - ncols: v for k, v in remainder.items()}))
         else:
             space.insert_row(remainder)
     return out

@@ -252,13 +252,6 @@ class Monomial:
                 j += 1
         return Monomial._canonical(tuple(out) + a[i:] + b[j:])
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a monomial")
-        if k == 0:
-            return _UNIT
-        return Monomial._canonical(tuple((v, e * k) for v, e in self.exps))
-
     def divides(self, other):
         od = dict(other.exps)
         return all(od.get(v, 0) >= e for v, e in self.exps)

@@ -69,9 +69,8 @@ class FreeAlgebra:
         # mono -> 2^k phi(mono), k the total exponent of mixed rhos in mono
         self._phi_cache = {Monomial.unit(): Polynomial.constant(
             self.xy_universe, 1)}
-        # memos[v] maps a weight to its number of monomials in the
-        # variables v, v + 1, ... (see _suffix_count)
-        self._memos = [{} for _ in self._weights]
+        # weight -> suffix counts of that weight (see _suffix_counts)
+        self._counts = {}
         self._perm_maps = {}  # perm -> variable index map
 
     @property
@@ -146,37 +145,39 @@ class FreeAlgebra:
         coefficient of t^alpha in prod_v 1/(1 - t^{w_v})), without
         enumerating them."""
         alpha = self._check_weight(alpha)
-        return _suffix_count(self._weights, self._memos, 0, alpha)
+        return _suffix_counts(self._weights, self._counts, alpha)[0]
 
     def monomials_of_weight(self, alpha):
         """All monomials of F(n,m) with the given multidegree, enumerated
         deterministically (descending lex in the variable exponents).
-        A branch of the recursion is entered only when the suffix count
-        says it holds a monomial, so every call below the root emits at
-        least one."""
+        A level takes the first variable it holds and its exponent, and
+        recurses only then, so the recursion is at most half the total
+        degree deep.  A branch is entered only when the suffix counts say it
+        holds a monomial, so every call below the root emits at least one."""
         alpha = self._check_weight(alpha)
-        weights, memos = self._weights, self._memos
+        weights, memo = self._weights, self._counts
         out = []
         acc = []
 
-        def rec(idx, remaining):
+        def rec(start, remaining):
             if not any(remaining):
                 # acc holds (variable, positive exponent) in index order
                 out.append(Monomial._canonical(tuple(acc)))
                 return
-            w = weights[idx]
-            cap = min(r // wi for r, wi in zip(remaining, w) if wi)
-            for e in range(cap, 0, -1):
-                rest = tuple(r - e * wi for r, wi in zip(remaining, w))
-                if _suffix_count(weights, memos, idx + 1, rest):
-                    acc.append((idx, e))
-                    rec(idx + 1, rest)
-                    acc.pop()
-            if _suffix_count(weights, memos, idx + 1, remaining):
-                rec(idx + 1, remaining)
+            counts = _suffix_counts(weights, memo, remaining)
+            for idx in range(start, len(weights)):
+                if counts[idx] == counts[idx + 1]:
+                    continue  # no monomial here holds variable idx
+                w = weights[idx]
+                cap = min(r // wi for r, wi in zip(remaining, w) if wi)
+                for e in range(cap, 0, -1):
+                    rest = tuple(r - e * wi for r, wi in zip(remaining, w))
+                    if _suffix_counts(weights, memo, rest)[idx + 1]:
+                        acc.append((idx, e))
+                        rec(idx + 1, rest)
+                        acc.pop()
 
-        if _suffix_count(weights, memos, 0, alpha):
-            rec(0, alpha)
+        rec(0, alpha)
         return out
 
     # -- symmetric-group and gl actions -----------------------------------
@@ -225,12 +226,6 @@ class FreeAlgebra:
             raise ValueError("matrix unit (%d,%d) out of range for m=%d"
                              % (u, v, self.m))
         out = {}
-        if u == v:
-            for mono, c in e.poly.terms.items():
-                factor = mono.multidegree(self.universe)[u - 1]
-                if factor:
-                    out[mono] = c * factor
-            return FreeElement(self, Polynomial(self.universe, out))
         for mono, c in e.poly.terms.items():
             for var, exp in mono.exps:
                 factor, target = self._shifted_variable(var, u - 1, v - 1)
@@ -251,26 +246,25 @@ class FreeAlgebra:
         return FreeElement(self, Polynomial(self.universe, out))
 
 
-def _suffix_count(weights, memos, idx, remaining):
-    """Number of exponent vectors on weights[idx:] summing to the vector
-    `remaining` (0 if it has a negative entry), memoised in memos[idx]: sum
-    over the exponent e of variable idx of the count on weights[idx + 1:]
-    of remaining - e * weights[idx], so the recursion is at most
-    len(weights) deep whatever the weight."""
-    if idx == len(weights):
-        return 0 if any(remaining) else 1
-    memo = memos[idx]
+def _suffix_counts(weights, memo, remaining):
+    """The list c with c[idx] the number of exponent vectors on
+    weights[idx:] summing to the vector `remaining` (c[len(weights)] is 1
+    iff `remaining` is zero), memoised in memo[remaining].  A vector on
+    weights[idx:] either leaves variable idx out or is one factor of it
+    times a vector on weights[idx:] summing to remaining - weights[idx], so
+    the recursion only descends in weight: at most half the total degree
+    deep, whatever the number of variables."""
     hit = memo.get(remaining)
     if hit is not None:
         return hit
-    w = weights[idx]
-    total = 0
-    rest = remaining
-    while min(rest) >= 0:
-        total += _suffix_count(weights, memos, idx + 1, rest)
-        rest = tuple(r - wi for r, wi in zip(rest, w))
-    memo[remaining] = total
-    return total
+    counts = [0] * len(weights) + [0 if any(remaining) else 1]
+    for idx in range(len(weights) - 1, -1, -1):
+        rest = tuple(r - wi for r, wi in zip(remaining, weights[idx]))
+        counts[idx] = counts[idx + 1]
+        if min(rest) >= 0:
+            counts[idx] += _suffix_counts(weights, memo, rest)[idx]
+    memo[remaining] = counts
+    return counts
 
 
 class FreeElement:
@@ -386,7 +380,9 @@ def submodule_basis(e):
     direct summands, so that is the rank of the whole span growing.  The
     span of the kept elements is closed under every lowering unit, and
     U(gl_m).e = U(n-).e since the raising units kill e; an e they do not
-    kill is a ValueError.  First-found order, deterministic."""
+    kill is a ValueError.  The ranks run on integer rows, so e needs int
+    coefficients (the units act with integer factors and keep them so).
+    First-found order, deterministic."""
     if e.is_zero():
         raise ValueError("zero element generates the zero module")
     weight = is_highest_weight(e)

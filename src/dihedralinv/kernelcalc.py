@@ -250,7 +250,8 @@ class TruncatedIdeal:
     monomial products landing in it, and only its rank is computed, up to
     a ceiling the caller proves.  `count_of_weight(alpha)` always is one;
     for generators in the kernel of phi, dim ker_alpha is one, since the
-    ideal they generate lies in the kernel."""
+    ideal they generate lies in the kernel.  The rank runs on integer rows,
+    so the generators need int coefficients."""
 
     def __init__(self, generators, resource_cap=None):
         generators = list(generators)

@@ -85,6 +85,17 @@ def test_kernel_dim_includes_zero_rows(runner):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("n,m", [(6, 8), (4, 16)])
+def test_kernel_dim_many_variables(runner, n, m):
+    # F(6, 8) has 1 752 variables and F(4, 16) has 4 012: counting and
+    # enumerating monomials must not recurse once per variable
+    result = run(runner, ["kernel", "dim", "--n", str(n), "--m", str(m),
+                          "--max-degree", "2"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "degree 0: 0", "degree 1: 0", "degree 2: 0"]
+
+
 def test_kernel_basis_text(runner):
     result = run(runner, ["kernel", "basis", "--n", "4", "--m", "2",
                           "--degree", "6"])

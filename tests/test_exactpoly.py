@@ -257,13 +257,12 @@ def assert_canonical(mono):
 
 
 @settings(max_examples=150, deadline=None)
-@given(monomials(), monomials(), st.integers(0, 3))
-def test_monomial_arithmetic_stays_canonical(a, b, k):
+@given(monomials(), monomials())
+def test_monomial_arithmetic_stays_canonical(a, b):
     product = a * b
-    for mono in (product, a ** k, b ** 0, a.lcm(b), product / b,
-                 product / a, a / a):
+    for mono in (product, a.lcm(b), product / b, product / a, a / a):
         assert_canonical(mono)
-    assert a ** 0 == a / a == Monomial.unit()
+    assert a / a == Monomial.unit()
     assert product / b == a
 
 

@@ -609,9 +609,12 @@ def _full_unit_saturation(e):
 @pytest.mark.parametrize("n,m", [(n, m) for n in (4, 5) for m in (2, 3, 4)])
 def test_lowering_saturation_matches_full_units(n, m):
     # the lowering span lies in the full one, so equal dimensions in every
-    # weight mean equal spans
+    # weight mean equal spans; the ideal slices insert these elements as
+    # integer rows, so every coefficient must be an int
     for _, rel, _ in named_relations(n, m):
         lowering = submodule_basis(rel)
+        for e in [rel] + lowering:
+            assert all(type(c) is int for c in e.poly.terms.values())
         full = _full_unit_saturation(rel)
         assert len(lowering) == len(full)
         assert Counter(e.weight() for e in lowering) \

@@ -52,8 +52,6 @@ def test_linear_relations_scaling():
     rels = nullspace_combinations([P("x1^2"), P("2*x1^2")],
                                   xy_monomials(2, (2, 0)))
     assert rels == [{0: 2, 1: -1}]
-    rels = nullspace_combinations([P("1/3*x1"), P("1/2*x1")], LINEAR)
-    assert rels == [{0: 3, 1: -2}]
 
 
 def test_relations_canonical_form():
@@ -138,9 +136,17 @@ def test_monomial_outside_columns_is_named():
     with pytest.raises(ValueError, match="monomial x1\\*x2 is not in the"):
         scaled_row_from_polynomial(P("x1*x2"), col_index)
     assert scaled_row_from_polynomial(P("2*x1 - 4*y1"), col_index) \
-        == ({0: 1, 1: -2}, Fraction(1, 2))
+        == {0: 2, 1: -4}
     with pytest.raises(ValueError, match="monomial x2 is not in the"):
         nullspace_combinations([P("x1"), P("x1 + x2")], LINEAR[:2])
+
+
+def test_fraction_coefficient_is_named():
+    # rows are integer rows: a rational coefficient is refused, not cleared
+    with pytest.raises(TypeError, match="got 1/3 at x1"):
+        PolynomialSpace(U).insert(P("1/3*x1 + y1"))
+    with pytest.raises(TypeError, match="got 1/3 at x1"):
+        nullspace_combinations([P("y1"), P("1/3*x1")], LINEAR)
 
 
 def test_mixed_universe_rejected():
@@ -150,12 +156,12 @@ def test_mixed_universe_rejected():
 
 
 def coeffs():
-    return st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.integers(min_value=-5, max_value=5)
 
 
 def vectors():
     # polynomials supported on x1, y1, x2, y2, constant-free analogue:
-    # dense 4-vectors of fractions keep the oracle simple
+    # dense 4-vectors of ints keep the oracle simple
     return st.lists(coeffs(), min_size=4, max_size=4)
 
 
