@@ -7,59 +7,13 @@ surjection phi(n,m), and verifies -- by independent exact linear algebra --
 explicit syzygies, minimal generating systems of the relation ideal as a
 GL_m-ideal, Hironaka decompositions, and GL_m-module multiplicity tables.
 
-All arithmetic is exact (arbitrary-precision rationals); there is no floating
-point anywhere.
+All arithmetic is exact: coefficients are ints, or Fractions where they are
+not integers, and the linear algebra runs on integer rows only; there is no
+floating point anywhere.
+
+This module imports nothing: import what you use from the submodules
+(`dihedralinv.gltheory`, `dihedralinv.kernelcalc`, ...), so a session loads
+only the code it calls.
 """
 
 __version__ = "0.1.0"
-
-from .exactpoly import (
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    VariableUniverse,
-    buchberger,
-    normal_form,
-    parse_polynomial,
-    xy_universe,
-    rhopi_universe,
-)
-from .dihedral import (
-    DihedralParams,
-    invariant_dimension,
-    is_invariant,
-    p_pol,
-    polarize,
-    q_pol,
-)
-from .freealgebra import (
-    FreeAlgebra,
-    FreeElement,
-    free_algebra,
-    gl_act,
-    is_highest_weight,
-    make_R222,
-    make_R_2n2k,
-    make_R_n2,
-    phi,
-    submodule_basis,
-)
-from .gltheory import (
-    DecompositionReport,
-    ambient_truncated,
-    dbar_truncated,
-    hilbert_h,
-    invariant_multiplicity,
-    invariants_truncated,
-    kernel_decomposition,
-    kostka,
-    pieri_row,
-    schur_dim,
-    sym2_of_symn,
-)
-from .kernelcalc import (
-    ResourceCapError,
-    TruncatedIdeal,
-    minimal_generators_by_degree,
-    verify_hironaka_xy,
-)

@@ -5,14 +5,19 @@ horizontal-strip removal, Schur module dimensions, Pieri products, the
 plethysm identities for symmetric powers of the quadratic and degree-n
 generator spaces, and the graded multiplicity table of the dihedral invariant
 ring.  The linear-algebra modules verify their kernels against these tables,
-so this module deliberately shares no code with them.
+so this module deliberately shares no code with them, and importing it loads
+no other module of the package.
+
+Kostka numbers live in one module-level memo on (shape, sorted content),
+sub-counts included, so a session of table queries counts each strip once.
+Public functions validate their arguments; the table builders hand the
+partitions they generate straight to `DecompositionReport._of_table`.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -88,35 +93,59 @@ def _spread(room, cells):
     return [way for way, left in ways if not left]
 
 
-@lru_cache(maxsize=None)
+# K(shape, content) for every shape and sorted content any kostka call has
+# reached, sub-counts included: K(mu, content[:-1]) recurs across contents
+_kostka_cache = {}
+
+
+def _strips_off(nu, cells, rows_left):
+    """The shapes mu of at most rows_left rows with nu/mu a horizontal strip
+    of `cells` cells; only the last row of a run of equal parts can lose
+    cells (mu[i] >= nu[i+1])."""
+    below = nu[1:] + (0,)
+    rows = [nu.index(p) + nu.count(p) - 1 for p in set(nu)]
+    shapes = []
+    for way in _spread([nu[i] - below[i] for i in rows], cells):
+        mu = list(nu)
+        for i, x in zip(rows, way):
+            mu[i] -= x
+        mu = tuple(mu) if mu[-1] else tuple(mu[:-1])
+        if len(mu) <= rows_left:
+            shapes.append(mu)
+    return shapes
+
+
 def _kostka_sorted(lam, content):
     # the cells holding the last symbol form a horizontal strip nu/mu, so
-    # remove one strip per entry, the largest (last) first; only the last
-    # row of a run of equal parts can lose cells (mu[i] >= nu[i+1]), and a
-    # shape left for `left` symbols has at most `left` rows
-    shapes = {lam: 1}
-    for left in range(len(content) - 1, -1, -1):
-        layer = {}
-        for nu, count in shapes.items():
-            below = nu[1:] + (0,)
-            rows = [nu.index(p) + nu.count(p) - 1 for p in set(nu)]
-            for way in _spread([nu[i] - below[i] for i in rows],
-                               content[left]):
-                mu = list(nu)
-                for i, x in zip(rows, way):
-                    mu[i] -= x
-                mu = tuple(mu) if mu[-1] else tuple(mu[:-1])
-                if len(mu) <= left:
-                    layer[mu] = layer.get(mu, 0) + count
-        shapes = layer
-    return shapes.get((), 0)
+    # K(nu, c) is the sum of K(mu, c[:-1]) over the strips of c[-1] cells;
+    # a shape left for k symbols has at most k rows.  An explicit stack
+    # keeps the depth off Python's recursion limit.
+    memo = _kostka_cache
+    stack = [((lam, content), None)]
+    while stack:
+        key, parts = stack.pop()
+        if key in memo:
+            continue
+        nu, c = key
+        if not c:
+            memo[key] = 0 if nu else 1
+        elif parts is None:
+            rest = c[:-1]
+            parts = [(mu, rest) for mu in _strips_off(nu, c[-1], len(rest))]
+            stack.append((key, parts))
+            stack.extend((part, None) for part in parts if part not in memo)
+        else:
+            memo[key] = sum(memo[part] for part in parts)
+    return memo[(lam, content)]
 
 
 def kostka(lam, alpha):
     """Number of semistandard tableaux of shape lam and content alpha,
     by horizontal-strip removal (Fulton, Young Tableaux, section 2;
     Macdonald, Symmetric Functions, I.6).  K(lam, alpha) does not depend on
-    the order of alpha: the count is memoised on lam and sorted content."""
+    the order of alpha, so every count, sub-counts K(mu, content[:-1])
+    included, is kept in one module-level memo on lam and sorted content
+    that all calls share."""
     lam = normalize_partition(lam)
     alpha = tuple(_whole(a, "content entry") for a in alpha)
     if any(a < 0 for a in alpha):
@@ -128,12 +157,19 @@ def kostka(lam, alpha):
 
 
 @lru_cache(maxsize=None)
+def _dominant_weights(d, m):
+    # each partition mu of d of height <= m, with the number m! / prod(mult!)
+    # of its rearrangements padded with zeros to length m
+    return [(mu, factorial(m) // factorial(m - len(mu))
+             // prod(map(factorial, Counter(mu).values())))
+            for mu in partitions(d, m)]
+
+
+@lru_cache(maxsize=None)
 def _schur_dim_cached(lam, m):
-    # each of the m! / prod(mult!) rearrangements of mu, padded with zeros
-    # to length m, is a content with Kostka number K(lam, mu)
-    return sum(factorial(m) // factorial(m - len(mu))
-               // prod(map(factorial, Counter(mu).values())) * kostka(lam, mu)
-               for mu in partitions(sum(lam), m))
+    # every rearrangement of mu is a content with Kostka number K(lam, mu)
+    return sum(orbit * kostka(lam, mu)
+               for mu, orbit in _dominant_weights(sum(lam), m))
 
 
 def schur_dim(lam, m):
@@ -145,19 +181,21 @@ def schur_dim(lam, m):
 
 def weyl_dim(lam, m):
     """The same dimension by the Weyl product formula
-    prod_{i<j} (lam_i - lam_j + j - i)/(j - i); independent cross-check for
-    the Kostka-sum route."""
+    prod_{i<j} (lam_i - lam_j + j - i)/(j - i), in integers: the product of
+    the numerators is divided exactly by that of the denominators.  An
+    independent cross-check for the Kostka-sum route."""
     lam = normalize_partition(lam)
     m = _whole(m, "m", 0)
     if len(lam) > m:
         return 0
     full = lam + (0,) * (m - len(lam))
-    value = Fraction(1)
+    top = bottom = 1
     for i in range(m):
         for j in range(i + 1, m):
-            value *= Fraction(full[i] - full[j] + j - i, j - i)
-    assert value.denominator == 1
-    return int(value)
+            top *= full[i] - full[j] + j - i
+            bottom *= j - i
+    assert top % bottom == 0
+    return top // bottom
 
 
 # ---------------------------------------------------------------------------
@@ -275,34 +313,41 @@ def pieri_row(lam, k, m):
     k = _whole(k, "strip size")
     if k < 0:
         raise ValueError("strip size must be nonnegative")
+    m = _whole(m, "m", 0)
     # row i of the strip holds at most lam[i-1] - lam[i] cells (row 0 any
     # number), and one fresh row of at most lam[-1] cells may start below
     padded = lam + (0,)
     room = (k,) + tuple(a - b for a, b in zip(padded, padded[1:]))
-    return DecompositionReport(m, {tuple(p + x for p, x in zip(padded, way)): 1
-                                   for way in _spread(room, k)})
+    table = {}
+    for way in _spread(room, k):
+        mu = tuple(p + x for p, x in zip(padded, way) if p + x)
+        if len(mu) <= m:
+            table[mu] = 1
+    return DecompositionReport._of_table(m, table)
 
 
 def sym2_of_symn(n, m):
     """Decomposition of the symmetric square of the degree-n binary-form
     space: S^(2n-2j, 2j) for j = 0..n//2."""
-    return DecompositionReport(
-        m, {(2 * n - 2 * j, 2 * j) if j else (2 * n,): 1
-            for j in range(n // 2 + 1)})
+    n = _whole(n, "n", 0)
+    m = _whole(m, "m", 0)
+    shapes = (tuple(p for p in (2 * n - 2 * j, 2 * j) if p)
+              for j in range(n // 2 + 1))
+    return DecompositionReport._of_table(
+        m, {lam: 1 for lam in shapes if len(lam) <= m})
 
 
 def dbar_truncated(m, D):
     """Graded decomposition, through total degree D, of the subalgebra
     generated by the fully polarized quadratic invariants: in each even
     degree 2d one copy of S^(2 lam) for every lam of d with height <= 2."""
+    m = _whole(m, "m", 0)
+    D = _whole(D, "degree bound", 0)
     table = {}
     for t in range(D + 1):
-        if t % 2:
-            table[t] = DecompositionReport(m, {})
-        else:
-            table[t] = DecompositionReport(
-                m, {tuple(2 * p for p in lam): 1
-                    for lam in partitions(t // 2, 2)})
+        table[t] = DecompositionReport._of_table(
+            m, {} if t % 2 else {tuple(2 * p for p in lam): 1
+                                  for lam in partitions(t // 2, min(2, m))})
     return table
 
 
@@ -342,14 +387,16 @@ def invariant_multiplicity(lam, n):
 def invariants_truncated(n, m, D):
     """Graded multiplicity table of the dihedral vector invariant ring,
     through total degree D, as GL_m decompositions."""
+    m = _whole(m, "m", 0)
+    D = _whole(D, "degree bound", 0)
     table = {}
     for t in range(D + 1):
         entries = {}
-        for lam in partitions(t, 2):
+        for lam in partitions(t, min(2, m)):
             mult = invariant_multiplicity(lam, n)
             if mult:
                 entries[lam] = mult
-        table[t] = DecompositionReport(m, entries)
+        table[t] = DecompositionReport._of_table(m, entries)
     return table
 
 
@@ -368,10 +415,11 @@ def ambient_truncated(n, m, D):
     degree-n space; and at t = 2n+2 that square times one quadratic factor."""
     n = _whole(n, "n")
     m = _whole(m, "m", 0)
+    D = _whole(D, "degree bound", 0)
     if D > 2 * n + 2:
         raise ValueError("decomposition formula only covers degree <= 2n+2 "
                          "(asked for %d > %d)" % (D, 2 * n + 2))
-    table = {t: DecompositionReport(m, {}) for t in range(D + 1)}
+    table = {t: DecompositionReport._of_table(m, {}) for t in range(D + 1)}
     dbar = dbar_truncated(m, D)
     for t in range(D + 1):
         if t % 2 == 0:
@@ -383,7 +431,7 @@ def ambient_truncated(n, m, D):
         if t == 2 * n:
             table[t] = table[t] + sym2_of_symn(n, m)
         if t == 2 * n + 2:
-            total = DecompositionReport(m, {})
+            total = DecompositionReport._of_table(m, {})
             for lam, mult in sym2_of_symn(n, m).items():
                 row = pieri_row(lam, 2, m)
                 for _ in range(mult):

@@ -122,9 +122,20 @@ def test_kostka_matches_backtracker():
 
 def test_kostka_depth_does_not_grow_with_content():
     # more content entries than the recursion limit, on a fresh memo
-    gltheory._kostka_sorted.cache_clear()
+    gltheory._kostka_cache.clear()
     assert kostka((1100,), (1,) * 1100) == 1
     assert kostka((1,) * 1100, (1,) * 1100) == 1
+
+
+def test_kostka_memo_filled_in_reverse_order():
+    # the shared memo holds sub-counts reached from other contents; filling
+    # it from the last content to the first must not change any count
+    gltheory._kostka_cache.clear()
+    cases = [(lam, alpha) for d in range(8) for lam in partitions(d)
+             for parts in range(1, 5) for alpha in compositions(d, parts)]
+    got = {case: kostka(*case) for case in reversed(cases)}
+    assert all(got[lam, alpha] == _kostka_backtrack(lam, alpha)
+               for lam, alpha in cases)
 
 
 def test_kostka_golden_table():
@@ -346,6 +357,24 @@ def test_invariants_truncated_layout():
 def test_ambient_rejects_degrees_beyond_bound():
     with pytest.raises(ValueError):
         ambient_truncated(4, 3, 12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda D: invariants_truncated(4, 3, D),
+    lambda D: ambient_truncated(4, 3, D),
+    lambda D: dbar_truncated(3, D),
+    lambda D: kernel_decomposition(4, 3, D),
+], ids=["invariants", "ambient", "dbar", "kernel"])
+def test_table_builders_reject_bad_degree_bound(build):
+    # a negative bound is not an empty table, and a float is named
+    for D in (-1, -2):
+        with pytest.raises(ValueError,
+                           match="degree bound must be at least 0, got %d"
+                           % D):
+            build(D)
+    with pytest.raises(TypeError,
+                       match="degree bound must be an integer, got 6.0"):
+        build(6.0)
 
 
 def test_kernel_decomposition_low_degrees():

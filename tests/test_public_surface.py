@@ -16,9 +16,14 @@ The oracles and readers below are the exceptions.  An oracle gives the tests
 a second route to a number the package computes another way; a reader is a
 read-only accessor the tests state their expectations through.
 
-Every module also reads every name it imports."""
+Every module also reads every name it imports, the package root imports no
+submodule, and `gltheory` loads no other module of the package."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dihedralinv"
@@ -137,3 +142,28 @@ def test_every_import_is_read():
                         unread.append("%s: %s"
                                       % (path.relative_to(PACKAGE), bound))
     assert unread == [], "imported and never read: %s" % ", ".join(unread)
+
+
+def _loaded_after(statement):
+    """The sorted names in sys.modules after `statement`, run in a fresh
+    interpreter on the package's source tree."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "%s\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))" \
+        % statement
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_package_root_imports_no_submodule():
+    loaded = _loaded_after("import dihedralinv")
+    assert [name for name in loaded if name.startswith("dihedralinv.")] == []
+
+
+def test_gltheory_loads_no_other_package_module_and_no_fractions():
+    # a GL-table session pays only for the module it calls
+    loaded = _loaded_after("import dihedralinv.gltheory")
+    assert [name for name in loaded if name.startswith("dihedralinv.")] \
+        == ["dihedralinv.gltheory"]
+    assert "fractions" not in loaded
