@@ -309,11 +309,6 @@ class FreeElement:
                 and self.algebra is other.algebra
                 and self.poly == other.poly)
 
-    def __hash__(self):
-        return hash((id(self.algebra),
-                     tuple(sorted(self.poly.terms.items(),
-                                  key=lambda kv: kv[0].exps))))
-
     def is_zero(self):
         return self.poly.is_zero()
 

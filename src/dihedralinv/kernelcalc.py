@@ -20,9 +20,13 @@ change the answer:
   count_of_weight(alpha) - invariant_dimension(alpha), since phi is onto the
   invariants in every multidegree;
 - a Hironaka product h * b of an invariant primary and an invariant basis
-  element lies in the invariant component, so where no secondary sits the
-  rows stop at its dimension.  Where secondaries sit, every row goes in:
-  their independence needs the rank of the whole primary-ideal slice.
+  element lies in the invariant component, so where no secondary sits its
+  rank is at most the component's dimension.  Products whose leading terms
+  differ are independent, so once the distinct lead sums number that
+  dimension the rank is exactly it and no row is built; short of that the
+  rows go in and stop at the dimension.  Where secondaries sit, every row
+  goes in: their independence needs the rank of the whole primary-ideal
+  slice.
 Rank spaces number a monomial's column when they first meet it, so no
 component is enumerated just to give a rank its columns.
 
@@ -30,9 +34,10 @@ The decomposition check takes coordinate-ring polynomials only; the built-in
 tables written in the rho/pi symbols are mapped through phi before it sees
 them.  It builds its components as integer rows directly: a monomial of the
 coordinate ring in a fixed multidegree is fixed by its y-exponent vector,
-whose mixed-radix code is its column, and codes add under products.  So no
-product polynomial is formed, and each invariant basis is fetched once per
-multidegree while the degrees still to come can reach it.
+whose code in one radix above every exponent is its column, and codes add
+under products.  So no product polynomial is formed, every primary and
+invariant basis element is coded once, and each invariant basis is fetched
+once per multidegree while the degrees still to come can reach it.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 from math import gcd, prod
 
 from .dihedral import (
@@ -273,19 +278,24 @@ class TruncatedIdeal:
         self.resource_cap = resolve_resource_cap(resource_cap)
 
     def spanning_polys(self, alpha):
-        """The generating rows of the alpha slice."""
+        """The generating rows of the alpha slice.  Generators of one weight
+        share their cofactor monomials, which are enumerated once."""
         alpha = tuple(alpha)
         out = []
         if self.algebra is None:
             return out
         algebra = self.algebra
+        universe = algebra.universe
+        cofactors = {}
         for g, w in zip(self.generators, self._weights):
             delta = tuple(a - wi for a, wi in zip(alpha, w))
             if any(x < 0 for x in delta):
                 continue
-            for mono in algebra.monomials_of_weight(delta):
-                out.append(g.poly * Polynomial.from_monomial(
-                    algebra.universe, mono))
+            monos = cofactors.get(delta)
+            if monos is None:
+                monos = cofactors[delta] = algebra.monomials_of_weight(delta)
+            for mono in monos:
+                out.append(g.poly * Polynomial.from_monomial(universe, mono))
         return out
 
     def component_dimension(self, alpha, ceiling):
@@ -375,23 +385,17 @@ def _y_terms(f):
     return out
 
 
-def _strides(alpha):
-    """Place values of the column code at multidegree alpha: a monomial with
-    y-exponent vector y has code sum_i y_i * stride_i, mixed radix
-    (alpha_1 + 1, ..., alpha_m + 1) with slot 1 most significant, which is
-    its position in xy_monomials(m, alpha)."""
-    out = []
-    place = 1
-    for a in reversed(alpha):
-        out.append(place)
-        place *= a + 1
-    out.reverse()
-    return out
+def _places(m, radix):
+    """Place values of the column code: a y-exponent vector y whose entries
+    are all below `radix` has code sum_i y_i * radix^(m - i), slot 1 most
+    significant.  Codes run in lex order of the vectors, which is the order
+    of xy_monomials(m, alpha), and they add under products."""
+    return [radix ** (m - 1 - i) for i in range(m)]
 
 
-def _coded(terms, strides):
-    """(column code, coefficient) pairs of y-terms at one multidegree."""
-    return [(sum(y * s for y, s in zip(ys, strides)), c) for ys, c in terms]
+def _coded(terms, places):
+    """(column code, coefficient) pairs of y-terms."""
+    return [(sum(map(operator.mul, ys, places)), c) for ys, c in terms]
 
 
 def _product_row(left, right):
@@ -417,23 +421,26 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
 
     `model` picks the group: "dihedral" or "cyclic" (the index-2 rotation
     subgroup).  Primaries and secondaries are polynomials in the coordinate
-    ring, multihomogeneous and invariant under the model's group (else a
-    ValueError); rows are closed under coordinate permutations first.
+    ring, multihomogeneous, of positive degree for a primary, and invariant
+    under the model's group (else a ValueError); rows are closed under
+    coordinate permutations first.
 
     A component is a set of integer rows.  Every input is multihomogeneous,
     so a monomial of multidegree alpha is fixed by its y-exponent vector
-    and its column is the code of `_strides`, which adds under products:
-    the row of h * b is built from the terms of h and b without forming the
-    product polynomial.  The invariant basis at each beta = alpha - w(h)
-    comes as y-exponent vectors; it is fetched once and kept while a later
-    alpha can still reach it.  Each invariant dimension is computed once,
-    at its weakly decreasing multidegree, and the series check reads it
-    there.
+    and its column is the code of `_places` in radix D + 1, which adds
+    under products: the row of h * b is built from the coded terms of h
+    and b without forming the product polynomial.  Primaries are coded
+    once, and so is the invariant basis at each beta = alpha - w(h), kept
+    while a later alpha can still reach it.  Each invariant dimension is
+    computed once, at its weakly decreasing multidegree.
 
-    The products lie in the invariant component, so at a multidegree with
-    no secondary they stop once their rank is its dimension, and the bases
-    they no longer need are not fetched.  A secondary's independence needs
-    the rank of every product at its multidegree."""
+    The pivot of a row is its least code, so the row of h * b has its pivot
+    at lead(h) + lead(b).  Rows with distinct pivots are independent and
+    the products lie in the invariant component, so where no secondary sits
+    and the distinct lead sums number its dimension, `spanning` holds and
+    no row is built.  Otherwise the rows go in, the distinct-lead ones
+    first; they stop at that dimension where no secondary sits, since a
+    secondary's independence needs the rank of every product."""
     D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
     if model == "dihedral":
@@ -457,29 +464,35 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
     weights = []
     for h in primaries:
         w = h.multidegree()
-        if w is None or h.is_zero():
-            raise ValueError("primaries must be nonzero multihomogeneous")
+        if w is None or h.is_zero() or not any(w):
+            raise ValueError("primaries must be nonzero multihomogeneous "
+                             "of positive degree")
         check(h, "primary")
         weights.append(w)
     lstar, by_beta = _expand_lstar(secondaries, m)
     for _, g in lstar:  # listed elements come first: a failure names one
         check(g, "secondary")
-    h_terms = [(_y_terms(h), w) for h, w in zip(primaries, weights)]
+    places = _places(m, D + 1)
+    coded_primaries = []
+    for h, w in zip(primaries, weights):
+        coded = _coded(_y_terms(h), places)
+        coded_primaries.append((w, coded, min(coded)[0]))
     reach = max((sum(w) for w in weights), default=0)
-    bases = {}
+    bases = {}  # beta -> (leads, elements)
 
-    def product_rows(alpha, strides):
-        for terms, w in h_terms:
-            beta = tuple(a - wi for a, wi in zip(alpha, w))
-            if any(b < 0 for b in beta):
-                continue
-            basis = bases.get(beta)
-            if basis is None:
-                basis = bases[beta] = basis_fn(params, beta)
-            coded = _coded(terms, strides)
-            for b in basis:
-                yield _product_row(coded, _coded([(ys, 1) for ys in b],
-                                                 strides))
+    def row(h, b):
+        return _product_row(h, [(k, 1) for k in b])
+
+    def basis_at(beta):
+        """The invariant basis at beta, each element the tuple of the codes
+        of its monomials (every coefficient is 1), and their leads."""
+        got = bases.get(beta)
+        if got is None:
+            basis = [tuple([sum(map(operator.mul, ys, places))
+                            for ys in elem])
+                     for elem in basis_fn(params, beta)]
+            got = bases[beta] = ([min(b) for b in basis], basis)
+        return got
 
     failures = []
     independence = True
@@ -492,25 +505,44 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
         for alpha in decreasing_multidegrees(m, t):
             checked += 1
             _guard_invariant(alpha, cap)
-            strides = _strides(alpha)
             want = dims[alpha] = dim_fn(params, alpha)
             here = by_beta.get(alpha, ())
-            space = RowSpace()
-            for row in product_rows(alpha, strides):
-                space.insert_row(row)
-                if space.rank == want and not here:
+            factors = []
+            leads = set()
+            for w, h, h_lead in coded_primaries:
+                beta = tuple(map(operator.sub, alpha, w))
+                if min(beta) < 0:
+                    continue
+                b_leads, basis = basis_at(beta)
+                factors.append((h, h_lead, b_leads, basis))
+                leads.update([h_lead + lead for lead in b_leads])
+                if len(leads) >= want > 0 and not here:
                     break
-            for f in here:
-                if not space.insert_row(dict(_coded(_y_terms(f), strides))):
-                    independence = False
+            else:
+                first = {}  # lead sum -> the first product with it
+                rest = []
+                for h, h_lead, b_leads, basis in factors:
+                    for lead, b in zip(b_leads, basis):
+                        pair = (h, b)
+                        if first.setdefault(h_lead + lead, pair) is not pair:
+                            rest.append(pair)
+                space = RowSpace()
+                for h, b in chain(first.values(), rest):
+                    if space.rank == want and not here:
+                        break
+                    space.insert_row(row(h, b))
+                for f in here:
+                    if not space.insert_row(
+                            dict(_coded(_y_terms(f), places))):
+                        independence = False
+                        failures.append(
+                            "secondary at %r depends on the primary ideal "
+                            "and earlier secondaries" % (alpha,))
+                if space.rank != want:
+                    spanning = False
                     failures.append(
-                        "secondary at %r depends on the primary ideal and "
-                        "earlier secondaries" % (alpha,))
-            if space.rank != want:
-                spanning = False
-                failures.append(
-                    "component %r: primaries+secondaries span %d of %d"
-                    % (alpha, space.rank, want))
+                        "component %r: primaries+secondaries span %d of %d"
+                        % (alpha, space.rank, want))
     hilbert_match = _hilbert_series_check(weights, lstar, m, D, dims,
                                           failures)
     return HironakaReport(independence, hilbert_match, spanning,
@@ -522,29 +554,41 @@ def _hilbert_series_check(primary_weights, lstar, m, D, dims, failures):
     counts with one geometric series per primary, then compare against the
     invariant dimensions through total degree D.  Those are symmetric under
     coordinate permutations, so `dims` holds them at the weakly decreasing
-    multidegrees only."""
+    multidegrees only.
+
+    A multidegree of total degree t <= D is coded as t * R^m plus its
+    slots in radix R = D + 1, so codes add under sums of multidegrees and
+    the codes through degree D are exactly those below (D + 1) * R^m.  Each
+    geometric series is walked from the nonzero entries only."""
+    radix = D + 1
+    places = [radix ** m + p for p in _places(m, radix)]
+    limit = radix ** (m + 1)
+
+    def code(alpha):
+        return sum(map(operator.mul, alpha, places))
+
     series = {}
     for beta, _ in lstar:
         if sum(beta) <= D:
-            series[beta] = series.get(beta, 0) + 1
-    grid = [alpha for t in range(D + 1) for alpha in all_multidegrees(m, t)]
+            k = code(beta)
+            series[k] = series.get(k, 0) + 1
     for w in primary_weights:
-        for alpha in grid:  # increasing total degree: the DP recurrence
-            prev = tuple(a - wi for a, wi in zip(alpha, w))
-            if any(x < 0 for x in prev):
-                continue
-            carry = series.get(prev, 0)
-            if carry:
-                series[alpha] = series.get(alpha, 0) + carry
+        step = code(w)
+        for k, c in list(series.items()):
+            k += step
+            while k < limit:
+                series[k] = series.get(k, 0) + c
+                k += step
     ok = True
-    for alpha in grid:
-        want = dims[tuple(sorted(alpha, reverse=True))]
-        got = series.get(alpha, 0)
-        if got != want:
-            ok = False
-            failures.append(
-                "series coefficient at %r is %d, invariant dimension is %d"
-                % (alpha, got, want))
+    for t in range(D + 1):
+        for alpha in all_multidegrees(m, t):
+            want = dims[tuple(sorted(alpha, reverse=True))]
+            got = series.get(code(alpha), 0)
+            if got != want:
+                ok = False
+                failures.append(
+                    "series coefficient at %r is %d, invariant dimension "
+                    "is %d" % (alpha, got, want))
     return ok
 
 

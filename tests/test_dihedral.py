@@ -87,22 +87,25 @@ def test_xy_monomials_are_in_descending_grlex():
     # the kernel and Hironaka code use this order as the column order: all
     # monomials of one multidegree share a degree and y_i = alpha_i - x_i,
     # so descending grlex is descending lex on the x-exponents.  The
-    # Hironaka verifier codes a column by its y-exponents alone; that code
-    # must be the monomial's position in this list
+    # Hironaka verifier codes a column by its y-exponents alone, in a radix
+    # above every exponent; the codes must strictly increase along this
+    # list, which is what fixes the pivots
     for m in range(1, 5):
         universe = xy_universe(m)
         for total in range(11):
+            places = kernelcalc._places(m, total + 1)
             for alpha in all_multidegrees(m, total):
                 monos = xy_monomials(m, alpha)
                 assert monos == sorted(
                     monos, key=lambda mo: mo.grlex_key(2 * m),
                     reverse=True), alpha
-                strides = kernelcalc._strides(alpha)
-                for i, mo in enumerate(monos):
-                    terms = kernelcalc._y_terms(
-                        Polynomial.from_monomial(universe, mo))
-                    assert kernelcalc._coded(terms, strides) == [(i, 1)], \
-                        (alpha, mo)
+                codes = []
+                for mo in monos:
+                    [(code, c)] = kernelcalc._coded(kernelcalc._y_terms(
+                        Polynomial.from_monomial(universe, mo)), places)
+                    assert c == 1
+                    codes.append(code)
+                assert all(a < b for a, b in zip(codes, codes[1:])), alpha
 
 
 # ---------------------------------------------------------------------------

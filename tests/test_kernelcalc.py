@@ -19,9 +19,13 @@ from dihedralinv.dihedral import (
     DihedralParams,
     all_multidegrees,
     decreasing_multidegrees,
+    x_index,
     xy_monomials,
+    y_index,
 )
 from dihedralinv.exactpoly import (
+    Monomial,
+    Polynomial,
     PolynomialSpace,
     RowSpace,
     parse_polynomial,
@@ -291,6 +295,32 @@ def test_ideal_component_dimension_matches_kernel():
     assert total == 28
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_spanning_polys_are_the_generator_products(m):
+    # every slice of the GL-generation check is the list of products g * mu
+    # over generators g and cofactor monomials mu, in that order, with the
+    # coefficients in stored form
+    gens = [e for _, g, _ in named_relations(4, m)
+            for e in submodule_basis(g)]
+    ideal = TruncatedIdeal(gens)
+    A = free_algebra(4, m)
+    rows = 0
+    for t in range(11):
+        for alpha in decreasing_multidegrees(m, t):
+            want = []
+            for g in gens:
+                delta = tuple(a - w for a, w in zip(alpha, g.weight()))
+                if min(delta) >= 0:
+                    want.extend(g.poly * Polynomial.from_monomial(A.universe,
+                                                                  mono)
+                                for mono in A.monomials_of_weight(delta))
+            got = ideal.spanning_polys(alpha)
+            assert got == want, alpha
+            assert all(type(c) is int for p in got for c in p.terms.values())
+            rows += len(got)
+    assert rows == {2: 43, 3: 411}[m]
+
+
 def test_mixed_generator_membership():
     # pi(2,1,1)*rho(1,1,0) lies in the relation ideal plus the primary ideal
     A = free_algebra(4, 3)
@@ -370,9 +400,10 @@ def test_hironaka_counts_each_dimension_once(monkeypatch):
 
 
 def test_hironaka_rows_stop_at_the_component_dimension(monkeypatch):
-    # the product rows of the three report-paper tables at D = 16, where
-    # inserting all of them took 801 / 5320 / 10492; each secondary at a
-    # weakly decreasing multidegree adds one insert
+    # the three report-paper tables at D = 16 have 801 / 5320 / 10492
+    # product rows in all; the lead-term certificate settles most
+    # components before a row is built.  Each secondary at a weakly
+    # decreasing multidegree adds one insert
     built = []
     inserted = []
     real_product, real_insert = kernelcalc._product_row, RowSpace.insert_row
@@ -395,8 +426,123 @@ def test_hironaka_rows_stop_at_the_component_dimension(monkeypatch):
         built.append(0)
         inserted.append(0)
         assert verify_hironaka_xy(*table, params, 16, model=model).ok
-    assert built == [510, 3150, 5573]
+    assert built == [19, 144, 4989]
+    assert inserted == [26, 162, 5025]
     assert [i - b for i, b in zip(inserted, built)] == [7, 18, 36]
+
+
+def _component_spaces(monkeypatch, table, params, D, model):
+    """Run the verifier and return (report, dims, spaces): the invariant
+    dimension it read at each alpha, and the exact RowSpace it made at each
+    alpha the lead-term certificate did not settle."""
+    name = {"dihedral": "invariant_dimension",
+            "cyclic": "cyclic_invariant_dimension"}[model]
+    true_dim = getattr(kernelcalc, name)
+    dims, spaces = {}, {}
+
+    def dim(params, alpha):
+        dims[tuple(alpha)] = true_dim(params, alpha)
+        return dims[tuple(alpha)]
+
+    def space():
+        spaces[list(dims)[-1]] = made = RowSpace()
+        return made
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kernelcalc, name, dim)
+        mp.setattr(kernelcalc, "RowSpace", space)
+        rep = verify_hironaka_xy(*table, params, D, model=model)
+    return rep, dims, spaces
+
+
+def _product_rank(primaries, params, alpha, model):
+    """The exact rank of every product h * b at alpha, from polynomial
+    products: h a primary, b an invariant basis element."""
+    basis_fn = {"dihedral": dihedral.invariant_basis,
+                "cyclic": dihedral.cyclic_invariant_basis}[model]
+    U = xy_universe(params.m)
+    space = PolynomialSpace(U)
+    for h in primaries:
+        beta = tuple(a - w for a, w in zip(alpha, h.multidegree()))
+        if min(beta) < 0:
+            continue
+        for elem in basis_fn(params, beta):
+            b = Polynomial(U, {Monomial(
+                [(x_index(i), a - y) for i, (a, y)
+                 in enumerate(zip(beta, ys), start=1)]
+                + [(y_index(i), y) for i, y in enumerate(ys, start=1)]): 1
+                for ys in elem})
+            space.insert(h * b)
+    return space.rank
+
+
+@pytest.mark.parametrize("table,params,D,model,short", [
+    (secondary_table_m2(4), DihedralParams(4, 2), 16, "dihedral", []),
+    (secondary_table_n4_m3(), DihedralParams(4, 3), 16, "dihedral", []),
+    (cyclic_table_n4_m3(), DihedralParams(4, 3), 16, "cyclic", []),
+    ((cyclic_table_n4_m3()[0], cyclic_table_n4_m3()[1][:-3]),
+     DihedralParams(4, 3), 12, "cyclic", [(4, 4, 0), (4, 3, 3), (4, 4, 4)]),
+], ids=["m2", "m3", "cyclic-m3", "cyclic-rows-dropped"])
+def test_hironaka_lead_certificate_is_sound(monkeypatch, table, params, D,
+                                            model, short):
+    # wherever distinct lead sums settle a component, the exact rank of all
+    # of its product rows is the invariant dimension; the last table is
+    # broken, and the components where its rows fall short are not settled
+    rep, dims, spaces = _component_spaces(monkeypatch, table, params, D,
+                                          model)
+    assert len(dims) == rep.components_checked
+    settled = [alpha for alpha in dims if alpha not in spaces]
+    assert settled
+    for alpha in settled:
+        assert (_product_rank(table[0], params, alpha, model)
+                == dims[alpha]), alpha
+    assert [alpha for alpha in short
+            if spaces[alpha].rank < dims[alpha]] == short
+    assert rep.ok == (not short)
+
+
+def test_hironaka_fallback_where_lead_sums_collide(monkeypatch):
+    # at cyclic (5, 1, 0) the six products have five distinct lead sums,
+    # one short of the dimension, so the exact rows go in and reach the
+    # full rank
+    table = cyclic_table_n4_m3()
+    params = DihedralParams(4, 3)
+    rep, dims, spaces = _component_spaces(monkeypatch, table, params, 6,
+                                          "cyclic")
+    assert rep.ok
+    alpha = (5, 1, 0)
+    assert spaces[alpha].rank == dims[alpha] == 6
+    assert _product_rank(table[0], params, alpha, "cyclic") == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(3, 2), (4, 2), (5, 2), (4, 3)]), st.data())
+def test_hironaka_product_pivot_is_the_lead_sum(nm, data):
+    # the pivot of a product row is its least code, and it sits at
+    # lead(h) + lead(b), the least codes of the factors
+    n, m = nm
+    params = DihedralParams(n, m)
+
+    def invariant(total):
+        alpha = data.draw(st.sampled_from(list(all_multidegrees(m, total))))
+        basis = dihedral.invariant_basis(params, alpha)
+        if not basis:
+            return None
+        elems = data.draw(st.lists(st.sampled_from(basis), min_size=1,
+                                   max_size=4, unique=True))
+        coeffs = data.draw(st.lists(st.integers(-9, 9).filter(bool),
+                                    min_size=len(elems),
+                                    max_size=len(elems)))
+        return [(ys, c) for elem, c in zip(elems, coeffs) for ys in elem]
+
+    h = invariant(data.draw(st.integers(1, 6)))
+    b = invariant(data.draw(st.integers(0, 6)))
+    if h is None or b is None:
+        return
+    places = kernelcalc._places(m, 13)
+    h, b = kernelcalc._coded(h, places), kernelcalc._coded(b, places)
+    row = kernelcalc._product_row(h, b)
+    assert min(row) == min(k for k, _ in h) + min(k for k, _ in b)
 
 
 def test_hironaka_three_slots():
@@ -422,6 +568,15 @@ def test_hironaka_weight_mismatch_rejected():
                            DihedralParams(4, 2), 8)
 
 
+def test_hironaka_constant_primary_rejected():
+    # a parameter has positive degree: a constant has no geometric series
+    # in the Hilbert series identity
+    primaries, rows = secondary_table_m2(4)
+    one = parse_polynomial("1", xy_universe(2))
+    with pytest.raises(ValueError, match="of positive degree"):
+        verify_hironaka_xy(primaries + [one], rows, DihedralParams(4, 2), 8)
+
+
 @pytest.mark.parametrize("left,right", [
     ("x1*y2 + y1*x2", "x1*y2 - y1*x2"),  # the cross terms cancel
     ("3*x1^2 - 1/2*y1^2", "2*x1*x2 + 5*y1*y2"),
@@ -429,18 +584,21 @@ def test_hironaka_weight_mismatch_rejected():
 ], ids=["cancelling", "integer", "fractional"])
 def test_hironaka_product_rows_match_polynomial_products(left, right):
     # the verifier's row of h * b, built from coded terms, is the row of
-    # the polynomial product over xy_monomials, times the factors that
-    # cleared the denominators of h and b
+    # the polynomial product over the codes of xy_monomials, times the
+    # factors that cleared the denominators of h and b
     U = xy_universe(2)
     h, b = parse_polynomial(left, U), parse_polynomial(right, U)
     alpha = tuple(x + y for x, y in zip(h.multidegree(), b.multidegree()))
-    strides = kernelcalc._strides(alpha)
+    places = kernelcalc._places(2, sum(alpha) + 1)
     row = kernelcalc._product_row(
-        kernelcalc._coded(kernelcalc._y_terms(h), strides),
-        kernelcalc._coded(kernelcalc._y_terms(b), strides))
+        kernelcalc._coded(kernelcalc._y_terms(h), places),
+        kernelcalc._coded(kernelcalc._y_terms(b), places))
     scale = math.prod(math.lcm(*(c.denominator for c in f.terms.values()))
                       for f in (h, b))
-    index = {mo: i for i, mo in enumerate(xy_monomials(2, alpha))}
+    index = {}
+    for mo in xy_monomials(2, alpha):
+        [(index[mo], _)] = kernelcalc._coded(
+            kernelcalc._y_terms(Polynomial.from_monomial(U, mo)), places)
     assert row == {index[mo]: c * scale for mo, c in (h * b).terms.items()}
 
 
