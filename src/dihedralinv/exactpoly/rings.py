@@ -500,6 +500,14 @@ class Polynomial:
             out = out + term
         return out
 
+    def sharing(self, table):
+        """The same polynomial, each monomial replaced by the object that
+        `table` (exponent pairs -> Monomial) holds for its pairs; a monomial
+        the table lacks is added to it.  Polynomials passed through one
+        table hold one object per distinct monomial (hash-consing)."""
+        return Polynomial._of(self.universe, {
+            table.setdefault(m.exps, m): c for m, c in self.terms.items()})
+
     def permute_variables(self, var_map):
         """Rename variables via the index map `var_map` (a permutation of the
         universe's variable indices)."""

@@ -69,6 +69,8 @@ class FreeAlgebra:
         # mono -> 2^k phi(mono), k the total exponent of mixed rhos in mono
         self._phi_cache = {Monomial.unit(): Polynomial.constant(
             self.xy_universe, 1)}
+        # exponent pairs -> the one Monomial that every cached image uses
+        self._phi_monomials = {}
         # weight -> suffix counts of that weight (see _suffix_counts)
         self._counts = {}
         self._perm_maps = {}  # perm -> variable index map
@@ -113,7 +115,8 @@ class FreeAlgebra:
         exponent of mixed rho symbols in mono, so P is the product of the
         integer polarizations.  P is cached together with every prefix on
         the way: strip one factor of the first variable at a time down to a
-        cached monomial, then multiply back up."""
+        cached monomial, then multiply back up.  The cached images share
+        one Monomial object per distinct xy-monomial."""
         mixed = self._mixed
         k = sum(e for v, e in mono.exps if v in mixed)
         cache = self._phi_cache
@@ -125,9 +128,9 @@ class FreeAlgebra:
                 rest.insert(0, (v, e - 1))
             mono = Monomial._canonical(tuple(rest))
         value = cache[mono]
-        polarizations = self._polarizations
+        polarizations, shared = self._polarizations, self._phi_monomials
         for mono, v in reversed(chain):
-            value = value * polarizations[v]
+            value = (value * polarizations[v]).sharing(shared)
             cache[mono] = value
         return value, k
 

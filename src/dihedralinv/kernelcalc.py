@@ -103,12 +103,12 @@ def _degree_bound(D):
     return D
 
 
-def _guard(size, cap, what):
+def _guard(size, cap, what, unit="basis monomials"):
     if size > cap:
         raise ResourceCapError(
-            "%s needs %d basis monomials, above the cap of %d "
+            "%s needs %d %s, above the cap of %d "
             "(raise it via --resource-cap or %s)"
-            % (what, size, cap, RESOURCE_CAP_ENV))
+            % (what, size, unit, cap, RESOURCE_CAP_ENV))
 
 
 def _guard_invariant(alpha, cap):
@@ -279,18 +279,24 @@ class TruncatedIdeal:
 
     def spanning_polys(self, alpha):
         """The generating rows of the alpha slice.  Generators of one weight
-        share their cofactor monomials, which are enumerated once."""
+        share their cofactor monomials, which are enumerated once.  The
+        number of products is counted, and capped, before any is built."""
         alpha = tuple(alpha)
         out = []
         if self.algebra is None:
             return out
         algebra = self.algebra
         universe = algebra.universe
-        cofactors = {}
+        factors = []
         for g, w in zip(self.generators, self._weights):
             delta = tuple(a - wi for a, wi in zip(alpha, w))
-            if any(x < 0 for x in delta):
-                continue
+            if all(x >= 0 for x in delta):
+                factors.append((g, delta))
+        _guard(sum(algebra.count_of_weight(d) for _, d in factors),
+               self.resource_cap, "ideal slice %r" % (alpha,),
+               "generator products")
+        cofactors = {}
+        for g, delta in factors:
             monos = cofactors.get(delta)
             if monos is None:
                 monos = cofactors[delta] = algebra.monomials_of_weight(delta)

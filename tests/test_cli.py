@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from dihedralinv import freealgebra, kernelcalc
+from dihedralinv import cli, freealgebra, kernelcalc
 from dihedralinv.cli import main
 from dihedralinv.exactpoly import Polynomial
 
@@ -349,3 +349,45 @@ def test_report_paper(runner):
 def test_report_paper_other_n_rejected(runner):
     result = runner.invoke(main, ["report", "paper", "--n", "5"])
     assert result.exit_code == 2
+
+
+def _failed_paper_claims(runner):
+    """Exit code, the failed claims and the number of passed ones."""
+    result = runner.invoke(main, ["report", "paper", "--n", "4",
+                                  "--format", "json"])
+    verdicts = json.loads(result.stdout)["verdicts"]
+    failed = [v["claim"] for v in verdicts if v["status"] != "ok"]
+    return result.exit_code, failed, len(verdicts) - len(failed)
+
+
+def test_report_paper_fails_a_wrong_generator_total(runner, monkeypatch):
+    # 104 generators for three vectors, one more than the kernel needs
+    monkeypatch.setattr(cli, "PAPER_MINGENS",
+                        ((2, "two", 9), (3, "three", 104)))
+    assert _failed_paper_claims(runner) == (
+        1, ["three-vector kernel needs 104 generators"], 10)
+
+
+def test_report_paper_fails_a_short_cyclic_table(runner, monkeypatch):
+    # the rotation-subgroup table without its one secondary at (4, 4, 4)
+    primaries, rows = kernelcalc.cyclic_table_n4_m3()
+    assert rows[-1][0] == (4, 4, 4) and len(rows[-1][1]) == 1
+    monkeypatch.setattr(cli, "cyclic_table_n4_m3",
+                        lambda: (primaries, rows[:-1]))
+    assert _failed_paper_claims(runner) == (
+        1, ["rotation-subgroup free module verified"], 10)
+
+
+def test_out_of_memory_exits_2(runner, monkeypatch):
+    # a query that runs out of memory reports it on one line, with no
+    # traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "kernel_basis_at", exhausted)
+    result = runner.invoke(main, ["kernel", "basis", "--n", "3", "--m", "1",
+                                  "--degree", "4"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("out of memory: the query needs more memory "
+                             "than this process can get\n")

@@ -330,18 +330,34 @@ def test_phi_matches_substitution(e):
     assert phi(A.zero()).is_zero()
 
 
-def test_phi_cache_stays_integral_over_a_kernel_walk(monkeypatch):
-    # a fresh algebra and kernel cache behind every component of degree
-    # <= 10, as `kernel dim` walks them
+def _walked_algebra(monkeypatch):
+    """A fresh algebra and kernel cache behind every component of degree
+    <= 10, as `kernel dim` walks them."""
     A = FreeAlgebra(4, 3)
     monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
     monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
     for d in range(11):
         for alpha in all_multidegrees(3, d):
             kernelcalc.kernel_basis_at(4, 3, alpha)
+    return A
+
+
+def test_phi_cache_stays_integral_over_a_kernel_walk(monkeypatch):
+    A = _walked_algebra(monkeypatch)
     assert len(A._phi_cache) > 1
     assert all(type(c) is int for image in A._phi_cache.values()
                for c in image.terms.values())
+
+
+def test_phi_cache_shares_one_monomial_per_value(monkeypatch):
+    # equal xy-monomials across the cached images are one object, and the
+    # sharing table holds only monomials the images use
+    A = _walked_algebra(monkeypatch)
+    monos = [mono for image in A._phi_cache.values() for mono in image.terms]
+    ids = {id(mono) for mono in monos}
+    assert len(monos) > len(ids)
+    assert len(ids) == len({mono.exps for mono in monos})
+    assert {id(mono) for mono in A._phi_monomials.values()} <= ids
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,34 @@ def test_spanning_polys_are_the_generator_products(m):
     assert rows == {2: 43, 3: 411}[m]
 
 
+def test_spanning_polys_cap_counts_products_first(monkeypatch):
+    # the (4, 3, 3) slice of the m = 3 GL-generation check has 72 monomials
+    # but 79 generator products: a cap of 78 lets the slice through and
+    # stops the products before any cofactor is enumerated
+    A = free_algebra(4, 3)
+    gens = [e for _, g, _ in named_relations(4, 3)
+            for e in submodule_basis(g)]
+    enumerated = []
+    real = A.monomials_of_weight
+
+    def spy(delta):
+        enumerated.append(delta)
+        return real(delta)
+
+    monkeypatch.setattr(A, "monomials_of_weight", spy)
+    alpha = (4, 3, 3)
+    assert A.count_of_weight(alpha) == 72
+    ideal = TruncatedIdeal(gens, resource_cap=78)
+    with pytest.raises(ResourceCapError,
+                       match=r"ideal slice \(4, 3, 3\) needs 79 generator "
+                             r"products, above the cap of 78"):
+        ideal.component_dimension(alpha, 72)
+    assert enumerated == []
+    assert len(TruncatedIdeal(gens, resource_cap=79)
+               .spanning_polys(alpha)) == 79
+    assert enumerated
+
+
 def test_mixed_generator_membership():
     # pi(2,1,1)*rho(1,1,0) lies in the relation ideal plus the primary ideal
     A = free_algebra(4, 3)
