@@ -263,7 +263,8 @@ def kernel_dim(n, m, max_degree, fmt, resource_cap, force):
     rows = []
     lines = []
     for d in range(D + 1):
-        dim = sum(len(kernel_basis_at(n, m, alpha, cap=resource_cap))
+        dim = sum(len(kernel_basis_at(n, m, alpha,
+                                      resource_cap=resource_cap))
                   for alpha in all_multidegrees(m, d))
         rows.append({"degree": d, "dimension": dim})
         lines.append("degree %d: %d" % (d, dim))
@@ -289,7 +290,7 @@ def kernel_basis(n, m, degree, fmt, resource_cap, force):
     rows = []
     lines = []
     for alpha in all_multidegrees(m, degree):
-        basis = kernel_basis_at(n, m, alpha, cap=resource_cap)
+        basis = kernel_basis_at(n, m, alpha, resource_cap=resource_cap)
         if not basis:
             continue
         rows.append({"multidegree": list(alpha),
@@ -508,7 +509,7 @@ def groebner_demo(n, fmt):
     U = xy_universe(1)
     gens = [parse_polynomial("x1*y1", U),
             parse_polynomial("x1^%d + y1^%d" % (n, n), U)]
-    order = MonomialOrder.lex([1, 0])
+    order = MonomialOrder([1, 0])
     basis = buchberger(gens, order)
     stairs = staircase_monomials(basis, order)
     genf = staircase_generating_function(stairs)

@@ -18,8 +18,9 @@ STAIRCASE_CAP = 20000
 
 
 class MonomialOrder:
-    """Pure lex order with an explicit variable priority (most significant
-    variable first)."""
+    """Pure lex order with an explicit variable priority: priority[0] is
+    the most significant variable.  Variables missing from the list rank
+    below the listed ones, in increasing index order."""
 
     __slots__ = ("priority",)
 
@@ -29,13 +30,6 @@ class MonomialOrder:
             raise ValueError("duplicate variable in priority list")
         self.priority = priority
 
-    @classmethod
-    def lex(cls, priority):
-        """Lex order where priority[0] is the most significant variable.
-        Variables missing from the list rank below the listed ones, in
-        increasing index order."""
-        return cls(priority)
-
     def key_function(self, nvars):
         listed = self.priority
         rest = tuple(v for v in range(nvars) if v not in listed)
@@ -43,7 +37,7 @@ class MonomialOrder:
         return lambda mono: tuple(mono.exponent(v) for v in cols)
 
     def __repr__(self):
-        return "MonomialOrder.lex(%r)" % (list(self.priority),)
+        return "MonomialOrder(%r)" % (list(self.priority),)
 
 
 def leading_term(f, order):

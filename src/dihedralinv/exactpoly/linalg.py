@@ -132,14 +132,12 @@ class PolynomialSpace:
 
 def _canonical_relation(combo):
     """An integer relation as a dict index -> coefficient with ascending
-    keys: entries coprime, first entry positive."""
+    keys, first entry positive.  `combo` is a remainder of `reduce`, so its
+    entries are already coprime: each elimination step divides the gcd
+    out, and a row no step met still holds its unit entry."""
     keys = sorted(combo)
-    g = 0
-    for k in keys:
-        g = gcd(g, combo[k])
-    if combo[keys[0]] < 0:
-        g = -g
-    return {k: combo[k] // g for k in keys}
+    sign = -1 if combo[keys[0]] < 0 else 1
+    return {k: sign * combo[k] for k in keys}
 
 
 def nullspace_combinations(polys, columns):

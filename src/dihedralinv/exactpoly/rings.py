@@ -9,9 +9,10 @@ Two variable universes are supported:
 
 Coefficients are exact rationals stored integer-first: an `int`, or a
 reduced `fractions.Fraction` whose denominator is greater than 1 (zero is
-never stored).  Only int and Fraction are accepted as input coefficients;
-an integral Fraction is stored as its int, so equal polynomials have equal
-terms whichever form they were built from.  Monomials store their exponents
+never stored).  A polynomial is built from a dict monomial -> coefficient,
+and only int and Fraction are accepted as input coefficients; an integral
+Fraction is stored as its int, so equal polynomials have equal terms
+whichever form they were built from.  Monomials store their exponents
 sparsely as a tuple of (variable index, positive exponent) pairs sorted by
 variable; products, quotients and the other operations that already have
 their pairs in that form build the monomial without re-checking it.  The
@@ -305,27 +306,21 @@ _UNIT = Monomial()
 class Polynomial:
     """Sparse polynomial over a fixed universe: map Monomial -> nonzero
     coefficient (an int, or a Fraction with denominator > 1).  Immutable by
-    convention; arithmetic returns new objects."""
+    convention; arithmetic returns new objects.
+
+    `Polynomial(universe, terms)` takes a dict Monomial -> int or Fraction:
+    zero coefficients are dropped, an integral Fraction is stored as its
+    int, and any other coefficient type is a TypeError."""
 
     __slots__ = ("universe", "terms")
 
-    def __init__(self, universe, terms=()):
+    def __init__(self, universe, terms):
         self.universe = universe
-        clean = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for mono, c in items:
+        self.terms = {}
+        for mono, c in terms.items():
             c = _exact(c)
             if c:
-                acc = clean.get(mono)
-                if acc is None:
-                    clean[mono] = c
-                else:
-                    acc += c
-                    if acc:
-                        clean[mono] = acc
-                    else:
-                        del clean[mono]
-        self.terms = _integral(clean)
+                self.terms[mono] = c
 
     # -- constructors --------------------------------------------------
 
@@ -341,7 +336,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, universe):
-        return cls(universe)
+        return cls._of(universe, {})
 
     @classmethod
     def constant(cls, universe, c):

@@ -36,6 +36,7 @@ from .exactpoly import (
     Polynomial,
     PolynomialSpace,
     rhopi_universe,
+    xy_universe,
 )
 
 
@@ -50,6 +51,7 @@ class FreeAlgebra:
     def __init__(self, n, m):
         self.params = DihedralParams(n, m)
         self.universe = rhopi_universe(n, m)
+        self.xy_universe = xy_universe(m)
         self.n = n
         self.m = m
         self._weights = [self.universe.weight(v)
@@ -74,12 +76,6 @@ class FreeAlgebra:
         # weight -> suffix counts of that weight (see _suffix_counts)
         self._counts = {}
         self._perm_maps = {}  # perm -> variable index map
-
-    @property
-    def xy_universe(self):
-        from .exactpoly import xy_universe
-
-        return xy_universe(self.m)
 
     # -- element constructors -------------------------------------------
 
@@ -350,10 +346,6 @@ def phi(e):
     return Polynomial(algebra.xy_universe, out)
 
 
-def gl_act(E, e):
-    return e.algebra.gl_act(E, e)
-
-
 def is_highest_weight(e):
     """The weight of e if e is multihomogeneous and killed by every raising
     unit E_{i,i+1}; None otherwise.  Zero input is an error."""
@@ -363,7 +355,7 @@ def is_highest_weight(e):
     if weight is None:
         return None
     for i in range(1, e.algebra.m):
-        if not gl_act((i, i + 1), e).is_zero():
+        if not e.algebra.gl_act((i, i + 1), e).is_zero():
             return None
     return weight
 

@@ -11,7 +11,8 @@ no other module of the package.
 Kostka numbers live in one module-level memo on (shape, sorted content),
 sub-counts included, so a session of table queries counts each strip once.
 Public functions validate their arguments; the table builders hand the
-partitions they generate straight to `DecompositionReport._of_table`.
+partitions they generate straight to `DecompositionReport`, which trusts
+its table.
 """
 
 from __future__ import annotations
@@ -209,33 +210,16 @@ def _sort_key(lam):
 class DecompositionReport:
     """A nonnegative integer combination of irreducible GL_m modules.
 
-    Partitions of height exceeding m are dropped at construction (the
-    corresponding module is zero); multiplicities must be positive.
-    Reports support + and -, the latter erroring on any negative result."""
+    The table is taken as it is, not checked or copied: it must already
+    be normal, with positive int multiplicities on normalised partitions of
+    height <= m (the builders below only make such tables).  Reports
+    support + and -, the latter erroring on any negative result."""
 
     __slots__ = ("m", "entries")
 
-    def __init__(self, m, entries=None):
-        self.m = _whole(m, "m", 0)
-        table = {}
-        for lam, mult in (entries or {}).items():
-            lam = normalize_partition(lam)
-            mult = _whole(mult, "multiplicity")
-            if mult < 0:
-                raise ValueError("negative multiplicity %d for %r"
-                                 % (mult, lam))
-            if mult and len(lam) <= self.m:
-                table[lam] = table.get(lam, 0) + mult
+    def __init__(self, m, table):
+        self.m = m
         self.entries = table
-
-    @classmethod
-    def _of_table(cls, m, table):
-        """A report on a table that is already normal: positive
-        multiplicities on normalised partitions of height <= m."""
-        report = cls.__new__(cls)
-        report.m = m
-        report.entries = table
-        return report
 
     def multiplicity(self, lam):
         return self.entries.get(normalize_partition(lam), 0)
@@ -246,9 +230,6 @@ class DecompositionReport:
 
     def __bool__(self):
         return bool(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
     def __eq__(self, other):
         return (isinstance(other, DecompositionReport)
@@ -261,7 +242,7 @@ class DecompositionReport:
         merged = dict(self.entries)
         for lam, mult in other.entries.items():
             merged[lam] = merged.get(lam, 0) + mult
-        return DecompositionReport._of_table(self.m, merged)
+        return DecompositionReport(self.m, merged)
 
     def __sub__(self, other):
         if self.m != other.m:
@@ -278,7 +259,7 @@ class DecompositionReport:
                 merged[lam] = value
             else:
                 merged.pop(lam, None)
-        return DecompositionReport._of_table(self.m, merged)
+        return DecompositionReport(self.m, merged)
 
     def total_dim(self):
         """Dimension of the underlying vector space."""
@@ -323,7 +304,7 @@ def pieri_row(lam, k, m):
         mu = tuple(p + x for p, x in zip(padded, way) if p + x)
         if len(mu) <= m:
             table[mu] = 1
-    return DecompositionReport._of_table(m, table)
+    return DecompositionReport(m, table)
 
 
 def sym2_of_symn(n, m):
@@ -333,7 +314,7 @@ def sym2_of_symn(n, m):
     m = _whole(m, "m", 0)
     shapes = (tuple(p for p in (2 * n - 2 * j, 2 * j) if p)
               for j in range(n // 2 + 1))
-    return DecompositionReport._of_table(
+    return DecompositionReport(
         m, {lam: 1 for lam in shapes if len(lam) <= m})
 
 
@@ -345,7 +326,7 @@ def dbar_truncated(m, D):
     D = _whole(D, "degree bound", 0)
     table = {}
     for t in range(D + 1):
-        table[t] = DecompositionReport._of_table(
+        table[t] = DecompositionReport(
             m, {} if t % 2 else {tuple(2 * p for p in lam): 1
                                   for lam in partitions(t // 2, min(2, m))})
     return table
@@ -396,7 +377,7 @@ def invariants_truncated(n, m, D):
             mult = invariant_multiplicity(lam, n)
             if mult:
                 entries[lam] = mult
-        table[t] = DecompositionReport._of_table(m, entries)
+        table[t] = DecompositionReport(m, entries)
     return table
 
 
@@ -419,7 +400,7 @@ def ambient_truncated(n, m, D):
     if D > 2 * n + 2:
         raise ValueError("decomposition formula only covers degree <= 2n+2 "
                          "(asked for %d > %d)" % (D, 2 * n + 2))
-    table = {t: DecompositionReport._of_table(m, {}) for t in range(D + 1)}
+    table = {t: DecompositionReport(m, {}) for t in range(D + 1)}
     dbar = dbar_truncated(m, D)
     for t in range(D + 1):
         if t % 2 == 0:
@@ -431,7 +412,7 @@ def ambient_truncated(n, m, D):
         if t == 2 * n:
             table[t] = table[t] + sym2_of_symn(n, m)
         if t == 2 * n + 2:
-            total = DecompositionReport._of_table(m, {})
+            total = DecompositionReport(m, {})
             for lam, mult in sym2_of_symn(n, m).items():
                 row = pieri_row(lam, 2, m)
                 for _ in range(mult):

@@ -188,11 +188,11 @@ def _kernel_basis_sorted(n, m, alpha, cap):
     return basis
 
 
-def kernel_basis_at(n, m, alpha, cap=None):
+def kernel_basis_at(n, m, alpha, resource_cap=None):
     """Kernel basis at an arbitrary multidegree, by permutation transport
     from the weakly decreasing representative.  The list is the caller's
     own: changing it leaves the cache intact."""
-    cap = resolve_resource_cap(cap)
+    cap = resolve_resource_cap(resource_cap)
     alpha = tuple(int(a) for a in alpha)
     sorted_alpha, perm = sort_permutation(alpha)
     basis = _kernel_basis_sorted(n, m, sorted_alpha, cap)

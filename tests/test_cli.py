@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -360,22 +361,92 @@ def _failed_paper_claims(runner):
     return result.exit_code, failed, len(verdicts) - len(failed)
 
 
-def test_report_paper_fails_a_wrong_generator_total(runner, monkeypatch):
-    # 104 generators for three vectors, one more than the kernel needs
-    monkeypatch.setattr(cli, "PAPER_MINGENS",
-                        ((2, "two", 9), (3, "three", 104)))
-    assert _failed_paper_claims(runner) == (
-        1, ["three-vector kernel needs 104 generators"], 10)
+def _declared_weight(name, weight):
+    """named_relations with the declared weight of relation `name` set to
+    `weight`."""
+    real = cli.named_relations
+
+    def patched(n, m):
+        return [(rel, g, weight if rel == name else w)
+                for rel, g, w in real(n, m)]
+
+    return patched
 
 
-def test_report_paper_fails_a_short_cyclic_table(runner, monkeypatch):
-    # the rotation-subgroup table without its one secondary at (4, 4, 4)
-    primaries, rows = kernelcalc.cyclic_table_n4_m3()
-    assert rows[-1][0] == (4, 4, 4) and len(rows[-1][1]) == 1
-    monkeypatch.setattr(cli, "cyclic_table_n4_m3",
-                        lambda: (primaries, rows[:-1]))
-    assert _failed_paper_claims(runner) == (
-        1, ["rotation-subgroup free module verified"], 10)
+def _without_row(table, weight, *args):
+    """A built-in Hironaka table with its one row at `weight` dropped."""
+    primaries, rows = table(*args)
+    kept = [row for row in rows if row[0] != weight]
+    assert len(kept) == len(rows) - 1
+    return lambda *_: (primaries, kept)
+
+
+def _without_first_generator(short_m):
+    """gl_generation_report, handed the named relations without the first
+    one when m = short_m."""
+    real = cli.gl_generation_report
+
+    def patched(n, m, gens, D, **kwargs):
+        return real(n, m, gens[1:] if m == short_m else gens, D, **kwargs)
+
+    return patched
+
+
+# one change per verdict of `report paper`: (name in cli, its replacement,
+# the one claim that must fail)
+PAPER_NEGATIVES = {
+    # R_{2,2,2} is its own reversal, so it gets another weight of degree 6
+    "R222-weight": ("named_relations",
+                    lambda: _declared_weight("R_{2,2,2}", (4, 2, 0)),
+                    "R_{2,2,2} maps to zero and has highest weight "
+                    "[4, 2, 0]"),
+    "R42-reversed": ("named_relations",
+                     lambda: _declared_weight("R(4)_{4,2}", (0, 2, 4)),
+                     "R(4)_{4,2} maps to zero and has highest weight "
+                     "[0, 2, 4]"),
+    "R62-reversed": ("named_relations",
+                     lambda: _declared_weight("R(4)_{6,2}", (0, 2, 6)),
+                     "R(4)_{6,2} maps to zero and has highest weight "
+                     "[0, 2, 6]"),
+    "R44-reversed": ("named_relations",
+                     lambda: _declared_weight("R(4)_{4,4}", (0, 4, 4)),
+                     "R(4)_{4,4} maps to zero and has highest weight "
+                     "[0, 4, 4]"),
+    # one generator more than each kernel needs
+    "mingens-m2": ("PAPER_MINGENS",
+                   lambda: ((2, "two", 10), (3, "three", 103)),
+                   "two-vector kernel needs 10 generators"),
+    "mingens-m3": ("PAPER_MINGENS",
+                   lambda: ((2, "two", 9), (3, "three", 104)),
+                   "three-vector kernel needs 104 generators"),
+    # each table without one secondary row; the (3, 1) and (1, 3) rows of
+    # the m = 2 table would not do, as the swap regenerates each from the
+    # other
+    "table-m2": ("secondary_table_m2",
+                 lambda: _without_row(kernelcalc.secondary_table_m2, (0, 0),
+                                      4),
+                 "two-vector free module verified"),
+    "table-m3": ("secondary_table_n4_m3",
+                 lambda: _without_row(kernelcalc.secondary_table_n4_m3,
+                                      (4, 3, 3)),
+                 "three-vector free module verified"),
+    "table-cyclic": ("cyclic_table_n4_m3",
+                     lambda: _without_row(kernelcalc.cyclic_table_n4_m3,
+                                          (4, 4, 4)),
+                     "rotation-subgroup free module verified"),
+    "gl-m2": ("gl_generation_report", lambda: _without_first_generator(2),
+              "named relations generate the kernel GL-ideal, m=2"),
+    "gl-m3": ("gl_generation_report", lambda: _without_first_generator(3),
+              "named relations generate the kernel GL-ideal, m=3"),
+}
+
+
+@pytest.mark.parametrize("case", PAPER_NEGATIVES)
+def test_report_paper_fails_exactly_one_claim(runner, monkeypatch, case):
+    # each of the eleven verdicts fails on its own change, and only it
+    name, replacement, claim = PAPER_NEGATIVES[case]
+    monkeypatch.setattr(cli, name, replacement())
+    assert _failed_paper_claims(runner) == (1, [claim], 10)
 
 
 def test_out_of_memory_exits_2(runner, monkeypatch):
@@ -391,3 +462,24 @@ def test_out_of_memory_exits_2(runner, monkeypatch):
     assert result.stdout == ""
     assert result.stderr == ("out of memory: the query needs more memory "
                              "than this process can get\n")
+
+
+def _leaf_commands(group, path=()):
+    """(full name, command) for every command below `group` that is not
+    itself a group."""
+    for name, command in sorted(group.commands.items()):
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, path + (name,))
+        else:
+            yield " ".join(path + (name,)), command
+
+
+def test_every_command_is_guarded():
+    # a command outside `guarded` prints a ResourceCapError or MemoryError
+    # traceback where it should exit 2 with one line; every wrapper
+    # `guarded` makes runs the same code
+    wrapper = cli.guarded(print).__code__
+    leaves = dict(_leaf_commands(main))
+    assert {"kernel dim", "report"} <= set(leaves)
+    assert [name for name, command in leaves.items()
+            if command.callback.__code__ is not wrapper] == []

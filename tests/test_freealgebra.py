@@ -28,7 +28,6 @@ from dihedralinv.freealgebra import (
     FreeAlgebra,
     FreeElement,
     free_algebra,
-    gl_act,
     is_highest_weight,
     make_R222,
     make_R_2n2k,
@@ -430,25 +429,25 @@ def test_relation_weights():
 
 def test_gl_act_on_symbols():
     A = free_algebra(4, 2)
-    assert gl_act((1, 2), A.rho((0, 2))) == 2 * A.rho((1, 1))
-    assert gl_act((1, 2), A.rho((1, 1))) == A.rho((2, 0))
-    assert gl_act((1, 2), A.rho((2, 0))).is_zero()
-    assert gl_act((2, 1), A.pi((3, 1))) == 3 * A.pi((2, 2))
+    assert A.gl_act((1, 2), A.rho((0, 2))) == 2 * A.rho((1, 1))
+    assert A.gl_act((1, 2), A.rho((1, 1))) == A.rho((2, 0))
+    assert A.gl_act((1, 2), A.rho((2, 0))).is_zero()
+    assert A.gl_act((2, 1), A.pi((3, 1))) == 3 * A.pi((2, 2))
 
 
 def test_gl_act_diagonal():
     A = free_algebra(4, 2)
     e = A.pi((3, 1)) * A.rho((1, 1))
-    assert gl_act((1, 1), e) == 4 * e
-    assert gl_act((2, 2), e) == 2 * e
+    assert A.gl_act((1, 1), e) == 4 * e
+    assert A.gl_act((2, 2), e) == 2 * e
 
 
 def test_gl_act_leibniz():
     A = free_algebra(4, 3)
     a = A.pi((2, 1, 1)) + A.rho((2, 0, 0)) * A.rho((0, 1, 1))
     b = A.rho((1, 1, 0))
-    lhs = gl_act((1, 3), a * b)
-    rhs = gl_act((1, 3), a) * b + a * gl_act((1, 3), b)
+    lhs = A.gl_act((1, 3), a * b)
+    rhs = A.gl_act((1, 3), a) * b + a * A.gl_act((1, 3), b)
     assert lhs == rhs
 
 
@@ -456,16 +455,16 @@ def test_gl_act_bracket():
     # [E_{1,2}, E_{2,1}] acts as the difference of the two diagonal units
     A = free_algebra(4, 3)
     e = A.pi((2, 2, 0)) * A.rho((1, 0, 1))
-    lhs = (gl_act((1, 2), gl_act((2, 1), e))
-           - gl_act((2, 1), gl_act((1, 2), e)))
-    rhs = gl_act((1, 1), e) - gl_act((2, 2), e)
+    lhs = (A.gl_act((1, 2), A.gl_act((2, 1), e))
+           - A.gl_act((2, 1), A.gl_act((1, 2), e)))
+    rhs = A.gl_act((1, 1), e) - A.gl_act((2, 2), e)
     assert lhs == rhs
 
 
 def test_gl_act_range_check():
     A = free_algebra(4, 2)
     with pytest.raises(ValueError):
-        gl_act((1, 3), A.rho((2, 0)))
+        A.gl_act((1, 3), A.rho((2, 0)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -483,7 +482,7 @@ def test_phi_intertwines_gl_action(nm, data):
     v = data.draw(st.integers(1, m))
     if u == v:
         return
-    assert phi(gl_act((u, v), e)) == gl_act_xy(phi(e), u, v)
+    assert phi(A.gl_act((u, v), e)) == gl_act_xy(phi(e), u, v)
 
 
 def test_phi_intertwines_s_action():
@@ -526,15 +525,17 @@ def _lowering_ladder(n, m):
     """The weight ladder under E_{2,1} from the (n,2) relation: element j
     has weight (n-j, 2+j), j = 0..n-2, and element j+1 is E_{2,1} applied
     to element j, divided by n-2-j (which runs over n-2..1)."""
+    A = free_algebra(n, m)
     family = [make_R_n2(n, m)]
     for j in range(n - 2):
-        family.append(gl_act((2, 1), family[-1])
+        family.append(A.gl_act((2, 1), family[-1])
                       .scale(Fraction(1, n - 2 - j)))
     return family
 
 
 def test_lowering_family():
     for n, m in [(3, 2), (4, 2), (4, 3), (5, 2)]:
+        A = free_algebra(n, m)
         family = _lowering_ladder(n, m)
         assert len(family) == n - 1
         for j, e in enumerate(family):
@@ -543,14 +544,14 @@ def test_lowering_family():
             assert phi(e).is_zero()
         # each step is the lowering image of the one before, rescaled
         for j in range(n - 2):
-            assert gl_act((2, 1), family[j]) \
+            assert A.gl_act((2, 1), family[j]) \
                 == (n - 2 - j) * family[j + 1]
 
 
 def test_lowering_fixture_n4_m3():
     # first lowering step of the weight-(4,2) relation, three vector slots
     A = free_algebra(4, 3)
-    image = gl_act((2, 1), make_R_n2(4, 3))
+    image = A.gl_act((2, 1), make_R_n2(4, 3))
     expected = (2 * A.pi((3, 1, 0)) * A.rho((0, 2, 0))
                 - 4 * A.pi((2, 2, 0)) * A.rho((1, 1, 0))
                 + 2 * A.pi((1, 3, 0)) * A.rho((2, 0, 0)))
@@ -560,7 +561,7 @@ def test_lowering_fixture_n4_m3():
 def test_lowering_fixture_weight44():
     # one lowering step into the third slot from the weight-(4,4) relation
     A = free_algebra(4, 3)
-    image = gl_act((3, 2), make_R_2n2k(4, 2, 3)).scale(Fraction(1, 4))
+    image = A.gl_act((3, 2), make_R_2n2k(4, 2, 3)).scale(Fraction(1, 4))
     r = A.rho
     bracket1 = r((2, 0, 0)) * r((0, 2, 0)) - r((1, 1, 0)) ** 2
     bracket2 = r((2, 0, 0)) * r((0, 1, 1)) - r((1, 1, 0)) * r((1, 0, 1))
@@ -616,7 +617,7 @@ def _full_unit_saturation(e):
     keep(e)
     for x in basis:
         for unit in units:
-            child = gl_act(unit, x)
+            child = A.gl_act(unit, x)
             if not child.is_zero():
                 keep(child)
     return basis
@@ -638,7 +639,7 @@ def test_lowering_saturation_matches_full_units(n, m):
 
 
 def test_submodule_basis_requires_highest_weight():
-    lowered = gl_act((2, 1), make_R_n2(4, 3))
+    lowered = free_algebra(4, 3).gl_act((2, 1), make_R_n2(4, 3))
     assert is_highest_weight(lowered) is None
     with pytest.raises(ValueError, match="highest weight vector, "
                                          "got FreeElement\\(4,3; "):

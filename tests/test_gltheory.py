@@ -52,15 +52,13 @@ def test_normalize_partition():
     (lambda: schur_dim((1,), 2.5), TypeError, "m must be an integer"),
     (lambda: pieri_row((2,), 1.5, 3), TypeError,
      "strip size must be an integer"),
-    (lambda: DecompositionReport(3, {(2,): 1.5}), TypeError,
-     "multiplicity must be an integer"),
     (lambda: schur_dim((1,), -1), ValueError, "m must be at least 0, got -1"),
     (lambda: weyl_dim((1,), -1), ValueError, "m must be at least 0, got -1"),
     (lambda: hilbert_h(0, 4), ValueError, "n must be at least 1, got 0"),
     (lambda: invariant_multiplicity((2,), 0), ValueError,
      "n must be at least 1, got 0"),
 ], ids=["partition-float", "kostka-float", "schur-float-m", "pieri-float",
-        "report-float", "schur-negative-m", "weyl-negative-m",
+        "schur-negative-m", "weyl-negative-m",
         "hilbert-n0", "invariant-n0"])
 def test_non_integer_and_out_of_range_input_rejected(call, error, message):
     # the exactness contract: no float is truncated, and no bad size
@@ -260,12 +258,6 @@ def test_report_algebra():
         b - a
 
 
-def test_report_drops_tall_partitions():
-    rep = DecompositionReport(2, {(1, 1, 1): 5, (2,): 1})
-    assert rep.multiplicity((1, 1, 1)) == 0
-    assert len(rep) == 1
-
-
 # ---------------------------------------------------------------------------
 # Pieri and plethysms
 
@@ -303,11 +295,12 @@ def test_symmetric_square_of_power(n, m):
 
 
 def test_dbar_matches_sym_powers_for_two_slots():
-    # with two vector variables no partition exceeds height 2
+    # with two vector variables, S^(2 lam) is zero for lam of height > 2
     table = dbar_truncated(2, 8)
     for t in range(0, 9, 2):
         assert table[t] == DecompositionReport(
-            2, {tuple(2 * p for p in lam): 1 for lam in partitions(t // 2)})
+            2, {tuple(2 * p for p in lam): 1 for lam in partitions(t // 2)
+                if len(lam) <= 2})
     for t in range(1, 9, 2):
         assert not table[t]
 

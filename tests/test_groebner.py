@@ -20,8 +20,8 @@ from dihedralinv.exactpoly import (
 )
 
 U = xy_universe(1)  # variables x1, y1
-LEX_Y_FIRST = MonomialOrder.lex([1, 0])  # y1 most significant, i.e. x < y
-LEX_X_FIRST = MonomialOrder.lex([0, 1])  # x1 most significant
+LEX_Y_FIRST = MonomialOrder([1, 0])  # y1 most significant, i.e. x < y
+LEX_X_FIRST = MonomialOrder([0, 1])  # x1 most significant
 
 
 def P(text):

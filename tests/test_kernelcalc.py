@@ -58,10 +58,10 @@ from dihedralinv.kernelcalc import (
 )
 
 
-def _kernel_in_degree(n, m, d, cap=None):
+def _kernel_in_degree(n, m, d, resource_cap=None):
     """The kernel basis in total degree d, multidegree by multidegree."""
     return [e for alpha in all_multidegrees(m, d)
-            for e in kernel_basis_at(n, m, alpha, cap)]
+            for e in kernel_basis_at(n, m, alpha, resource_cap)]
 
 
 def test_permutation_helpers():
@@ -92,7 +92,7 @@ def test_resource_cap_resolution(monkeypatch):
 
 def test_resource_cap_enforced():
     with pytest.raises(ResourceCapError):
-        _kernel_in_degree(6, 3, 10, cap=50)
+        _kernel_in_degree(6, 3, 10, resource_cap=50)
 
 
 def test_resource_cap_stops_before_enumeration(monkeypatch):
@@ -110,7 +110,7 @@ def test_resource_cap_stops_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(A, "monomials_of_weight", spy)
     with pytest.raises(ResourceCapError, match="kernel component"):
-        kernel_basis_at(4, 3, (4, 2, 2), cap=5)
+        kernel_basis_at(4, 3, (4, 2, 2), resource_cap=5)
     assert enumerated == []
     ideal = TruncatedIdeal([A.rho((2, 0, 0))], resource_cap=5)
     with pytest.raises(ResourceCapError, match="ideal slice"):
@@ -121,10 +121,10 @@ def test_resource_cap_stops_before_enumeration(monkeypatch):
 def test_resource_cap_applies_to_cached_components():
     assert len(kernel_basis_at(4, 3, (4, 2, 2))) == 14
     with pytest.raises(ResourceCapError, match="kernel component"):
-        kernel_basis_at(4, 3, (4, 2, 2), cap=5)
+        kernel_basis_at(4, 3, (4, 2, 2), resource_cap=5)
     # the transported copies share the sorted component's guard
     with pytest.raises(ResourceCapError, match="kernel component"):
-        kernel_basis_at(4, 3, (2, 4, 2), cap=5)
+        kernel_basis_at(4, 3, (2, 4, 2), resource_cap=5)
 
 
 def test_invariant_cap_stops_before_enumeration(monkeypatch):
@@ -142,12 +142,12 @@ def test_invariant_cap_stops_before_enumeration(monkeypatch):
     monkeypatch.setattr(kernelcalc, "xy_monomials", spy)
     needs_54 = r"invariant component \(5, 2, 2\) needs 54"
     with pytest.raises(ResourceCapError, match=needs_54):
-        kernel_basis_at(6, 3, (5, 2, 2), cap=50)
+        kernel_basis_at(6, 3, (5, 2, 2), resource_cap=50)
     assert seen == []
-    assert kernel_basis_at(6, 3, (5, 2, 2), cap=54) == []
+    assert kernel_basis_at(6, 3, (5, 2, 2), resource_cap=54) == []
     assert seen == [(5, 2, 2)]
     with pytest.raises(ResourceCapError, match=needs_54):
-        kernel_basis_at(6, 3, (5, 2, 2), cap=50)
+        kernel_basis_at(6, 3, (5, 2, 2), resource_cap=50)
     # the decomposition check guards its components the same way: with
     # two slots, (6, 2) is the first weight over a cap of 20.  It lists no
     # monomials itself; it enumerates the invariant bases at alpha - w(h)
@@ -783,8 +783,8 @@ def test_gl_generation_checks_the_kernel_dimension(monkeypatch):
     # count_of_weight - invariant_dimension still catches it
     real = kernelcalc.kernel_basis_at
 
-    def short(n, m, alpha, cap=None):
-        basis = real(n, m, alpha, cap)
+    def short(n, m, alpha, resource_cap=None):
+        basis = real(n, m, alpha, resource_cap)
         return basis[1:] if tuple(alpha) == (4, 2, 0) else basis
 
     monkeypatch.setattr(kernelcalc, "kernel_basis_at", short)
