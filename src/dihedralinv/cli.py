@@ -167,8 +167,10 @@ def emit(command, params, tables, verdicts, fmt, text_lines):
         sys.exit(1)
 
 
-def _status(ok):
-    return "ok" if ok else "fail"
+def _verdict(claim, ok, witness):
+    """One pass/fail verdict with the witness dimensions it compared."""
+    return {"claim": claim, "status": "ok" if ok else "fail",
+            "witness_dims": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +225,11 @@ def relations_verify(n, m, fmt):
         hw = is_highest_weight(g)
         ok = image.is_zero() and hw == weight
         statuses.append((name, ok))
-        verdicts.append({
-            "claim": "phi(%s) = 0" % name,
-            "status": _status(image.is_zero()),
-            "witness_dims": [len(image.terms)],
-        })
-        verdicts.append({
-            "claim": "%s is a highest weight vector of weight %s"
-                     % (name, list(weight)),
-            "status": _status(hw == weight),
-            "witness_dims": list(hw) if hw else [],
-        })
+        verdicts.append(_verdict("phi(%s) = 0" % name, image.is_zero(),
+                                 [len(image.terms)]))
+        verdicts.append(_verdict(
+            "%s is a highest weight vector of weight %s"
+            % (name, list(weight)), hw == weight, list(hw) if hw else []))
     line = ", ".join("%s: %s" % (name, "OK" if ok else "FAIL")
                      for name, ok in statuses)
     emit("relations verify", {"n": n, "m": m}, [], verdicts, fmt, [line])
@@ -453,12 +449,12 @@ def hironaka_verify(n, m, max_degree, model, fmt, resource_cap, force):
                                 resource_cap=resource_cap)
     witness = [report.lstar_size, report.components_checked]
     verdicts = [
-        {"claim": "secondaries are independent over the parameter ideal",
-         "status": _status(report.independence), "witness_dims": witness},
-        {"claim": "multigraded Hilbert series identity",
-         "status": _status(report.hilbert_match), "witness_dims": witness},
-        {"claim": "primaries and secondaries span every component",
-         "status": _status(report.spanning), "witness_dims": witness},
+        _verdict("secondaries are independent over the parameter ideal",
+                 report.independence, witness),
+        _verdict("multigraded Hilbert series identity",
+                 report.hilbert_match, witness),
+        _verdict("primaries and secondaries span every component",
+                 report.spanning, witness),
     ]
     lines = ["independence: %s" % ("OK" if report.independence else "FAIL"),
              "Hilbert series identity: %s"
@@ -522,12 +518,8 @@ def groebner_demo(n, fmt):
             {"monomial_count": len(stairs),
              "generating_function": genf}]},
     ]
-    verdicts = [{
-        "claim": "staircase generating function equals "
-                 "(1+t)(1+t+...+t^(n-1))",
-        "status": _status(genf == expected),
-        "witness_dims": genf,
-    }]
+    verdicts = [_verdict("staircase generating function equals "
+                         "(1+t)(1+t+...+t^(n-1))", genf == expected, genf)]
     lines = ["basis:"]
     lines.extend("  %s" % g for g in basis)
     lines.append("initial ideal: %s"
@@ -565,10 +557,8 @@ def report(what, n, fmt, resource_cap):
 
     for name, g, weight in named_relations(4, 3):
         ok = phi(g).is_zero() and is_highest_weight(g) == weight
-        verdicts.append({"claim": "%s maps to zero and has highest weight %s"
-                         % (name, list(weight)),
-                         "status": _status(ok),
-                         "witness_dims": list(weight)})
+        verdicts.append(_verdict("%s maps to zero and has highest weight %s"
+                                 % (name, list(weight)), ok, list(weight)))
         lines.append("%s: %s" % (name, "OK" if ok else "FAIL"))
 
     for m, word, total in PAPER_MINGENS:
@@ -577,10 +567,10 @@ def report(what, n, fmt, resource_cap):
         tables.append({"name": "minimal_generators_m%d" % m,
                        "rows": [{"degree": d, "count": c}
                                 for d, c in sorted(mg.items())]})
-        verdicts.append({"claim": "%s-vector kernel needs %d generators"
-                                  % (word, total),
-                         "status": _status(sum(mg.values()) == total),
-                         "witness_dims": sorted(mg.values())})
+        verdicts.append(_verdict("%s-vector kernel needs %d generators"
+                                 % (word, total),
+                                 sum(mg.values()) == total,
+                                 sorted(mg.values())))
         lines.append("minimal generators, m=%d: %s (total %d)"
                      % (m, dict(sorted(mg.items())), sum(mg.values())))
 
@@ -599,10 +589,8 @@ def report(what, n, fmt, resource_cap):
         rep = verify_hironaka_xy(*_builtin_table(4, m, model),
                                  DihedralParams(4, m), 16, model=model,
                                  resource_cap=resource_cap)
-        verdicts.append({"claim": label + " verified",
-                         "status": _status(rep.ok),
-                         "witness_dims": [rep.lstar_size,
-                                          rep.components_checked]})
+        verdicts.append(_verdict(label + " verified", rep.ok,
+                                 [rep.lstar_size, rep.components_checked]))
         lines.append("%s: %s (%d secondaries)"
                      % (label, "OK" if rep.ok else "FAIL", rep.lstar_size))
 
@@ -611,10 +599,9 @@ def report(what, n, fmt, resource_cap):
         ok, rows = gl_generation_report(4, m, gens, 10,
                                         resource_cap=resource_cap)
         tables.append({"name": "gl_generation_m%d" % m, "rows": rows})
-        verdicts.append({"claim": "named relations generate the kernel "
-                                  "GL-ideal, m=%d" % m,
-                         "status": _status(ok),
-                         "witness_dims": [r["kernel_dim"] for r in rows]})
+        verdicts.append(_verdict("named relations generate the kernel "
+                                 "GL-ideal, m=%d" % m, ok,
+                                 [r["kernel_dim"] for r in rows]))
         lines.append("GL-generation, m=%d: %s" % (m, "OK" if ok else "FAIL"))
 
     emit("report paper",

@@ -15,12 +15,13 @@ coordinate ring.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .exactpoly import Monomial, Polynomial, xy_universe
+from .exactpoly import Monomial, Polynomial, compositions, xy_universe
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,12 @@ class DihedralParams:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need n >= 3, got %d" % self.n)
-        if self.m < 1:
-            raise ValueError("need m >= 1, got %d" % self.m)
+        _check_slots(self.m)
+
+
+def _check_slots(m):
+    if m < 1:
+        raise ValueError("need m >= 1, got %d" % m)
 
 
 def x_index(i):
@@ -47,20 +52,39 @@ def y_index(i):
 
 
 # ---------------------------------------------------------------------------
-# multidegree enumeration
+# multidegrees
+
+
+def as_multidegree(alpha, m=None):
+    """alpha as a tuple of ints, of length m if m is given (else a
+    ValueError).  A float or string entry is a TypeError, neither truncated
+    nor parsed.  Negative entries pass: callers read them as empty."""
+    alpha = tuple(map(operator.index, alpha))
+    if m is not None and len(alpha) != m:
+        raise ValueError("multidegree length %d != m=%d" % (len(alpha), m))
+    return alpha
+
+
+def apply_perm(perm, alpha):
+    """The multidegree with entry i moved to slot perm[i] (1-based perm)."""
+    out = [0] * len(alpha)
+    for i, a in enumerate(alpha):
+        out[perm[i] - 1] = a
+    return tuple(out)
 
 
 def all_multidegrees(m, total):
     """Every vector of m non-negative integers with the given sum,
     descending lex."""
-    from .exactpoly import compositions
-
+    _check_slots(m)
     return compositions(total, m)
 
 
 def decreasing_multidegrees(m, total):
     """Multidegrees with weakly decreasing entries — one representative per
     orbit of the coordinate permutations."""
+    _check_slots(m)
+
     def rec(remaining, biggest, slots):
         if slots == 1:
             if remaining <= biggest:
@@ -72,7 +96,7 @@ def decreasing_multidegrees(m, total):
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    yield from rec(total, total, m)
+    return rec(total, total, m)
 
 
 def xy_monomials(m, alpha):
@@ -137,7 +161,7 @@ def polarize(g, m):
 
 
 def _multidegree(alpha):
-    alpha = tuple(int(a) for a in alpha)
+    alpha = as_multidegree(alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("negative multidegree entry in %r" % (alpha,))
     return alpha
@@ -236,10 +260,7 @@ def invariant_dimension(params, alpha):
     invariant ring: pair the rotation-invariant monomials under the swap;
     the swap-fixed one (all alpha_i even, x and y exponents equal) counts
     once, every 2-cycle contributes one symmetrized invariant."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != params.m:
-        raise ValueError("multidegree length %d != m=%d"
-                         % (len(alpha), params.m))
+    alpha = as_multidegree(alpha, params.m)
     rot = _rotation_count(params, alpha)
     fixed = 1 if all(a % 2 == 0 for a in alpha) else 0
     return (rot + fixed) // 2
@@ -247,11 +268,7 @@ def invariant_dimension(params, alpha):
 
 def cyclic_invariant_dimension(params, alpha):
     """Same for the rotation subgroup alone (no swap)."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != params.m:
-        raise ValueError("multidegree length %d != m=%d"
-                         % (len(alpha), params.m))
-    return _rotation_count(params, alpha)
+    return _rotation_count(params, as_multidegree(alpha, params.m))
 
 
 def _rotation_invariant_ys(params, alpha):

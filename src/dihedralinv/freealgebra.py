@@ -30,7 +30,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dihedral import DihedralParams, p_pol, q_pol
+from .dihedral import (
+    DihedralParams,
+    apply_perm,
+    as_multidegree,
+    p_pol,
+    q_pol,
+)
 from .exactpoly import (
     Monomial,
     Polynomial,
@@ -46,7 +52,8 @@ def free_algebra(n, m):
 
 
 class FreeAlgebra:
-    """The ring F(n,m) with its variable tables and a phi cache."""
+    """The ring F(n,m) with its variable tables, its phi cache and the
+    kernel bases computed in it."""
 
     def __init__(self, n, m):
         self.params = DihedralParams(n, m)
@@ -76,6 +83,8 @@ class FreeAlgebra:
         # weight -> suffix counts of that weight (see _suffix_counts)
         self._counts = {}
         self._perm_maps = {}  # perm -> variable index map
+        # weakly decreasing weight -> kernel basis of phi there (kernelcalc)
+        self.kernels = {}
 
     # -- element constructors -------------------------------------------
 
@@ -86,7 +95,7 @@ class FreeAlgebra:
         return FreeElement(self, Polynomial.constant(self.universe, 1))
 
     def _pad(self, index):
-        index = tuple(int(a) for a in index)
+        index = as_multidegree(index)
         if len(index) > self.m:
             raise ValueError("index %r longer than m=%d" % (index, self.m))
         return index + (0,) * (self.m - len(index))
@@ -132,18 +141,11 @@ class FreeAlgebra:
 
     # -- graded components ----------------------------------------------
 
-    def _check_weight(self, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.m:
-            raise ValueError("weight length %d != m=%d"
-                             % (len(alpha), self.m))
-        return alpha
-
     def count_of_weight(self, alpha):
         """Number of monomials of F(n,m) with the given multidegree (the
         coefficient of t^alpha in prod_v 1/(1 - t^{w_v})), without
         enumerating them."""
-        alpha = self._check_weight(alpha)
+        alpha = as_multidegree(alpha, self.m)
         return _suffix_counts(self._weights, self._counts, alpha)[0]
 
     def monomials_of_weight(self, alpha):
@@ -153,7 +155,7 @@ class FreeAlgebra:
         recurses only then, so the recursion is at most half the total
         degree deep.  A branch is entered only when the suffix counts say it
         holds a monomial, so every call below the root emits at least one."""
-        alpha = self._check_weight(alpha)
+        alpha = as_multidegree(alpha, self.m)
         weights, memo = self._weights, self._counts
         out = []
         acc = []
@@ -181,17 +183,9 @@ class FreeAlgebra:
 
     # -- symmetric-group and gl actions -----------------------------------
 
-    def permuted_variable(self, perm, v):
-        """Index of the variable whose index vector is the perm-image of
-        v's (slot i of the input lands in slot perm[i-1] of the output)."""
-        w = self.universe.weight(v)
-        target = [0] * self.m
-        for i, a in enumerate(w):
-            target[perm[i] - 1] = a
-        return self._vars[tuple(target)]
-
     def s_act(self, perm, e):
-        """Permutation action on the vector slots."""
+        """Permutation action on the vector slots: a symbol goes to the one
+        whose index vector is the perm-image of its own."""
         perm = tuple(perm)
         var_map = self._perm_maps.get(perm)
         if var_map is None:
@@ -199,8 +193,8 @@ class FreeAlgebra:
                 raise ValueError("perm must be a permutation of 1..%d, "
                                  "got %r" % (self.m, perm))
             var_map = self._perm_maps[perm] = {
-                v: self.permuted_variable(perm, v)
-                for v in range(self.universe.nvars)}
+                v: self._vars[apply_perm(perm, w)]
+                for v, w in enumerate(self._weights)}
         return FreeElement(self, e.poly.permute_variables(var_map))
 
     def _shifted_variable(self, v, u_slot, v_slot):

@@ -46,10 +46,12 @@ import operator
 import os
 from dataclasses import dataclass, field
 from itertools import chain, permutations
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 from .dihedral import (
     all_multidegrees,
+    apply_perm,
+    as_multidegree,
     cyclic_invariant_basis,
     cyclic_invariant_dimension,
     decreasing_multidegrees,
@@ -65,6 +67,7 @@ from .exactpoly import (
     PolynomialSpace,
     RowSpace,
     nullspace_combinations,
+    parse_polynomial,
     xy_universe,
 )
 from .freealgebra import FreeElement, free_algebra, phi, submodule_basis
@@ -123,14 +126,6 @@ def _guard_invariant(alpha, cap):
 # coordinate-permutation bookkeeping
 
 
-def apply_perm(perm, alpha):
-    """The multidegree with entry i moved to slot perm[i] (1-based perm)."""
-    out = [0] * len(alpha)
-    for i, a in enumerate(alpha):
-        out[perm[i] - 1] = a
-    return tuple(out)
-
-
 def sort_permutation(alpha):
     """(sorted_alpha, perm) with sorted_alpha weakly decreasing and
     apply_perm(perm, sorted_alpha) == alpha."""
@@ -142,8 +137,6 @@ def sort_permutation(alpha):
 
 def orbit_size(alpha):
     """Number of distinct coordinate permutations of alpha."""
-    from math import factorial
-
     counts = {}
     for a in alpha:
         counts[a] = counts.get(a, 0) + 1
@@ -157,18 +150,15 @@ def orbit_size(alpha):
 # kernel components
 
 
-_kernel_cache = {}
-
-
 def _kernel_basis_sorted(n, m, alpha, cap):
-    """Kernel basis at a weakly decreasing multidegree, cached.  Both
-    components are checked against the cap on every call, cached or not."""
+    """Kernel basis at a weakly decreasing multidegree, kept by the algebra.
+    Both components are checked against the cap on every call, kept or
+    not."""
     algebra = free_algebra(n, m)
     _guard(algebra.count_of_weight(alpha), cap,
            "kernel component %r of F(%d,%d)" % (alpha, n, m))
     _guard_invariant(alpha, cap)
-    key = (n, m, alpha)
-    hit = _kernel_cache.get(key)
+    hit = algebra.kernels.get(alpha)
     if hit is not None:
         return hit
     monos = algebra.monomials_of_weight(alpha)
@@ -184,16 +174,16 @@ def _kernel_basis_sorted(n, m, alpha, cap):
         poly = Polynomial(algebra.universe,
                           {monos[i]: c // g for i, c in coeffs.items()})
         basis.append(FreeElement(algebra, poly))
-    _kernel_cache[key] = basis
+    algebra.kernels[alpha] = basis
     return basis
 
 
 def kernel_basis_at(n, m, alpha, resource_cap=None):
     """Kernel basis at an arbitrary multidegree, by permutation transport
     from the weakly decreasing representative.  The list is the caller's
-    own: changing it leaves the cache intact."""
+    own: changing it leaves the algebra's copy intact."""
     cap = resolve_resource_cap(resource_cap)
-    alpha = tuple(int(a) for a in alpha)
+    alpha = as_multidegree(alpha, m)
     sorted_alpha, perm = sort_permutation(alpha)
     basis = _kernel_basis_sorted(n, m, sorted_alpha, cap)
     if alpha == sorted_alpha:
@@ -667,8 +657,6 @@ def cyclic_table_n4_m3():
     """The 15-row monomial table of free-module generators for the rotation
     subgroup on three vectors (36 monomials), plus the primary images.
     Returns (primaries, rows) on the coordinate-ring side."""
-    from .exactpoly import parse_polynomial
-
     U = xy_universe(3)
 
     def mono(text):

@@ -140,8 +140,9 @@ def test_kernel_json_digest(runner, args, digest):
 
 
 def test_kernel_dim_builds_each_polarization_once(runner, monkeypatch):
-    # a fresh algebra and kernel cache, so every phi image is built in this
-    # run; the polarizations come from one table per algebra
+    # a fresh algebra, which holds the phi images and the kernel bases, so
+    # every one is built in this run; the polarizations come from one table
+    # per algebra
     calls = []
     for name in ("q_pol", "p_pol"):
         def spy(*args, _real=getattr(freealgebra, name), **kwargs):
@@ -150,7 +151,6 @@ def test_kernel_dim_builds_each_polarization_once(runner, monkeypatch):
         monkeypatch.setattr(freealgebra, name, spy)
     A = freealgebra.FreeAlgebra(4, 3)
     monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
-    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
     result = run(runner, ["kernel", "dim", "--n", "4", "--m", "3"])
     assert result.exit_code == 0
     assert len(A._phi_cache) > 1
@@ -163,7 +163,6 @@ def test_kernel_dim_validates_few_polynomials(runner, monkeypatch):
     # (310 here) and the phi tables, not for every product
     A = freealgebra.FreeAlgebra(4, 3)
     monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
-    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
     calls = []
     real = Polynomial.__init__
 

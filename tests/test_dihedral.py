@@ -37,6 +37,7 @@ from dihedralinv.exactpoly import (
     parse_polynomial,
     xy_universe,
 )
+from dihedralinv.freealgebra import free_algebra
 from dihedralinv.gltheory import hilbert_h
 
 
@@ -67,6 +68,16 @@ def test_multidegree_enumeration():
     assert list(decreasing_multidegrees(3, 4)) == [
         (4, 0, 0), (3, 1, 0), (2, 2, 0), (2, 1, 1)]
     assert multinomial(4, (2, 1, 1)) == 12
+
+
+def test_multidegree_enumeration_needs_a_slot():
+    # with no slot the recursions would never reach their one-slot base
+    # case, so the slot count is checked before anything is enumerated
+    for enumeration in (all_multidegrees, decreasing_multidegrees):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            enumeration(0, 3)
+    with pytest.raises(ValueError, match="need m >= 1"):
+        kernelcalc.minimal_generators_by_degree(4, 0, 4)
 
 
 def test_xy_monomials_order_and_count():
@@ -218,6 +229,22 @@ def test_invariant_dimension_needs_full_multidegree():
         invariant_dimension(DihedralParams(4, 3), (2, 2))
     with pytest.raises(ValueError):
         cyclic_invariant_dimension(DihedralParams(4, 3), (2,))
+
+
+@pytest.mark.parametrize("alpha, two", [((2.9, 2.2, 2.5), (1.9, 1.2, 0)),
+                                        ("222", "110")])
+def test_multidegree_entries_must_be_integers(alpha, two):
+    # int() would truncate the floats and parse the digits, so each query
+    # would answer for (2, 2, 2), or (1, 1, 0) where the total must be 2
+    A = free_algebra(4, 3)
+    queries = [lambda: kernelcalc.kernel_basis_at(4, 3, alpha),
+               lambda: A.count_of_weight(alpha),
+               lambda: A.monomials_of_weight(alpha),
+               lambda: invariant_dimension(DihedralParams(4, 3), alpha),
+               lambda: q_pol(two)]
+    for query in queries:
+        with pytest.raises(TypeError, match="as an integer"):
+            query()
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 2), (5, 2), (4, 3)])

@@ -330,11 +330,10 @@ def test_phi_matches_substitution(e):
 
 
 def _walked_algebra(monkeypatch):
-    """A fresh algebra and kernel cache behind every component of degree
-    <= 10, as `kernel dim` walks them."""
+    """A fresh algebra, with no phi image or kernel basis yet, behind every
+    component of degree <= 10, as `kernel dim` walks them."""
     A = FreeAlgebra(4, 3)
     monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
-    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
     for d in range(11):
         for alpha in all_multidegrees(3, d):
             kernelcalc.kernel_basis_at(4, 3, alpha)

@@ -8,6 +8,7 @@ acceptance suite.
 
 import hashlib
 import math
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from dihedralinv.cli import named_relations
 from dihedralinv.dihedral import (
     DihedralParams,
     all_multidegrees,
+    apply_perm,
     decreasing_multidegrees,
     x_index,
     xy_monomials,
@@ -33,6 +35,7 @@ from dihedralinv.exactpoly import (
 )
 from dihedralinv.freealgebra import (
     FreeAlgebra,
+    FreeElement,
     free_algebra,
     make_R222,
     make_R_2n2k,
@@ -43,7 +46,6 @@ from dihedralinv.freealgebra import (
 from dihedralinv.kernelcalc import (
     ResourceCapError,
     TruncatedIdeal,
-    apply_perm,
     cyclic_table_n4_m3,
     gl_generation_report,
     kernel_basis_at,
@@ -72,6 +74,14 @@ def test_permutation_helpers():
     assert orbit_size((4, 2, 2)) == 3
     assert orbit_size((3, 2, 1)) == 6
     assert orbit_size((2, 2, 2)) == 1
+    # the slot action on the symbols moves their index vectors the same way
+    for m in (2, 3, 4):
+        A = free_algebra(4, m)
+        for perm in permutations(range(1, m + 1)):
+            for v in range(A.universe.nvars):
+                x = FreeElement(A, Polynomial.variable(A.universe, v))
+                assert A.s_act(perm, x).weight() \
+                    == apply_perm(perm, A.universe.weight(v))
 
 
 def test_resource_cap_resolution(monkeypatch):
@@ -130,8 +140,12 @@ def test_resource_cap_applies_to_cached_components():
 def test_invariant_cap_stops_before_enumeration(monkeypatch):
     # F(6,3) is empty at (5,2,2), but the coordinate-ring component has
     # 6 * 3 * 3 = 54 monomials: the cap must fire before they are listed,
-    # cold or cached
-    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
+    # cold or cached.  A fresh F(6,3) holds no kernel basis yet; the
+    # Hironaka half below keeps the shared n = 4 algebras
+    A = FreeAlgebra(6, 3)
+    shared = kernelcalc.free_algebra
+    monkeypatch.setattr(kernelcalc, "free_algebra",
+                        lambda n, m: A if (n, m) == (6, 3) else shared(n, m))
     seen = []
     real = kernelcalc.xy_monomials
 
@@ -230,13 +244,12 @@ def _kernel_bases(n, m, degrees):
 
 
 def test_minimal_generators_order_robust(monkeypatch):
-    # the same counts from a private algebra and kernel cache whose
-    # enumeration lists every component backwards, so the kernel bases
-    # and the Nakayama columns come out in another order
+    # the same counts from a private algebra, holding its own kernel bases,
+    # whose enumeration lists every component backwards, so the kernel
+    # bases and the Nakayama columns come out in another order
     forward = _kernel_bases(4, 2, (6, 8))
     A = FreeAlgebra(4, 2)
     monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
-    monkeypatch.setattr(kernelcalc, "_kernel_cache", {})
     enumerate_forward = A.monomials_of_weight
     monkeypatch.setattr(A, "monomials_of_weight",
                         lambda alpha: enumerate_forward(alpha)[::-1])
