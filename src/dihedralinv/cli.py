@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import wraps
 
 from .dihedral import DihedralParams, all_multidegrees
 from .exactpoly import (
@@ -130,25 +129,6 @@ def _ambient_degree(n, max_degree):
     return bound if max_degree is None else max_degree
 
 
-def guarded(fn):
-    """Resource-cap overruns and running out of memory are reported as
-    usage-level failures."""
-
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ResourceCapError as exc:
-            click.echo("resource cap exceeded: %s" % exc, err=True)
-            sys.exit(2)
-        except MemoryError:
-            click.echo("out of memory: the query needs more memory than "
-                       "this process can get", err=True)
-            sys.exit(2)
-
-    return wrapper
-
-
 def emit(command, params, tables, verdicts, fmt, text_lines):
     """Print one report and exit 1 if any verdict failed."""
     if fmt == "json":
@@ -196,7 +176,24 @@ def named_relations(n, m):
     return rels
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """The root group.  Every subcommand runs inside its `invoke`, where a
+    resource-cap overrun or running out of memory is reported on one line
+    as a usage-level failure."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ResourceCapError as exc:
+            click.echo("resource cap exceeded: %s" % exc, err=True)
+            sys.exit(2)
+        except MemoryError:
+            click.echo("out of memory: the query needs more memory than "
+                       "this process can get", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Exact computations in the invariant theory of regular polygons:
     relations between polarized invariants, kernel components of the
@@ -212,7 +209,6 @@ def relations():
 @n_option
 @m_option
 @format_option
-@guarded
 def relations_verify(n, m, fmt):
     """Check that each named relation maps to zero and is a highest
     weight vector of the expected weight."""
@@ -252,7 +248,6 @@ def kernel():
 @format_option
 @cap_option
 @force_option
-@guarded
 def kernel_dim(n, m, max_degree, fmt, resource_cap, force):
     """Kernel dimension in every total degree up to the cap."""
     D = _resolve_degree(n, max_degree, force)
@@ -278,7 +273,6 @@ def kernel_dim(n, m, max_degree, fmt, resource_cap, force):
 @format_option
 @cap_option
 @force_option
-@guarded
 def kernel_basis(n, m, degree, fmt, resource_cap, force):
     """Explicit kernel basis in one total degree, multidegree by
     multidegree."""
@@ -309,7 +303,6 @@ def kernel_basis(n, m, degree, fmt, resource_cap, force):
 @format_option
 @cap_option
 @force_option
-@guarded
 def kernel_mingens(n, m, max_degree, fmt, resource_cap, force):
     """Count minimal generators of the kernel ideal by degree (graded
     Nakayama)."""
@@ -359,7 +352,6 @@ def decompose():
 @degree_option("--max-degree", default=None,
                help="largest total degree [default: 2n+2]")
 @format_option
-@guarded
 def decompose_invariants(n, m, max_degree, fmt):
     """Multiplicity of each Schur module in the invariant ring, degree by
     degree."""
@@ -376,7 +368,6 @@ def decompose_invariants(n, m, max_degree, fmt):
 @degree_option("--max-degree", default=None,
                help="largest total degree (at most 2n+2)")
 @format_option
-@guarded
 def decompose_ambient(n, m, max_degree, fmt):
     """Decomposition of the ambient quotient (determinant relation killed)
     in low degrees."""
@@ -393,7 +384,6 @@ def decompose_ambient(n, m, max_degree, fmt):
 @degree_option("--max-degree", default=None,
                help="largest total degree (at most 2n+2)")
 @format_option
-@guarded
 def decompose_kernel(n, m, max_degree, fmt):
     """Decomposition of the reduced kernel (ambient minus invariants)."""
     D = _ambient_degree(n, max_degree)
@@ -438,7 +428,6 @@ def hironaka():
 @format_option
 @cap_option
 @force_option
-@guarded
 def hironaka_verify(n, m, max_degree, model, fmt, resource_cap, force):
     """Verify the built-in free-module table for these parameters:
     secondaries stay independent over the parameter subring and the
@@ -478,7 +467,6 @@ def hironaka_verify(n, m, max_degree, model, fmt, resource_cap, force):
 @degree_option("--max-degree", default=None,
                help="expand through this degree [default: 2n]")
 @format_option
-@guarded
 def hilbert(n, max_degree, fmt):
     """Coefficients of the one-vector invariant Hilbert series
     1/((1-t^2)(1-t^n))."""
@@ -498,7 +486,6 @@ def groebner():
 @groebner.command("demo")
 @n_option
 @format_option
-@guarded
 def groebner_demo(n, fmt):
     """Groebner basis of (xy, x^n + y^n) under lex with x < y, its
     staircase, and the staircase generating function."""
@@ -543,7 +530,6 @@ PAPER_MINGENS = ((2, "two", 9), (3, "three", 103))
               callback=_check_n)
 @format_option
 @cap_option
-@guarded
 def report(what, n, fmt, resource_cap):
     """One-shot reproduction of the published square-symmetry tables
     (requires n=4): relation checks, minimal generator counts, the reduced
@@ -596,8 +582,7 @@ def report(what, n, fmt, resource_cap):
 
     for m, _, _ in PAPER_MINGENS:
         gens = [g for _, g, _ in named_relations(4, m)]
-        ok, rows = gl_generation_report(4, m, gens, 10,
-                                        resource_cap=resource_cap)
+        ok, rows = gl_generation_report(gens, 10, resource_cap=resource_cap)
         tables.append({"name": "gl_generation_m%d" % m, "rows": rows})
         verdicts.append(_verdict("named relations generate the kernel "
                                  "GL-ideal, m=%d" % m, ok,

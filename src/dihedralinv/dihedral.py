@@ -32,13 +32,14 @@ class DihedralParams:
     m: int
 
     def __post_init__(self):
-        if self.n < 3:
+        # operator.index: a float n would count rotation residues modulo it
+        if operator.index(self.n) < 3:
             raise ValueError("need n >= 3, got %d" % self.n)
         _check_slots(self.m)
 
 
 def _check_slots(m):
-    if m < 1:
+    if operator.index(m) < 1:
         raise ValueError("need m >= 1, got %d" % m)
 
 

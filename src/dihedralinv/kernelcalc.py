@@ -45,7 +45,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from itertools import permutations
 from math import factorial, gcd, prod
 
 from .dihedral import (
@@ -81,8 +81,10 @@ class ResourceCapError(RuntimeError):
 
 
 def resolve_resource_cap(cap=None):
-    """The explicit cap, else the environment's, else the default; a cap
-    that is not a positive integer is a ValueError."""
+    """The explicit cap, else the environment's, else the default.  An
+    explicit cap that is not an int is a TypeError, neither truncated nor
+    parsed; an environment value that is not an integer, or a cap that is
+    not positive, is a ValueError."""
     if cap is None:
         env = os.environ.get(RESOURCE_CAP_ENV)
         if not env:
@@ -92,7 +94,8 @@ def resolve_resource_cap(cap=None):
         except ValueError:
             raise ValueError("%s=%r is not an integer"
                              % (RESOURCE_CAP_ENV, env)) from None
-    cap = int(cap)
+    else:
+        cap = operator.index(cap)
     if cap <= 0:
         raise ValueError("the resource cap must be positive, got %d" % cap)
     return cap
@@ -268,9 +271,8 @@ class TruncatedIdeal:
         self.resource_cap = resolve_resource_cap(resource_cap)
 
     def spanning_polys(self, alpha):
-        """The generating rows of the alpha slice.  Generators of one weight
-        share their cofactor monomials, which are enumerated once.  The
-        number of products is counted, and capped, before any is built."""
+        """The generating rows of the alpha slice.  The number of products
+        is counted, and capped, before any is built."""
         alpha = tuple(alpha)
         out = []
         if self.algebra is None:
@@ -285,12 +287,8 @@ class TruncatedIdeal:
         _guard(sum(algebra.count_of_weight(d) for _, d in factors),
                self.resource_cap, "ideal slice %r" % (alpha,),
                "generator products")
-        cofactors = {}
         for g, delta in factors:
-            monos = cofactors.get(delta)
-            if monos is None:
-                monos = cofactors[delta] = algebra.monomials_of_weight(delta)
-            for mono in monos:
+            for mono in algebra.monomials_of_weight(delta):
                 out.append(g.poly * Polynomial.from_monomial(universe, mono))
         return out
 
@@ -434,9 +432,9 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
     at lead(h) + lead(b).  Rows with distinct pivots are independent and
     the products lie in the invariant component, so where no secondary sits
     and the distinct lead sums number its dimension, `spanning` holds and
-    no row is built.  Otherwise the rows go in, the distinct-lead ones
-    first; they stop at that dimension where no secondary sits, since a
-    secondary's independence needs the rank of every product."""
+    no row is built.  Otherwise the rows go in, in product order; they stop
+    at that dimension where no secondary sits, since a secondary's
+    independence needs the rank of every product."""
     D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
     if model == "dihedral":
@@ -510,23 +508,17 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
                 if min(beta) < 0:
                     continue
                 b_leads, basis = basis_at(beta)
-                factors.append((h, h_lead, b_leads, basis))
+                factors.append((h, basis))
                 leads.update([h_lead + lead for lead in b_leads])
                 if len(leads) >= want > 0 and not here:
                     break
             else:
-                first = {}  # lead sum -> the first product with it
-                rest = []
-                for h, h_lead, b_leads, basis in factors:
-                    for lead, b in zip(b_leads, basis):
-                        pair = (h, b)
-                        if first.setdefault(h_lead + lead, pair) is not pair:
-                            rest.append(pair)
                 space = RowSpace()
-                for h, b in chain(first.values(), rest):
-                    if space.rank == want and not here:
-                        break
-                    space.insert_row(row(h, b))
+                for h, basis in factors:
+                    for b in basis:
+                        if space.rank == want and not here:
+                            break
+                        space.insert_row(row(h, b))
                 for f in here:
                     if not space.insert_row(
                             dict(_coded(_y_terms(f), places))):
@@ -691,18 +683,24 @@ def cyclic_table_n4_m3():
 # GL-ideal generation
 
 
-def gl_generation_report(n, m, generator_hwvs, D, resource_cap=None):
+def gl_generation_report(generator_hwvs, D, resource_cap=None):
     """Expand each claimed generator to a basis of its GL-submodule, build
     the truncated ideal, and compare its slice dimensions with the kernel's
     in every weakly decreasing multidegree of total degree <= D.  Returns
     (ok, rows) where rows aggregate both dimensions per total degree.
 
-    The ideal lies in the kernel, so the kernel dimension is the ceiling of
-    each slice's rank.  That dimension is checked in its own right, as
+    The generators fix the algebra F(n, m) whose kernel is compared: all
+    of them must lie in one, and an empty list is a ValueError.  The ideal
+    lies in the kernel, so the kernel dimension is the ceiling of each
+    slice's rank.  That dimension is checked in its own right, as
     count_of_weight(alpha) - invariant_dimension(alpha): phi is onto the
     invariants in every multidegree."""
     D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
+    if not generator_hwvs:
+        raise ValueError("GL-generation needs at least one generator")
+    algebra = generator_hwvs[0].algebra
+    n, m = algebra.n, algebra.m
     expanded = []
     for g in generator_hwvs:
         if not phi(g).is_zero():
@@ -711,7 +709,6 @@ def gl_generation_report(n, m, generator_hwvs, D, resource_cap=None):
                             "note": "generator not in the kernel"}]
         expanded.extend(submodule_basis(g))
     ideal = TruncatedIdeal(expanded, cap)
-    algebra = free_algebra(n, m)
     ok = True
     rows = []
     for t in range(D + 1):

@@ -272,15 +272,14 @@ def test_criterion_11_groebner_fixture():
 def test_criterion_12_gl_generation():
     done = _stopwatch(1800)
     assert gl_generation_report(
-        4, 2, [make_R_n2(4, 2), make_R_2n2k(4, 1, 2), make_R_2n2k(4, 2, 2)],
-        10)[0]
+        [make_R_n2(4, 2), make_R_2n2k(4, 1, 2), make_R_2n2k(4, 2, 2)], 10)[0]
     assert gl_generation_report(
-        4, 3, [make_R222(4, 3), make_R_n2(4, 3), make_R_2n2k(4, 1, 3),
-               make_R_2n2k(4, 2, 3)], 10)[0]
+        [make_R222(4, 3), make_R_n2(4, 3), make_R_2n2k(4, 1, 3),
+         make_R_2n2k(4, 2, 3)], 10)[0]
     assert gl_generation_report(
-        3, 3, [make_R222(3, 3), make_R_n2(3, 3), make_R_2n2k(3, 1, 3)], 8)[0]
+        [make_R222(3, 3), make_R_n2(3, 3), make_R_2n2k(3, 1, 3)], 8)[0]
     assert gl_generation_report(
-        3, 4, [make_R222(3, 4), make_R_n2(3, 4), make_R_2n2k(3, 1, 4)], 8)[0]
+        [make_R222(3, 4), make_R_n2(3, 4), make_R_2n2k(3, 1, 4)], 8)[0]
     done("criterion 12, GL-ideal generation")
 
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import click
 import pytest
@@ -10,6 +12,8 @@ from click.testing import CliRunner
 from dihedralinv import cli, freealgebra, kernelcalc
 from dihedralinv.cli import main
 from dihedralinv.exactpoly import Polynomial
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -385,8 +389,9 @@ def _without_first_generator(short_m):
     one when m = short_m."""
     real = cli.gl_generation_report
 
-    def patched(n, m, gens, D, **kwargs):
-        return real(n, m, gens[1:] if m == short_m else gens, D, **kwargs)
+    def patched(gens, D, **kwargs):
+        m = gens[0].algebra.m
+        return real(gens[1:] if m == short_m else gens, D, **kwargs)
 
     return patched
 
@@ -473,12 +478,63 @@ def _leaf_commands(group, path=()):
             yield " ".join(path + (name,)), command
 
 
-def test_every_command_is_guarded():
-    # a command outside `guarded` prints a ResourceCapError or MemoryError
-    # traceback where it should exit 2 with one line; every wrapper
-    # `guarded` makes runs the same code
-    wrapper = cli.guarded(print).__code__
+def _required_args(command):
+    """Arguments that satisfy every required parameter of `command`."""
+    args = []
+    for param in command.params:
+        if isinstance(param, click.Argument):
+            args.append(param.type.choices[0])
+        elif param.required:
+            args += [param.opts[0], "4"]
+    return args
+
+
+def test_every_command_is_guarded(runner, monkeypatch):
+    # a resource-cap overrun or running out of memory inside any command
+    # exits 2 with one line on stderr and no traceback
+    def raising(exc):
+        def callback(*args, **kwargs):
+            raise exc
+        return callback
+
     leaves = dict(_leaf_commands(main))
     assert {"kernel dim", "report"} <= set(leaves)
-    assert [name for name, command in leaves.items()
-            if command.callback.__code__ is not wrapper] == []
+    for name, command in leaves.items():
+        for exc, line in [
+                (MemoryError(), "out of memory: the query needs more memory "
+                                "than this process can get"),
+                (kernelcalc.ResourceCapError("component (4, 2, 2) needs 9"),
+                 "resource cap exceeded: component (4, 2, 2) needs 9")]:
+            monkeypatch.setattr(command, "callback", raising(exc))
+            result = runner.invoke(main,
+                                   name.split() + _required_args(command))
+            assert (name, result.exit_code, result.stdout, result.stderr) \
+                == (name, 2, "", line + "\n")
+
+
+def _readme_commands():
+    """(arguments, the output line shown under it or None) for every
+    `dihedralinv` line of README's "Command line" block."""
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines() + [""]
+    return [(shlex.split(line)[1:],
+             after[4:] if after.startswith("#   ") else None)
+            for line, after in zip(lines, lines[1:])
+            if line.startswith("dihedralinv ")]
+
+
+def test_readme_command_line_block_runs(runner):
+    # every command the README shows exits 0 and prints the line shown
+    # under it; together they run every command of the interface
+    commands = _readme_commands()
+    shown = [" ".join(args) for args, _ in commands]
+    assert [name for name, _ in _leaf_commands(main)
+            if not any(s.startswith(name + " ") for s in shown)] == []
+    for args, line in commands:
+        result = run(runner, args)
+        assert result.exit_code == 0, args
+        if line is not None:
+            assert line in result.output, args
+    assert sum(line is not None for _, line in commands) == 2

@@ -63,6 +63,14 @@ def test_params_validation():
         DihedralParams(4, 0)
 
 
+def test_params_refuse_non_integers():
+    # a float n would count rotation residues modulo 4.5; neither field is
+    # truncated
+    for n, m in [(4.5, 2), (4, 2.0), (4.0, 3)]:
+        with pytest.raises(TypeError):
+            DihedralParams(n, m)
+
+
 def test_multidegree_enumeration():
     assert list(all_multidegrees(2, 3)) == [(3, 0), (2, 1), (1, 2), (0, 3)]
     assert list(decreasing_multidegrees(3, 4)) == [

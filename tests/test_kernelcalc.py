@@ -100,6 +100,17 @@ def test_resource_cap_resolution(monkeypatch):
     assert resolve_resource_cap(77) == 77
 
 
+def test_explicit_cap_is_neither_truncated_nor_parsed(monkeypatch):
+    # 13.99 once read as a cap of 13; the environment's string is parsed,
+    # an explicit one is not
+    monkeypatch.setenv("DIHEDRALINV_RESOURCE_CAP", "123")
+    for bad in (77.9, 13.99, "50"):
+        with pytest.raises(TypeError):
+            resolve_resource_cap(bad)
+    with pytest.raises(TypeError):
+        kernel_basis_at(4, 3, (4, 2, 2), resource_cap=13.99)
+
+
 def test_resource_cap_enforced():
     with pytest.raises(ResourceCapError):
         _kernel_in_degree(6, 3, 10, resource_cap=50)
@@ -467,8 +478,8 @@ def test_hironaka_rows_stop_at_the_component_dimension(monkeypatch):
         built.append(0)
         inserted.append(0)
         assert verify_hironaka_xy(*table, params, 16, model=model).ok
-    assert built == [19, 144, 4989]
-    assert inserted == [26, 162, 5025]
+    assert built == [19, 172, 4637]
+    assert inserted == [26, 190, 4673]
     assert [i - b for i, b in zip(inserted, built)] == [7, 18, 36]
 
 
@@ -751,11 +762,11 @@ def test_secondary_table_shapes():
 
 def test_gl_generation_two_slots():
     gens = [make_R_n2(4, 2), make_R_2n2k(4, 1, 2), make_R_2n2k(4, 2, 2)]
-    assert gl_generation_report(4, 2, gens, 10)[0]
+    assert gl_generation_report(gens, 10)[0]
 
 
 def test_gl_generation_missing_generator_witness():
-    ok, rows = gl_generation_report(4, 3, [make_R_n2(4, 3)], 6)
+    ok, rows = gl_generation_report([make_R_n2(4, 3)], 6)
     assert not ok
     (row,) = [r for r in rows if r["degree"] == 6]
     assert row["ideal_dim"] == 27
@@ -763,8 +774,8 @@ def test_gl_generation_missing_generator_witness():
 
 
 def test_gl_generation_small_cases():
-    assert gl_generation_report(3, 3, [make_R222(3, 3), make_R_n2(3, 3),
-                                       make_R_2n2k(3, 1, 3)], 8)[0]
+    assert gl_generation_report([make_R222(3, 3), make_R_n2(3, 3),
+                                 make_R_2n2k(3, 1, 3)], 8)[0]
 
 
 def test_negative_degree_bounds_rejected():
@@ -772,20 +783,39 @@ def test_negative_degree_bounds_rejected():
     calls = [
         lambda: verify_hironaka_xy(*secondary_table_m2(4),
                                    DihedralParams(4, 2), -1),
-        lambda: gl_generation_report(4, 2, [make_R_n2(4, 2)], -3),
+        lambda: gl_generation_report([make_R_n2(4, 2)], -3),
         lambda: minimal_generators_by_degree(4, 2, -1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="degree bound must be "
                                              "nonnegative"):
             call()
-    assert gl_generation_report(4, 2, [make_R_n2(4, 2)], 0) \
+    assert gl_generation_report([make_R_n2(4, 2)], 0) \
         == (True, [{"degree": 0, "ideal_dim": 0, "kernel_dim": 0}])
+
+
+def test_gl_generation_reads_the_algebra_from_its_generators():
+    # F(5, 3)'s relations are compared with F(5, 3)'s kernel: each row's
+    # kernel dimension is the kernel counted over every multidegree
+    gens = [g for _, g, _ in named_relations(5, 3)]
+    _, rows = gl_generation_report(gens, 8)
+    assert [r["kernel_dim"] for r in rows] == [
+        sum(len(kernel_basis_at(5, 3, alpha))
+            for alpha in all_multidegrees(3, d)) for d in range(9)]
+    assert rows[6]["kernel_dim"] > 0
+
+
+def test_gl_generation_needs_generators_of_one_algebra():
+    # no generator fixes no algebra, and used to read as a failed check
+    with pytest.raises(ValueError, match="at least one generator"):
+        gl_generation_report([], 6)
+    with pytest.raises(ValueError, match="different algebras"):
+        gl_generation_report([make_R222(4, 3), make_R222(5, 3)], 6)
 
 
 def test_gl_generation_rejects_non_kernel_generator():
     A = free_algebra(4, 2)
-    ok, rows = gl_generation_report(4, 2, [A.rho((2, 0))], 6)
+    ok, rows = gl_generation_report([A.rho((2, 0))], 6)
     assert not ok
     assert rows[0]["note"] == "generator not in the kernel"
 
@@ -802,7 +832,7 @@ def test_gl_generation_checks_the_kernel_dimension(monkeypatch):
 
     monkeypatch.setattr(kernelcalc, "kernel_basis_at", short)
     gens = [make_R222(4, 3), make_R_n2(4, 3)]
-    ok, rows = gl_generation_report(4, 3, gens, 6)
+    ok, rows = gl_generation_report(gens, 6)
     assert not ok
     (row,) = [r for r in rows if r["degree"] == 6]
     assert row["ideal_dim"] == row["kernel_dim"] == 28 - 6
@@ -818,7 +848,7 @@ def test_gl_generation_without_one_generator(m, left_out, want):
     # computed with every ideal row inserted: the ceilings change no
     # verdict and no dimension
     gens = [g for name, g, _ in named_relations(4, m) if name != left_out]
-    ok, rows = gl_generation_report(4, m, gens, 10)
+    ok, rows = gl_generation_report(gens, 10)
     assert not ok
     assert [(r["degree"], r["ideal_dim"], r["kernel_dim"]) for r in rows
             if r["kernel_dim"]] == want
