@@ -61,24 +61,6 @@ SCHEMA_VERSION = "1"
 # plumbing
 
 
-def _check_n(ctx, param, value):
-    if value < 3:
-        raise click.BadParameter("n must be at least 3")
-    return value
-
-
-def _check_m(ctx, param, value):
-    if value < 1:
-        raise click.BadParameter("m must be at least 1")
-    return value
-
-
-def _check_degree(ctx, param, value):
-    if value is not None and value < 0:
-        raise click.BadParameter("degrees are nonnegative, got %d" % value)
-    return value
-
-
 def _check_cap(ctx, param, value):
     try:
         return resolve_resource_cap(value)
@@ -87,14 +69,13 @@ def _check_cap(ctx, param, value):
 
 
 def degree_option(name, **kwargs):
-    return click.option(name, type=int, callback=_check_degree, **kwargs)
+    return click.option(name, type=click.IntRange(min=0), **kwargs)
 
 
-n_option = click.option("--n", "n", type=int, required=True,
-                        callback=_check_n,
-                        help="order parameter of the rotation (n >= 3)")
-m_option = click.option("--m", "m", type=int, default=2, show_default=True,
-                        callback=_check_m, help="number of vector variables")
+n_option = click.option("--n", "n", type=click.IntRange(min=3), required=True,
+                        help="order parameter of the rotation")
+m_option = click.option("--m", "m", type=click.IntRange(min=1), default=2,
+                        show_default=True, help="number of vector variables")
 format_option = click.option("--format", "fmt",
                              type=click.Choice(["text", "json"]),
                              default="text", show_default=True,
@@ -526,8 +507,8 @@ PAPER_MINGENS = ((2, "two", 9), (3, "three", 103))
 
 @main.command("report")
 @click.argument("what", type=click.Choice(["paper"]))
-@click.option("--n", "n", type=int, default=4, show_default=True,
-              callback=_check_n)
+@click.option("--n", "n", type=click.IntRange(min=3), default=4,
+              show_default=True)
 @format_option
 @cap_option
 def report(what, n, fmt, resource_cap):

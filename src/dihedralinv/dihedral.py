@@ -104,6 +104,7 @@ def xy_monomials(m, alpha):
     """All monomials of multidegree alpha in the coordinate ring of m plane
     vectors: choose the x-exponent a_i <= alpha_i in each slot, y picks up
     the rest.  Enumerated in descending lex order of the x-exponent vector."""
+    alpha = as_multidegree(alpha, m)
     out = []
     for xs in product(*[range(a, -1, -1) for a in alpha]):
         pairs = []
@@ -189,13 +190,10 @@ def q_pol(alpha):
     })
 
 
-def p_pol(beta, n=None):
-    """Polarization of p = x^n + y^n at multidegree beta (sum n):
-    x_1^{b_1}...x_m^{b_m} + y_1^{b_1}...y_m^{b_m}."""
+def p_pol(beta):
+    """Polarization of p = x^n + y^n at multidegree beta, where n is the
+    sum of beta: x_1^{b_1}...x_m^{b_m} + y_1^{b_1}...y_m^{b_m}."""
     beta = _multidegree(beta)
-    if n is not None and sum(beta) != n:
-        raise ValueError("p polarization needs total degree %d, got %r"
-                         % (n, beta))
     if sum(beta) < 1:
         raise ValueError("empty multidegree for p polarization")
     universe = xy_universe(len(beta))
@@ -286,6 +284,7 @@ def _rotation_invariant_ys(params, alpha):
 def cyclic_invariant_basis(params, alpha):
     """The rotation-invariant monomials of multidegree alpha in the shared
     enumeration order, each as the one-tuple of its y-exponent vector."""
+    alpha = as_multidegree(alpha, params.m)
     return [(ys,) for ys in _rotation_invariant_ys(params, alpha)]
 
 
@@ -296,6 +295,7 @@ def invariant_basis(params, alpha):
     the y-exponent vectors of its monomials, every coefficient 1.  The swap
     exchanges the x- and y-exponents, so the partner of y-vector b is
     alpha - b."""
+    alpha = as_multidegree(alpha, params.m)
     seen = set()
     out = []
     for ys in _rotation_invariant_ys(params, alpha):

@@ -434,8 +434,6 @@ def make_R_n2(n, m):
     (indices padded with zeros to length m); degree n+2, weight (n,2)."""
     if m < 2:
         raise ValueError("need m >= 2, got m=%d" % m)
-    if n < 3:
-        raise ValueError("need n >= 3, got n=%d" % n)
     A = free_algebra(n, m)
     return (A.pi((n, 0)) * A.rho((0, 2))
             - 2 * A.pi((n - 1, 1)) * A.rho((1, 1))

@@ -56,8 +56,6 @@ def normalize_partition(lam):
 def partitions(d, max_height=None):
     """All partitions of d (optionally with at most max_height parts), in
     descending lexicographic order."""
-    if d < 0:
-        return
     if max_height is None:
         max_height = d
 
@@ -72,9 +70,6 @@ def partitions(d, max_height=None):
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    if d == 0:
-        yield ()
-        return
     yield from rec(d, d, max_height)
 
 

@@ -253,31 +253,27 @@ class TruncatedIdeal:
 
     def __init__(self, generators, resource_cap=None):
         generators = list(generators)
-        self._weights = []
         if not generators:
-            self.algebra = None
-        else:
-            self.algebra = generators[0].algebra
-            for g in generators:
-                if g.algebra is not self.algebra:
-                    raise ValueError("generators from different algebras")
-                w = g.weight()  # None when zero or not multihomogeneous
-                if w is None:
-                    raise ValueError(
-                        "ideal generators must be nonzero and "
-                        "multihomogeneous, got %r" % (g,))
-                self._weights.append(w)
+            raise ValueError("an ideal needs at least one generator")
+        self.algebra = generators[0].algebra
+        self._weights = []
+        for g in generators:
+            if g.algebra is not self.algebra:
+                raise ValueError("generators from different algebras")
+            w = g.weight()  # None when zero or not multihomogeneous
+            if w is None:
+                raise ValueError(
+                    "ideal generators must be nonzero and "
+                    "multihomogeneous, got %r" % (g,))
+            self._weights.append(w)
         self.generators = generators
         self.resource_cap = resolve_resource_cap(resource_cap)
 
     def spanning_polys(self, alpha):
         """The generating rows of the alpha slice.  The number of products
         is counted, and capped, before any is built."""
-        alpha = tuple(alpha)
-        out = []
-        if self.algebra is None:
-            return out
         algebra = self.algebra
+        alpha = as_multidegree(alpha, algebra.m)
         universe = algebra.universe
         factors = []
         for g, w in zip(self.generators, self._weights):
@@ -287,6 +283,7 @@ class TruncatedIdeal:
         _guard(sum(algebra.count_of_weight(d) for _, d in factors),
                self.resource_cap, "ideal slice %r" % (alpha,),
                "generator products")
+        out = []
         for g, delta in factors:
             for mono in algebra.monomials_of_weight(delta):
                 out.append(g.poly * Polynomial.from_monomial(universe, mono))
@@ -296,9 +293,7 @@ class TruncatedIdeal:
         """The rank of the alpha slice, where `ceiling` is a proven upper
         bound on it: rows stop going in once the rank reaches it.  Nothing
         is kept."""
-        if self.algebra is None:
-            return 0
-        alpha = tuple(alpha)
+        alpha = as_multidegree(alpha, self.algebra.m)
         _guard(self.algebra.count_of_weight(alpha), self.resource_cap,
                "ideal slice %r" % (alpha,))
         space = PolynomialSpace(self.algebra.universe)
@@ -697,10 +692,6 @@ def gl_generation_report(generator_hwvs, D, resource_cap=None):
     invariants in every multidegree."""
     D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
-    if not generator_hwvs:
-        raise ValueError("GL-generation needs at least one generator")
-    algebra = generator_hwvs[0].algebra
-    n, m = algebra.n, algebra.m
     expanded = []
     for g in generator_hwvs:
         if not phi(g).is_zero():
@@ -709,6 +700,8 @@ def gl_generation_report(generator_hwvs, D, resource_cap=None):
                             "note": "generator not in the kernel"}]
         expanded.extend(submodule_basis(g))
     ideal = TruncatedIdeal(expanded, cap)
+    algebra = ideal.algebra
+    n, m = algebra.n, algebra.m
     ok = True
     rows = []
     for t in range(D + 1):

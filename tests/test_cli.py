@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import click
@@ -14,6 +17,7 @@ from dihedralinv.cli import main
 from dihedralinv.exactpoly import Polynomial
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 @pytest.fixture()
@@ -339,7 +343,9 @@ def test_nonpositive_resource_cap_exits_2(runner, cap):
 def test_negative_degree_exits_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
-    assert "degrees are nonnegative" in result.output
+    option, value = args[-2:]
+    assert ("Invalid value for '%s': %s is not in the range x>=0."
+            % (option, value)) in result.output
 
 
 def test_report_paper(runner):
@@ -538,3 +544,43 @@ def test_readme_command_line_block_runs(runner):
         if line is not None:
             assert line in result.output, args
     assert sum(line is not None for _, line in commands) == 2
+
+
+def _run_module(args):
+    """`python -m dihedralinv.cli ARGS` in a fresh interpreter on the
+    package's source tree, the way the benchmark runs it."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dihedralinv.cli"] + args,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_prints_what_the_runner_prints(runner):
+    args = ["kernel", "dim", "--n", "4", "--m", "2", "--format", "json"]
+    result = _run_module(args)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == run(runner, args).stdout
+
+
+@pytest.mark.parametrize("args, option", [
+    (["kernel", "dim", "--n", "2"], "--n"),
+    (["kernel", "dim", "--n", "4", "--m", "0"], "--m"),
+    (["report", "paper", "--n", "2"], "--n"),
+])
+def test_module_entry_point_rejects_out_of_range(args, option):
+    result = _run_module(args)
+    assert (result.returncode, result.stdout) == (2, "")
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert "Invalid value for '%s'" % option in errors[0]
+
+
+def test_module_entry_point_reports_a_cap_overrun_on_one_line():
+    result = _run_module(["kernel", "dim", "--n", "4", "--m", "2",
+                          "--resource-cap", "3"])
+    assert (result.returncode, result.stdout) == (2, "")
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("resource cap exceeded: ")

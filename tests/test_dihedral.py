@@ -37,7 +37,7 @@ from dihedralinv.exactpoly import (
     parse_polynomial,
     xy_universe,
 )
-from dihedralinv.freealgebra import free_algebra
+from dihedralinv.freealgebra import free_algebra, make_R222
 from dihedralinv.gltheory import hilbert_h
 
 
@@ -142,12 +142,10 @@ def test_q_pol_fixtures():
 
 
 def test_p_pol_fixtures():
-    assert p_pol((4,), n=4) == parse(1, "x1^4 + y1^4")
-    assert p_pol((3, 1), n=4) == parse(2, "x1^3*x2 + y1^3*y2")
-    assert p_pol((2, 2), n=4) == parse(2, "x1^2*x2^2 + y1^2*y2^2")
-    assert p_pol((1, 1, 1), n=3) == parse(3, "x1*x2*x3 + y1*y2*y3")
-    with pytest.raises(ValueError):
-        p_pol((2, 1), n=4)
+    assert p_pol((4,)) == parse(1, "x1^4 + y1^4")
+    assert p_pol((3, 1)) == parse(2, "x1^3*x2 + y1^3*y2")
+    assert p_pol((2, 2)) == parse(2, "x1^2*x2^2 + y1^2*y2^2")
+    assert p_pol((1, 1, 1)) == parse(3, "x1*x2*x3 + y1*y2*y3")
     with pytest.raises(ValueError):
         p_pol(())
 
@@ -158,7 +156,7 @@ def test_generators_are_invariant():
         for alpha in all_multidegrees(m, 2):
             assert is_invariant(q_pol(alpha), params)
         for beta in all_multidegrees(m, n):
-            assert is_invariant(p_pol(beta, n=n), params)
+            assert is_invariant(p_pol(beta), params)
 
 
 def test_polarize_recovers_q_and_p():
@@ -173,7 +171,7 @@ def test_polarize_recovers_q_and_p():
         p = parse(1, "x1^%d + y1^%d" % (n, n))
         pieces = polarize(p, 2)
         for beta, piece in pieces.items():
-            assert piece == p_pol(beta, n=n), beta
+            assert piece == p_pol(beta), beta
 
 
 def test_polarize_validation():
@@ -237,6 +235,21 @@ def test_invariant_dimension_needs_full_multidegree():
         invariant_dimension(DihedralParams(4, 3), (2, 2))
     with pytest.raises(ValueError):
         cyclic_invariant_dimension(DihedralParams(4, 3), (2,))
+
+
+@pytest.mark.parametrize("query", [
+    lambda: invariant_basis(DihedralParams(4, 3), (2, 2)),
+    lambda: cyclic_invariant_basis(DihedralParams(4, 3), (2, 2)),
+    lambda: xy_monomials(3, (2, 2)),
+    lambda: kernelcalc.TruncatedIdeal([make_R222(4, 3)]).spanning_polys(
+        (2, 2, 2, 5)),
+], ids=["invariant_basis", "cyclic_invariant_basis", "xy_monomials",
+        "spanning_polys"])
+def test_multidegree_length_must_be_m(query):
+    # a short multidegree would answer for a two-slot one, and a long one
+    # for its first m entries
+    with pytest.raises(ValueError, match="multidegree length"):
+        query()
 
 
 @pytest.mark.parametrize("alpha, two", [((2.9, 2.2, 2.5), (1.9, 1.2, 0)),
@@ -334,8 +347,7 @@ def test_s_act_composition():
 
 def test_s_act_permutes_polarizations():
     assert s_act_xy((2, 1), q_pol((2, 0))) == q_pol((0, 2))
-    assert s_act_xy((2, 1, 3), p_pol((3, 1, 0), n=4)) == p_pol((1, 3, 0),
-                                                               n=4)
+    assert s_act_xy((2, 1, 3), p_pol((3, 1, 0))) == p_pol((1, 3, 0))
 
 
 def test_gl_act_leibniz():
@@ -349,7 +361,7 @@ def test_gl_act_leibniz():
 def test_gl_act_on_generators():
     # E_{1,2} applied to x2*y2 gives x1*y2 + x2*y1 = 2 * q_{(1,1)}
     assert gl_act_xy(q_pol((0, 2)), 1, 2) == q_pol((1, 1)).scale(2)
-    assert gl_act_xy(p_pol((0, 4), n=4), 1, 2) == p_pol((1, 3), n=4).scale(4)
+    assert gl_act_xy(p_pol((0, 4)), 1, 2) == p_pol((1, 3)).scale(4)
     assert gl_act_xy(q_pol((2, 0)), 1, 2).is_zero()
 
 

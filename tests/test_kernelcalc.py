@@ -43,6 +43,7 @@ from dihedralinv.freealgebra import (
     phi,
     submodule_basis,
 )
+from dihedralinv.gltheory import schur_dim
 from dihedralinv.kernelcalc import (
     ResourceCapError,
     TruncatedIdeal,
@@ -299,6 +300,8 @@ def test_truncated_membership_negative():
 
 def test_truncated_ideal_validation():
     A = free_algebra(4, 2)
+    with pytest.raises(ValueError, match="at least one generator"):
+        TruncatedIdeal([])
     with pytest.raises(ValueError):
         TruncatedIdeal([A.zero()])
     with pytest.raises(ValueError):
@@ -803,6 +806,18 @@ def test_gl_generation_reads_the_algebra_from_its_generators():
         sum(len(kernel_basis_at(5, 3, alpha))
             for alpha in all_multidegrees(3, d)) for d in range(9)]
     assert rows[6]["kernel_dim"] > 0
+
+
+def test_gl_generation_four_vectors_by_three_vector_relations():
+    # the paper's named relations use at most three vector variables, and
+    # generate the kernel GL-ideal of F(4, 4) through degree 10 as well
+    ok, rows = gl_generation_report(
+        [g for _, g, _ in named_relations(4, 4)], 10)
+    assert ok
+    assert all(r["ideal_dim"] == r["kernel_dim"] for r in rows)
+    # degree 6 holds the GL_4 modules of R(4)_{4,2} and R_{2,2,2}
+    expected = schur_dim((4, 2), 4) + schur_dim((2, 2, 2), 4)
+    assert rows[6]["kernel_dim"] == expected == 136
 
 
 def test_gl_generation_needs_generators_of_one_algebra():
