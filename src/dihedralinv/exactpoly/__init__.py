@@ -17,6 +17,7 @@ from .linalg import (
     PolynomialSpace,
     RowSpace,
     nullspace_combinations,
+    rank_up_to,
     scaled_row_from_polynomial,
 )
 from .groebner import (
@@ -42,6 +43,7 @@ __all__ = [
     "normal_form",
     "nullspace_combinations",
     "parse_polynomial",
+    "rank_up_to",
     "rhopi_universe",
     "s_polynomial",
     "scaled_row_from_polynomial",

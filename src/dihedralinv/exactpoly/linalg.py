@@ -18,6 +18,10 @@ row i carries a unit entry in a column past the monomial columns, so every
 row records the combination of inputs it stands for, and a row whose
 monomial part reduces to zero hands back an exact linear relation.  This is
 the nullspace engine behind all kernel computations.
+
+Every rank that stops at a ceiling the caller has proven runs through
+`rank_up_to`, which tests the ceiling before it draws a row, so no row past
+it is built.
 """
 
 from __future__ import annotations
@@ -103,6 +107,17 @@ def _gcd_normalize(row):
     return row
 
 
+def rank_up_to(insert, rows, ceiling=None):
+    """The rank that `rows` add through `insert` (True iff the rank grew),
+    up to a proven `ceiling`: it is tested before each row is drawn, so a
+    lazy `rows` builds none past it.  None draws every row."""
+    rank = 0
+    rows = iter(rows)
+    while rank != ceiling and (row := next(rows, None)) is not None:
+        rank += insert(row)
+    return rank
+
+
 class PolynomialSpace:
     """Row space spanned by polynomials over one universe.  A monomial gets
     its column id the first time an inserted polynomial holds it, so no
@@ -113,10 +128,6 @@ class PolynomialSpace:
         self.universe = universe
         self.col_index = {}
         self.space = RowSpace()
-
-    @property
-    def rank(self):
-        return self.space.rank
 
     def insert(self, poly):
         """Insert a polynomial; True iff the rank grew."""

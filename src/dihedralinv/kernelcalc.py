@@ -11,14 +11,14 @@ the kernel dimension, multidegree by multidegree.  No check asks whether one
 element lies in an ideal: ranks settle every claim.
 
 Each rank stops at a ceiling that is proven, because rows past it cannot
-change the answer:
+change the answer, and `rank_up_to` applies every one of them:
 - the Nakayama span F_+ . ker lies in ker, so once its rank is dim ker_alpha
   there is no new generator at alpha;
 - an ideal slice of generators with phi(g) = 0 lies in the kernel (phi is
   GL-equivariant, so the whole submodule of g maps to zero), so its rank is
-  at most dim ker_alpha.  That dimension is checked against
-  count_of_weight(alpha) - invariant_dimension(alpha), since phi is onto the
-  invariants in every multidegree;
+  at most dim ker_alpha.  Every kernel basis is checked against
+  count_of_weight(alpha) - invariant_dimension(alpha) where it is built,
+  since phi is onto the invariants in every multidegree;
 - a Hironaka product h * b of an invariant primary and an invariant basis
   element lies in the invariant component, so where no secondary sits its
   rank is at most the component's dimension.  Products whose leading terms
@@ -68,6 +68,7 @@ from .exactpoly import (
     RowSpace,
     nullspace_combinations,
     parse_polynomial,
+    rank_up_to,
     xy_universe,
 )
 from .freealgebra import FreeElement, free_algebra, phi, submodule_basis
@@ -156,7 +157,9 @@ def orbit_size(alpha):
 def _kernel_basis_sorted(n, m, alpha, cap):
     """Kernel basis at a weakly decreasing multidegree, kept by the algebra.
     Both components are checked against the cap on every call, kept or
-    not."""
+    not.  Its length is checked against count_of_weight(alpha) -
+    invariant_dimension(alpha), which is dim ker_alpha because phi is onto
+    the invariants in every multidegree."""
     algebra = free_algebra(n, m)
     _guard(algebra.count_of_weight(alpha), cap,
            "kernel component %r of F(%d,%d)" % (alpha, n, m))
@@ -177,6 +180,12 @@ def _kernel_basis_sorted(n, m, alpha, cap):
         poly = Polynomial(algebra.universe,
                           {monos[i]: c // g for i, c in coeffs.items()})
         basis.append(FreeElement(algebra, poly))
+    count = (algebra.count_of_weight(alpha)
+             - invariant_dimension(algebra.params, alpha))
+    if len(basis) != count:
+        raise ArithmeticError(
+            "kernel of F(%d,%d) at %r has %d elements, but count_of_weight "
+            "- invariant_dimension is %d" % (n, m, alpha, len(basis), count))
     algebra.kernels[alpha] = basis
     return basis
 
@@ -203,22 +212,21 @@ def _new_generator_count_at(n, m, alpha, cap):
     """dim ker_alpha - dim (F_+ . ker)_alpha at one weakly decreasing
     multidegree: the span of variable times lower-kernel elements, against
     the kernel itself."""
-    algebra = free_algebra(n, m)
+    universe = free_algebra(n, m).universe
     kernel = _kernel_basis_sorted(n, m, alpha, cap)
-    if not kernel:
-        return 0
-    space = PolynomialSpace(algebra.universe)
-    for v in range(algebra.universe.nvars):
-        w = algebra.universe.weight(v)
-        beta = tuple(a - wi for a, wi in zip(alpha, w))
-        if any(b < 0 for b in beta):
-            continue
-        var_poly = Polynomial.variable(algebra.universe, v)
-        for e in kernel_basis_at(n, m, beta, cap):
-            space.insert(e.poly * var_poly)
-            if space.rank == len(kernel):
-                return 0  # the span lies in the kernel, so it is all of it
-    return len(kernel) - space.rank
+
+    def products():
+        for v in range(universe.nvars):
+            beta = tuple(a - wi for a, wi in zip(alpha, universe.weight(v)))
+            if any(b < 0 for b in beta):
+                continue
+            var_poly = Polynomial.variable(universe, v)
+            for e in kernel_basis_at(n, m, beta, cap):
+                yield e.poly * var_poly
+
+    # the span lies in the kernel, so its rank stops at the kernel's
+    return len(kernel) - rank_up_to(PolynomialSpace(universe).insert,
+                                    products(), len(kernel))
 
 
 def minimal_generators_by_degree(n, m, D, resource_cap=None):
@@ -296,12 +304,8 @@ class TruncatedIdeal:
         alpha = as_multidegree(alpha, self.algebra.m)
         _guard(self.algebra.count_of_weight(alpha), self.resource_cap,
                "ideal slice %r" % (alpha,))
-        space = PolynomialSpace(self.algebra.universe)
-        for row in self.spanning_polys(alpha):
-            if space.rank == ceiling:
-                break
-            space.insert(row)
-        return space.rank
+        return rank_up_to(PolynomialSpace(self.algebra.universe).insert,
+                          self.spanning_polys(alpha), ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +473,6 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
     reach = max((sum(w) for w in weights), default=0)
     bases = {}  # beta -> (leads, elements)
 
-    def row(h, b):
-        return _product_row(h, [(k, 1) for k in b])
-
     def basis_at(beta):
         """The invariant basis at beta, each element the tuple of the codes
         of its monomials (every coefficient is 1), and their leads."""
@@ -509,11 +510,10 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
                     break
             else:
                 space = RowSpace()
-                for h, basis in factors:
-                    for b in basis:
-                        if space.rank == want and not here:
-                            break
-                        space.insert_row(row(h, b))
+                rank_up_to(space.insert_row,
+                           (_product_row(h, [(k, 1) for k in b])
+                            for h, basis in factors for b in basis),
+                           None if here else want)
                 for f in here:
                     if not space.insert_row(
                             dict(_coded(_y_terms(f), places))):
@@ -687,9 +687,8 @@ def gl_generation_report(generator_hwvs, D, resource_cap=None):
     The generators fix the algebra F(n, m) whose kernel is compared: all
     of them must lie in one, and an empty list is a ValueError.  The ideal
     lies in the kernel, so the kernel dimension is the ceiling of each
-    slice's rank.  That dimension is checked in its own right, as
-    count_of_weight(alpha) - invariant_dimension(alpha): phi is onto the
-    invariants in every multidegree."""
+    slice's rank; the kernel basis is checked against its count where it
+    is built, and an ArithmeticError there propagates."""
     D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
     expanded = []
@@ -700,8 +699,7 @@ def gl_generation_report(generator_hwvs, D, resource_cap=None):
                             "note": "generator not in the kernel"}]
         expanded.extend(submodule_basis(g))
     ideal = TruncatedIdeal(expanded, cap)
-    algebra = ideal.algebra
-    n, m = algebra.n, algebra.m
+    n, m = ideal.algebra.n, ideal.algebra.m
     ok = True
     rows = []
     for t in range(D + 1):
@@ -709,9 +707,6 @@ def gl_generation_report(generator_hwvs, D, resource_cap=None):
         kernel_total = 0
         for alpha in decreasing_multidegrees(m, t):
             kdim = len(kernel_basis_at(n, m, alpha, cap))
-            if kdim != (algebra.count_of_weight(alpha)
-                        - invariant_dimension(algebra.params, alpha)):
-                ok = False
             idim = ideal.component_dimension(alpha, kdim)
             if idim != kdim:
                 ok = False

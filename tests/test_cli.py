@@ -546,13 +546,14 @@ def test_readme_command_line_block_runs(runner):
     assert sum(line is not None for _, line in commands) == 2
 
 
-def _run_module(args):
+def _run_module(args, **env):
     """`python -m dihedralinv.cli ARGS` in a fresh interpreter on the
-    package's source tree, the way the benchmark runs it."""
+    package's source tree, the way the benchmark runs it, with `env` added
+    to the environment."""
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "dihedralinv.cli"] + args,
-                          env=dict(os.environ, PYTHONPATH=path),
+                          env=dict(os.environ, PYTHONPATH=path, **env),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -561,6 +562,15 @@ def test_module_entry_point_prints_what_the_runner_prints(runner):
     result = _run_module(args)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == run(runner, args).stdout
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed():
+    # byte-stable output must not lean on set or dict order of hashed keys
+    args = ["report", "paper", "--n", "4", "--format", "json"]
+    first, second = (_run_module(args, PYTHONHASHSEED=seed)
+                     for seed in ("0", "12345"))
+    assert [r.returncode for r in (first, second)] == [0, 0]
+    assert first.stdout.encode() == second.stdout.encode()
 
 
 @pytest.mark.parametrize("args, option", [

@@ -11,11 +11,12 @@ import math
 from itertools import permutations
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedralinv import dihedral, kernelcalc
-from dihedralinv.cli import named_relations
+from dihedralinv.cli import main, named_relations
 from dihedralinv.dihedral import (
     DihedralParams,
     all_multidegrees,
@@ -31,6 +32,7 @@ from dihedralinv.exactpoly import (
     PolynomialSpace,
     RowSpace,
     parse_polynomial,
+    rank_up_to,
     xy_universe,
 )
 from dihedralinv.freealgebra import (
@@ -516,19 +518,21 @@ def _product_rank(primaries, params, alpha, model):
     basis_fn = {"dihedral": dihedral.invariant_basis,
                 "cyclic": dihedral.cyclic_invariant_basis}[model]
     U = xy_universe(params.m)
-    space = PolynomialSpace(U)
-    for h in primaries:
-        beta = tuple(a - w for a, w in zip(alpha, h.multidegree()))
-        if min(beta) < 0:
-            continue
-        for elem in basis_fn(params, beta):
-            b = Polynomial(U, {Monomial(
-                [(x_index(i), a - y) for i, (a, y)
-                 in enumerate(zip(beta, ys), start=1)]
-                + [(y_index(i), y) for i, y in enumerate(ys, start=1)]): 1
-                for ys in elem})
-            space.insert(h * b)
-    return space.rank
+
+    def products():
+        for h in primaries:
+            beta = tuple(a - w for a, w in zip(alpha, h.multidegree()))
+            if min(beta) < 0:
+                continue
+            for elem in basis_fn(params, beta):
+                b = Polynomial(U, {Monomial(
+                    [(x_index(i), a - y) for i, (a, y)
+                     in enumerate(zip(beta, ys), start=1)]
+                    + [(y_index(i), y) for i, y in enumerate(ys, start=1)]):
+                    1 for ys in elem})
+                yield h * b
+
+    return rank_up_to(PolynomialSpace(U).insert, products())
 
 
 @pytest.mark.parametrize("table,params,D,model,short", [
@@ -835,22 +839,62 @@ def test_gl_generation_rejects_non_kernel_generator():
     assert rows[0]["note"] == "generator not in the kernel"
 
 
-def test_gl_generation_checks_the_kernel_dimension(monkeypatch):
-    # a kernel basis one relation short at (4, 2, 0) lowers the ideal's
-    # ceiling with it, so the slice ranks agree; the count
-    # count_of_weight - invariant_dimension still catches it
-    real = kernelcalc.kernel_basis_at
+def test_kernel_basis_is_checked_against_its_count(monkeypatch):
+    # an elimination that loses one relation at (4, 2, 0) gives a basis
+    # one short of count_of_weight - invariant_dimension; the check where
+    # the basis is built stops every caller, GL-generation and the CLI too
+    lost = xy_monomials(3, (4, 2, 0))
+    real = kernelcalc.nullspace_combinations
 
-    def short(n, m, alpha, resource_cap=None):
-        basis = real(n, m, alpha, resource_cap)
-        return basis[1:] if tuple(alpha) == (4, 2, 0) else basis
+    def short(polys, columns):
+        relations = real(polys, columns)
+        return relations[1:] if columns == lost else relations
 
-    monkeypatch.setattr(kernelcalc, "kernel_basis_at", short)
+    monkeypatch.setattr(kernelcalc, "nullspace_combinations", short)
+    monkeypatch.setattr(free_algebra(4, 3), "kernels", {})
+    with pytest.raises(ArithmeticError, match=r"\(4, 2, 0\) has 0 .* is 1$"):
+        kernel_basis_at(4, 3, (2, 4, 0))
     gens = [make_R222(4, 3), make_R_n2(4, 3)]
-    ok, rows = gl_generation_report(gens, 6)
-    assert not ok
-    (row,) = [r for r in rows if r["degree"] == 6]
-    assert row["ideal_dim"] == row["kernel_dim"] == 28 - 6
+    with pytest.raises(ArithmeticError):
+        gl_generation_report(gens, 6)
+    result = CliRunner().invoke(main, ["kernel", "dim", "--n", "4",
+                                       "--m", "3", "--max-degree", "6"])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, ArithmeticError)
+    monkeypatch.setattr(kernelcalc, "nullspace_combinations", real)
+    assert len(kernel_basis_at(4, 3, (2, 4, 0))) == 1
+
+
+def test_nakayama_and_ideal_slice_insert_counts():
+    # PolynomialSpace inserts of the Nakayama span, and of the ideal slices
+    # alone (not the saturation) in GL-generation; each rank stops at its
+    # ceiling, so a row that goes in past one shows here
+    real_insert = PolynomialSpace.insert
+    real_dim = TruncatedIdeal.component_dimension
+    counts = {"nakayama": 0, "slices": 0}
+    counting = ["nakayama"]  # the count an insert goes to, or None
+
+    def insert(space, poly):
+        if counting[0]:
+            counts[counting[0]] += 1
+        return real_insert(space, poly)
+
+    def dim(ideal, alpha, ceiling):
+        counting[0] = "slices"
+        try:
+            return real_dim(ideal, alpha, ceiling)
+        finally:
+            counting[0] = None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PolynomialSpace, "insert", insert)
+        mp.setattr(TruncatedIdeal, "component_dimension", dim)
+        assert minimal_generators_by_degree(4, 3, 10) == {6: 28, 8: 75}
+        counting[0] = None
+        ok, _ = gl_generation_report(
+            [g for _, g, _ in named_relations(4, 3)], 10)
+    assert ok
+    assert counts == {"nakayama": 395, "slices": 345}
 
 
 @pytest.mark.parametrize("m,left_out,want", [

@@ -16,6 +16,7 @@ from dihedralinv.exactpoly import (
     RowSpace,
     nullspace_combinations,
     parse_polynomial,
+    rank_up_to,
     scaled_row_from_polynomial,
     xy_universe,
 )
@@ -29,10 +30,7 @@ def P(text):
 
 
 def rank(polys):
-    space = PolynomialSpace(U)
-    for p in polys:
-        space.insert(p)
-    return space.rank
+    return rank_up_to(PolynomialSpace(U).insert, polys)
 
 
 def test_span_dimension_basics():
@@ -92,12 +90,12 @@ def test_polynomial_space_incremental():
     assert space.insert(P("x1 + y1"))
     assert not space.insert(P("2*x1 + 2*y1"))
     assert space.insert(P("x1"))
-    assert space.rank == 2
+    assert space.space.rank == 2
     # y1 lies in the span, so inserting it leaves the rank as it is; x2 not
     assert not space.insert(P("y1"))
-    assert space.rank == 2
+    assert space.space.rank == 2
     assert space.insert(P("x2"))
-    assert space.rank == 3
+    assert space.space.rank == 3
 
 
 def test_polynomial_space_with_columns():
@@ -113,7 +111,7 @@ def test_polynomial_space_with_columns():
     assert space.col_index == {x2: 0, y1: 1}
     assert space.insert(P("x1*y2"))
     assert space.col_index == {x2: 0, y1: 1, x1 * y2: 2}
-    assert space.rank == 3
+    assert space.space.rank == 3
     # two orders of the same polynomials number the columns differently;
     # either way an insert raises the rank iff it leaves the span so far
     polys = [P("x1 + y1"), P("y2"), P("x1 + y1 + y2"), P("x1 - y1"),
@@ -122,12 +120,55 @@ def test_polynomial_space_with_columns():
     for order in (polys, polys[::-1]):
         space = PolynomialSpace(U)
         gains.append([space.insert(p) for p in order])
-        assert space.rank == 3
+        assert space.space.rank == 3
     assert gains == [[True, True, False, True, False],
                      [True, True, True, False, False]]
     # the columns are not declared: there is no basis-keyed mode
     with pytest.raises(TypeError):
         PolynomialSpace(U, LINEAR)
+
+
+class Drawn:
+    """An iterator over rows that counts the rows drawn from it."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+        self.count = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.rows)
+        self.count += 1
+        return row
+
+
+def test_rank_up_to_draws_no_row_past_the_ceiling():
+    # rank 2 is reached at the third row; a loop that tested the ceiling
+    # only once it held the next row would draw a fourth
+    rows = Drawn([P("x1"), P("2*x1"), P("y1"), P("x2"), P("y2")])
+    assert rank_up_to(PolynomialSpace(U).insert, rows, 2) == 2
+    assert rows.count == 3
+    # a ceiling the rows never reach draws them all
+    rows = Drawn([P("x1"), P("2*x1"), P("y1")])
+    assert rank_up_to(PolynomialSpace(U).insert, rows, 3) == 2
+    assert rows.count == 3
+    # the same holds for integer rows through a RowSpace
+    space = RowSpace()
+    rows = Drawn([{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 1}])
+    assert rank_up_to(space.insert_row, rows, 1) == 1
+    assert (rows.count, space.rank) == (1, 1)
+
+
+def test_rank_up_to_ceiling_zero_and_none():
+    rows = Drawn([P("x1"), P("y1")])
+    assert rank_up_to(PolynomialSpace(U).insert, rows, 0) == 0
+    assert rows.count == 0
+    rows = Drawn([P("x1"), P("y1"), P("x1 + y1"), P("x2")])
+    assert rank_up_to(PolynomialSpace(U).insert, rows) == 3
+    assert rows.count == 4
+    assert rank_up_to(RowSpace().insert_row, []) == 0
 
 
 def test_monomial_outside_columns_is_named():
@@ -255,3 +296,36 @@ def test_sparse_and_dense_relations_agree(vecs):
         assert all(type(c) is int and c for c in rel.values())
         assert rel[keys[0]] > 0
         assert reduce(gcd, rel.values()) == 1
+
+
+def fraction_rank(vecs):
+    """Rank of dense integer vectors by Gaussian elimination over
+    Fractions."""
+    rows = [[Fraction(c) for c in vec] for vec in vecs]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(coeffs(), min_size=width, max_size=width), max_size=7)))
+def test_rank_up_to_matches_fraction_elimination(vecs):
+    want = fraction_rank(vecs)
+    rows = [{j: c for j, c in enumerate(vec) if c} for vec in vecs]
+    assert rank_up_to(RowSpace().insert_row, rows) == want
+    drawn = Drawn(rows)
+    assert rank_up_to(RowSpace().insert_row, drawn, want) == want
+    # the last row drawn is the one that reached the ceiling
+    if want:
+        assert fraction_rank(vecs[:drawn.count - 1]) == want - 1
+    else:
+        assert drawn.count == 0
