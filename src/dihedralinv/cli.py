@@ -20,6 +20,7 @@ from .exactpoly import (
     MonomialOrder,
     buchberger,
     leading_term,
+    monomial_text,
     parse_polynomial,
     staircase_generating_function,
     staircase_monomials,
@@ -478,7 +479,7 @@ def groebner_demo(n, fmt):
     stairs = staircase_monomials(basis, order)
     genf = staircase_generating_function(stairs)
     expected = [1] + [2] * (n - 1) + [1]
-    rows = [{"leading_monomial": leading_term(g, order)[0].text(U),
+    rows = [{"leading_monomial": monomial_text(leading_term(g, order)[0], U),
              "polynomial": g.text()} for g in basis]
     tables = [
         {"name": "groebner_basis", "rows": rows},

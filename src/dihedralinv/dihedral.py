@@ -21,7 +21,13 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .exactpoly import Monomial, Polynomial, compositions, xy_universe
+from .exactpoly import (
+    Polynomial,
+    compositions,
+    monomial,
+    monomial_multidegree,
+    xy_universe,
+)
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ def xy_monomials(m, alpha):
             if total - a:
                 pairs.append((y_index(i), total - a))
         # x_i < y_i < x_{i+1}: the pairs are in variable order already
-        out.append(Monomial._canonical(tuple(pairs)))
+        out.append(tuple(pairs))
     return out
 
 
@@ -154,7 +160,7 @@ def polarize(g, m):
     expanded = g.substitute({0: sx, 1: sy})
     pieces = {}
     for mono, c in expanded.terms.items():
-        alpha = mono.multidegree(target)
+        alpha = monomial_multidegree(mono, target)
         pieces.setdefault(alpha, {})[mono] = c
     return {
         alpha: Polynomial(target, terms).scale(Fraction(1, multinomial(d, alpha)))
@@ -180,13 +186,14 @@ def q_pol(alpha):
     support = [i + 1 for i, a in enumerate(alpha) if a]
     if len(support) == 1:
         i = support[0]
-        mono = Monomial([(x_index(i), 1), (y_index(i), 1)])
-        return Polynomial.from_monomial(universe, mono)
+        return Polynomial.from_monomial(
+            universe, ((x_index(i), 1), (y_index(i), 1)))
     i, j = support
     half = Fraction(1, 2)
     return Polynomial(universe, {
-        Monomial([(x_index(i), 1), (y_index(j), 1)]): half,
-        Monomial([(x_index(j), 1), (y_index(i), 1)]): half,
+        ((x_index(i), 1), (y_index(j), 1)): half,
+        # x_j comes after y_i in variable order
+        monomial([(x_index(j), 1), (y_index(i), 1)]): half,
     })
 
 
@@ -197,8 +204,8 @@ def p_pol(beta):
     if sum(beta) < 1:
         raise ValueError("empty multidegree for p polarization")
     universe = xy_universe(len(beta))
-    xs = Monomial((x_index(i + 1), b) for i, b in enumerate(beta) if b)
-    ys = Monomial((y_index(i + 1), b) for i, b in enumerate(beta) if b)
+    xs = tuple((x_index(i + 1), b) for i, b in enumerate(beta) if b)
+    ys = tuple((y_index(i + 1), b) for i, b in enumerate(beta) if b)
     return Polynomial(universe, {xs: 1, ys: 1})
 
 
@@ -209,7 +216,7 @@ def p_pol(beta):
 def rotation_weight(mono):
     """Sum of x-exponents minus sum of y-exponents."""
     w = 0
-    for v, e in mono.exps:
+    for v, e in mono:
         w += e if v % 2 == 0 else -e
     return w
 
@@ -331,15 +338,15 @@ def gl_act_xy(f, u, v):
     out = {}
     for mono, c in f.terms.items():
         for src, dst in ((x_index(v), x_index(u)), (y_index(v), y_index(u))):
-            e = mono.exponent(src)
+            d = dict(mono)
+            e = d.get(src)
             if not e:
                 continue
-            d = dict(mono.exps)
             d[src] -= 1
             if not d[src]:
                 del d[src]
             d[dst] = d.get(dst, 0) + 1
-            key = Monomial._canonical(tuple(sorted(d.items())))
+            key = tuple(sorted(d.items()))
             val = out.get(key, 0) + c * e
             if val:
                 out[key] = val

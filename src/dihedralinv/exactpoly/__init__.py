@@ -1,14 +1,20 @@
 """Exact polynomial arithmetic: sparse rational polynomials over the two
 variable universes used throughout the package (the coordinate ring of m
-plane vectors, and the free polynomial ring on the rho/pi symbols), ranks
+plane vectors, and the free polynomial ring on the rho/pi symbols), keyed by
+monomials stored as sorted (variable, exponent) pair tuples, ranks
 and nullspaces of their int polynomials as integer rows over the monomial
 bases, and a small Gröbner engine."""
 
 from .rings import (
-    Monomial,
     Polynomial,
     VariableUniverse,
     compositions,
+    grlex_key,
+    monomial,
+    monomial_degree,
+    monomial_multidegree,
+    monomial_product,
+    monomial_text,
     parse_polynomial,
     rhopi_universe,
     xy_universe,
@@ -31,7 +37,6 @@ from .groebner import (
 )
 
 __all__ = [
-    "Monomial",
     "MonomialOrder",
     "Polynomial",
     "PolynomialSpace",
@@ -39,7 +44,13 @@ __all__ = [
     "VariableUniverse",
     "buchberger",
     "compositions",
+    "grlex_key",
     "leading_term",
+    "monomial",
+    "monomial_degree",
+    "monomial_multidegree",
+    "monomial_product",
+    "monomial_text",
     "normal_form",
     "nullspace_combinations",
     "parse_polynomial",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import Monomial, Polynomial
+from .rings import Polynomial, grlex_key, monomial_degree, monomial_product
 
 # the largest staircase listed before it is taken to be infinite
 STAIRCASE_CAP = 20000
@@ -34,10 +34,42 @@ class MonomialOrder:
         listed = self.priority
         rest = tuple(v for v in range(nvars) if v not in listed)
         cols = listed + rest
-        return lambda mono: tuple(mono.exponent(v) for v in cols)
+
+        def key(mono):
+            exps = dict(mono)
+            return tuple(exps.get(v, 0) for v in cols)
+        return key
 
     def __repr__(self):
         return "MonomialOrder(%r)" % (list(self.priority),)
+
+
+def divides(a, b):
+    """True iff monomial a divides monomial b."""
+    have = dict(b)
+    return all(have.get(v, 0) >= e for v, e in a)
+
+
+def quotient(a, b):
+    """The monomial a / b; b must divide a."""
+    d = dict(a)
+    for v, e in b:
+        left = d.get(v, 0) - e
+        if left < 0:
+            raise ValueError("monomial %r does not divide %r" % (b, a))
+        if left:
+            d[v] = left
+        else:
+            del d[v]
+    # only variables of a are left, in a's (sorted) order
+    return tuple(d.items())
+
+
+def lcm(a, b):
+    d = dict(a)
+    for v, e in b:
+        d[v] = max(d.get(v, 0), e)
+    return tuple(sorted(d.items()))
 
 
 def leading_term(f, order):
@@ -63,13 +95,13 @@ def normal_form(f, basis, order):
         mono = max(work, key=key)
         coeff = work.pop(mono)
         for (bm, bc), b in lead:
-            if bm.divides(mono):
-                factor = mono / bm
+            if divides(bm, mono):
+                factor = quotient(mono, bm)
                 scale = Fraction(coeff, bc)
                 for tm, tc in b.terms.items():
                     if tm is bm or tm == bm:
                         continue
-                    km = tm * factor
+                    km = monomial_product(tm, factor)
                     v = work.get(km, 0) - scale * tc
                     if v:
                         work[km] = v
@@ -84,10 +116,10 @@ def normal_form(f, basis, order):
 def s_polynomial(f, g, order):
     fm, fc = leading_term(f, order)
     gm, gc = leading_term(g, order)
-    lcm = fm.lcm(gm)
-    return (f * Polynomial.from_monomial(f.universe, lcm / fm,
+    top = lcm(fm, gm)
+    return (f * Polynomial.from_monomial(f.universe, quotient(top, fm),
                                          Fraction(1, fc))
-            - g * Polynomial.from_monomial(g.universe, lcm / gm,
+            - g * Polynomial.from_monomial(g.universe, quotient(top, gm),
                                            Fraction(1, gc)))
 
 
@@ -128,7 +160,7 @@ def _reduce_basis(basis, order):
         mi = lead[i]
         redundant = False
         for j, mj in enumerate(lead):
-            if i == j or not mj.divides(mi):
+            if i == j or not divides(mj, mi):
                 continue
             if mj != mi or j < i:
                 redundant = True
@@ -166,14 +198,14 @@ def staircase_monomials(basis, order):
     lead = [leading_term(b, order)[0] for b in basis]
     seen = set()
     out = []
-    frontier = [Monomial.unit()]
+    frontier = [()]
     while frontier:
         nxt = []
         for mono in frontier:
             if mono in seen:
                 continue
             seen.add(mono)
-            if any(lm.divides(mono) for lm in lead):
+            if any(divides(lm, mono) for lm in lead):
                 continue
             out.append(mono)
             if len(out) > STAIRCASE_CAP:
@@ -181,17 +213,17 @@ def staircase_monomials(basis, order):
                     "staircase exceeds %d monomials (infinite quotient?)"
                     % STAIRCASE_CAP)
             for v in range(nvars):
-                nxt.append(mono * Monomial.variable(v))
+                nxt.append(monomial_product(mono, ((v, 1),)))
         frontier = nxt
-    out.sort(key=lambda mo: mo.grlex_key(nvars))
+    out.sort(key=lambda mo: grlex_key(mo, nvars))
     return out
 
 
 def staircase_generating_function(monos):
     """Degree generating function of a staircase given as its monomials:
     entry d counts those of total degree d."""
-    top = max((mo.degree for mo in monos), default=0)
+    top = max((monomial_degree(mo) for mo in monos), default=0)
     counts = [0] * (top + 1)
     for mo in monos:
-        counts[mo.degree] += 1
+        counts[monomial_degree(mo)] += 1
     return counts

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .rings import monomial_text
+
 
 def scaled_row_from_polynomial(poly, col_index):
     """Sparse integer row of an int polynomial over the column ids
@@ -38,11 +40,11 @@ def scaled_row_from_polynomial(poly, col_index):
         for mono, c in poly.terms.items():
             if type(c) is not int:
                 raise TypeError("rows need int coefficients, got %s at %s"
-                                % (c, mono.text(poly.universe)))
+                                % (c, monomial_text(mono, poly.universe)))
             row[col_index[mono]] = c
     except KeyError:
         raise ValueError("monomial %s is not in the column basis"
-                         % mono.text(poly.universe)) from None
+                         % monomial_text(mono, poly.universe)) from None
     return row
 
 

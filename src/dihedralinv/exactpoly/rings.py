@@ -12,12 +12,13 @@ reduced `fractions.Fraction` whose denominator is greater than 1 (zero is
 never stored).  A polynomial is built from a dict monomial -> coefficient,
 and only int and Fraction are accepted as input coefficients; an integral
 Fraction is stored as its int, so equal polynomials have equal terms
-whichever form they were built from.  Monomials store their exponents
-sparsely as a tuple of (variable index, positive exponent) pairs sorted by
-variable; products, quotients and the other operations that already have
-their pairs in that form build the monomial without re-checking it.  The
-canonical term order used for serialization is graded lexicographic on
-exponent vectors.
+whichever form they were built from.  A monomial is its exponents stored
+sparsely: the tuple of its (variable index, positive exponent) pairs sorted
+by variable, with () the unit monomial.  `monomial` checks pairs that come
+from outside; products and the other operations that already have their
+pairs in that form build the tuple without re-checking it.  The canonical
+term order used for serialization is graded lexicographic on exponent
+vectors.
 """
 
 from __future__ import annotations
@@ -160,155 +161,79 @@ def rhopi_universe(n, m):
     return VariableUniverse("rhopi", m, n)
 
 
-class Monomial:
-    """A power product, stored sparsely: tuple of (variable index, exponent)
-    pairs, sorted by variable, every variable once, all exponents positive.
-
-    `Monomial(exps)` accepts the pairs in any order, drops zero exponents and
-    rejects negative or repeated ones.  `Monomial._canonical(pairs)` takes a
-    tuple already in the stored form and checks nothing; the arithmetic
-    below uses it for the pairs it builds itself."""
-
-    __slots__ = ("exps", "_hash")
-
-    def __init__(self, exps=()):
-        pairs = tuple(sorted((v, e) for v, e in exps if e != 0))
-        last = None
-        for v, e in pairs:
-            if e < 0:
-                raise ValueError("negative exponent in monomial: %r" % (pairs,))
-            if v == last:
-                raise ValueError("repeated variable in monomial: %r"
-                                 % (pairs,))
-            last = v
-        self.exps = pairs
-        self._hash = hash(pairs)
-
-    @classmethod
-    def _canonical(cls, pairs):
-        """The monomial of a tuple of pairs already in the stored form."""
-        mono = object.__new__(cls)
-        mono.exps = pairs
-        mono._hash = hash(pairs)
-        return mono
-
-    @classmethod
-    def unit(cls):
-        return _UNIT
-
-    @classmethod
-    def variable(cls, v, e=1):
-        return cls(((v, e),))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self.exps == other.exps
-
-    def __bool__(self):
-        return bool(self.exps)
-
-    @property
-    def degree(self):
-        return sum(e for _, e in self.exps)
-
-    def exponent(self, v):
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
-
-    def dense(self, nvars):
-        out = [0] * nvars
-        for v, e in self.exps:
-            out[v] = e
-        return tuple(out)
-
-    def grlex_key(self, nvars):
-        """Sort key for the canonical graded-lex order; bigger key = bigger
-        monomial (sort descending for leading-term-first serialization)."""
-        return (self.degree, self.dense(nvars))
-
-    def __mul__(self, other):
-        a = self.exps
-        b = other.exps
-        # merge the two sorted pair lists, adding exponents on a shared
-        # variable
-        out = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            va = a[i][0]
-            vb = b[j][0]
-            if va < vb:
-                out.append(a[i])
-                i += 1
-            elif vb < va:
-                out.append(b[j])
-                j += 1
-            else:
-                out.append((va, a[i][1] + b[j][1]))
-                i += 1
-                j += 1
-        return Monomial._canonical(tuple(out) + a[i:] + b[j:])
-
-    def divides(self, other):
-        od = dict(other.exps)
-        return all(od.get(v, 0) >= e for v, e in self.exps)
-
-    def __truediv__(self, other):
-        """Quotient self / other; other must divide self."""
-        d = dict(self.exps)
-        for v, e in other.exps:
-            have = d.get(v, 0) - e
-            if have < 0:
-                raise ValueError("monomial %r does not divide %r" % (other, self))
-            if have:
-                d[v] = have
-            else:
-                del d[v]
-        # only variables of self are left, in self's (sorted) order
-        return Monomial._canonical(tuple(d.items()))
-
-    def lcm(self, other):
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = max(d.get(v, 0), e)
-        return Monomial._canonical(tuple(sorted(d.items())))
-
-    def weighted_degree(self, universe):
-        return sum(e * universe.degree(v) for v, e in self.exps)
-
-    def multidegree(self, universe):
-        out = [0] * universe.m
-        for v, e in self.exps:
-            for j, w in enumerate(universe.weight(v)):
-                out[j] += e * w
-        return tuple(out)
-
-    def text(self, universe):
-        if not self.exps:
-            return "1"
-        parts = []
-        for v, e in self.exps:
-            name = universe.name(v)
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return "*".join(parts)
-
-    def __repr__(self):
-        return "Monomial(%r)" % (self.exps,)
+def monomial(pairs):
+    """The monomial of (variable index, exponent) pairs given in any order:
+    sorted by variable, zero exponents dropped.  A negative exponent or a
+    variable given twice is a ValueError.  This is the one check for pairs
+    from outside; the operations below build their tuples in stored form."""
+    mono = tuple(sorted((v, e) for v, e in pairs if e != 0))
+    last = None
+    for v, e in mono:
+        if e < 0:
+            raise ValueError("negative exponent in monomial: %r" % (mono,))
+        if v == last:
+            raise ValueError("repeated variable in monomial: %r" % (mono,))
+        last = v
+    return mono
 
 
-_UNIT = Monomial()
+def monomial_product(a, b):
+    """The product of two monomials: merge the two sorted pair tuples,
+    adding exponents on a shared variable."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va = a[i][0]
+        vb = b[j][0]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((va, a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
+def monomial_degree(mono):
+    """Total degree: every variable counts 1."""
+    return sum(e for _, e in mono)
+
+
+def grlex_key(mono, nvars):
+    """Sort key for the canonical graded-lex order; bigger key = bigger
+    monomial (sort descending for leading-term-first serialization)."""
+    dense = [0] * nvars
+    for v, e in mono:
+        dense[v] = e
+    return (monomial_degree(mono), tuple(dense))
+
+
+def monomial_multidegree(mono, universe):
+    out = [0] * universe.m
+    for v, e in mono:
+        for j, w in enumerate(universe.weight(v)):
+            out[j] += e * w
+    return tuple(out)
+
+
+def monomial_text(mono, universe):
+    if not mono:
+        return "1"
+    return "*".join(universe.name(v) if e == 1
+                    else "%s^%d" % (universe.name(v), e) for v, e in mono)
 
 
 class Polynomial:
-    """Sparse polynomial over a fixed universe: map Monomial -> nonzero
-    coefficient (an int, or a Fraction with denominator > 1).  Immutable by
-    convention; arithmetic returns new objects.
+    """Sparse polynomial over a fixed universe: map monomial (sorted pair
+    tuple) -> nonzero coefficient (an int, or a Fraction with denominator
+    > 1).  Immutable by convention; arithmetic returns new objects.
 
-    `Polynomial(universe, terms)` takes a dict Monomial -> int or Fraction:
+    `Polynomial(universe, terms)` takes a dict monomial -> int or Fraction:
     zero coefficients are dropped, an integral Fraction is stored as its
     int, and any other coefficient type is a TypeError."""
 
@@ -340,11 +265,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, universe, c):
-        return cls(universe, {Monomial.unit(): c})
+        return cls(universe, {(): c})
 
     @classmethod
     def variable(cls, universe, v, e=1):
-        return cls(universe, {Monomial.variable(v, e): 1})
+        return cls(universe, {monomial(((v, e),)): 1})
 
     @classmethod
     def from_monomial(cls, universe, mono, c=1):
@@ -362,24 +287,24 @@ class Polynomial:
         """Terms in canonical order: graded lex, leading term first."""
         nv = self.universe.nvars
         return sorted(self.terms.items(),
-                      key=lambda it: it[0].grlex_key(nv), reverse=True)
+                      key=lambda it: grlex_key(it[0], nv), reverse=True)
 
     def degree(self):
         """Weighted total degree (max over terms); -1 for the zero polynomial."""
         if not self.terms:
             return -1
         u = self.universe
-        return max(m.weighted_degree(u) for m in self.terms)
+        return max(sum(e * u.degree(v) for v, e in m) for m in self.terms)
 
     def is_homogeneous(self):
         u = self.universe
-        degs = {m.weighted_degree(u) for m in self.terms}
+        degs = {sum(e * u.degree(v) for v, e in m) for m in self.terms}
         return len(degs) <= 1
 
     def multidegree(self):
         """The common multidegree of all terms, or None if the polynomial is
         not multihomogeneous.  Zero polynomial -> None."""
-        mds = {m.multidegree(self.universe) for m in self.terms}
+        mds = {monomial_multidegree(m, self.universe) for m in self.terms}
         if len(mds) == 1:
             return next(iter(mds))
         return None
@@ -423,7 +348,7 @@ class Polynomial:
         d = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1 * m2
+                m = monomial_product(m1, m2)
                 c = c1 * c2
                 acc = d.get(m)
                 if acc is None:
@@ -484,7 +409,7 @@ class Polynomial:
         out = Polynomial.zero(target)
         for mono, c in self.terms.items():
             term = Polynomial.constant(target, c)
-            for v, e in mono.exps:
+            for v, e in mono:
                 if v in mapping:
                     term = term * (mapping[v] ** e)
                 else:
@@ -496,22 +421,19 @@ class Polynomial:
         return out
 
     def sharing(self, table):
-        """The same polynomial, each monomial replaced by the object that
-        `table` (exponent pairs -> Monomial) holds for its pairs; a monomial
-        the table lacks is added to it.  Polynomials passed through one
-        table hold one object per distinct monomial (hash-consing)."""
+        """The same polynomial, each monomial replaced by the equal tuple
+        that `table` (monomial -> itself) holds; a monomial the table lacks
+        is added to it.  Polynomials passed through one table hold one
+        tuple object per distinct monomial (hash-consing)."""
         return Polynomial._of(self.universe, {
-            table.setdefault(m.exps, m): c for m, c in self.terms.items()})
+            table.setdefault(m, m): c for m, c in self.terms.items()})
 
     def permute_variables(self, var_map):
         """Rename variables via the index map `var_map` (a permutation of the
         universe's variable indices)."""
-        d = {}
-        for m, c in self.terms.items():
-            m2 = Monomial._canonical(
-                tuple(sorted([(var_map[v], e) for v, e in m.exps])))
-            d[m2] = c
-        return Polynomial._of(self.universe, d)
+        return Polynomial._of(self.universe, {
+            tuple(sorted([(var_map[v], e) for v, e in m])): c
+            for m, c in self.terms.items()})
 
     # -- text form -------------------------------------------------------
 
@@ -525,7 +447,7 @@ class Polynomial:
         for i, (mono, c) in enumerate(self.sorted_terms()):
             neg = c < 0
             mag = -c if neg else c
-            body = mono.text(self.universe)
+            body = monomial_text(mono, self.universe)
             if body == "1":
                 piece = str(mag)
             elif mag == 1:
@@ -580,5 +502,6 @@ def parse_polynomial(s, universe):
                 v = universe.index(m.group("name"))
                 e = int(m.group("exp") or 1)
                 exps[v] = exps.get(v, 0) + e
-        out = out + Polynomial.from_monomial(universe, Monomial(exps.items()), coeff)
+        out = out + Polynomial.from_monomial(universe, monomial(exps.items()),
+                                             coeff)
     return out

@@ -38,7 +38,6 @@ from .dihedral import (
     q_pol,
 )
 from .exactpoly import (
-    Monomial,
     Polynomial,
     PolynomialSpace,
     rhopi_universe,
@@ -76,9 +75,8 @@ class FreeAlgebra:
             else q_pol(w) if self.universe.degree(v) == 2 else p_pol(w)
             for v, w in enumerate(self._weights)]
         # mono -> 2^k phi(mono), k the total exponent of mixed rhos in mono
-        self._phi_cache = {Monomial.unit(): Polynomial.constant(
-            self.xy_universe, 1)}
-        # exponent pairs -> the one Monomial that every cached image uses
+        self._phi_cache = {(): Polynomial.constant(self.xy_universe, 1)}
+        # monomial -> the one equal tuple that every cached image uses
         self._phi_monomials = {}
         # weight -> suffix counts of that weight (see _suffix_counts)
         self._counts = {}
@@ -121,17 +119,17 @@ class FreeAlgebra:
         integer polarizations.  P is cached together with every prefix on
         the way: strip one factor of the first variable at a time down to a
         cached monomial, then multiply back up.  The cached images share
-        one Monomial object per distinct xy-monomial."""
+        one tuple object per distinct xy-monomial."""
         mixed = self._mixed
-        k = sum(e for v, e in mono.exps if v in mixed)
+        k = sum(e for v, e in mono if v in mixed)
         cache = self._phi_cache
         chain = []
         while mono not in cache:
-            (v, e), *rest = mono.exps
+            (v, e), *rest = mono
             chain.append((mono, v))
             if e > 1:
                 rest.insert(0, (v, e - 1))
-            mono = Monomial._canonical(tuple(rest))
+            mono = tuple(rest)
         value = cache[mono]
         polarizations, shared = self._polarizations, self._phi_monomials
         for mono, v in reversed(chain):
@@ -163,7 +161,7 @@ class FreeAlgebra:
         def rec(start, remaining):
             if not any(remaining):
                 # acc holds (variable, positive exponent) in index order
-                out.append(Monomial._canonical(tuple(acc)))
+                out.append(tuple(acc))
                 return
             counts = _suffix_counts(weights, memo, remaining)
             for idx in range(start, len(weights)):
@@ -220,17 +218,17 @@ class FreeAlgebra:
                              % (u, v, self.m))
         out = {}
         for mono, c in e.poly.terms.items():
-            for var, exp in mono.exps:
+            for var, exp in mono:
                 factor, target = self._shifted_variable(var, u - 1, v - 1)
                 if not factor:
                     continue
-                pairs = dict(mono.exps)
+                pairs = dict(mono)
                 if exp == 1:
                     del pairs[var]
                 else:
                     pairs[var] = exp - 1
                 pairs[target] = pairs.get(target, 0) + 1
-                shifted = Monomial._canonical(tuple(sorted(pairs.items())))
+                shifted = tuple(sorted(pairs.items()))
                 value = out.get(shifted, 0) + c * exp * factor
                 if value:
                     out[shifted] = value

@@ -371,7 +371,7 @@ def _y_terms(f):
     out = []
     for mono, c in f.terms.items():
         ys = [0] * m
-        for v, e in mono.exps:
+        for v, e in mono:
             if v % 2:
                 ys[v // 2] = e
         out.append((ys, c.numerator * (den // c.denominator)))

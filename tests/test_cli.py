@@ -564,9 +564,15 @@ def test_module_entry_point_prints_what_the_runner_prints(runner):
     assert result.stdout == run(runner, args).stdout
 
 
-def test_report_bytes_do_not_depend_on_the_hash_seed():
-    # byte-stable output must not lean on set or dict order of hashed keys
-    args = ["report", "paper", "--n", "4", "--format", "json"]
+@pytest.mark.parametrize("args", [
+    ["report", "paper", "--n", "4"],
+    ["kernel", "basis", "--n", "4", "--m", "3", "--degree", "8"],
+    ["groebner", "demo", "--n", "5"],
+], ids=["report-paper", "kernel-basis", "groebner-demo"])
+def test_report_bytes_do_not_depend_on_the_hash_seed(args):
+    # byte-stable output must not lean on set or dict order of hashed keys:
+    # term dicts and staircase sets are keyed by monomial tuples
+    args = args + ["--format", "json"]
     first, second = (_run_module(args, PYTHONHASHSEED=seed)
                      for seed in ("0", "12345"))
     assert [r.returncode for r in (first, second)] == [0, 0]

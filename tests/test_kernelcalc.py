@@ -27,10 +27,10 @@ from dihedralinv.dihedral import (
     y_index,
 )
 from dihedralinv.exactpoly import (
-    Monomial,
     Polynomial,
     PolynomialSpace,
     RowSpace,
+    monomial,
     parse_polynomial,
     rank_up_to,
     xy_universe,
@@ -525,7 +525,7 @@ def _product_rank(primaries, params, alpha, model):
             if min(beta) < 0:
                 continue
             for elem in basis_fn(params, beta):
-                b = Polynomial(U, {Monomial(
+                b = Polynomial(U, {monomial(
                     [(x_index(i), a - y) for i, (a, y)
                      in enumerate(zip(beta, ys), start=1)]
                     + [(y_index(i), y) for i, y in enumerate(ys, start=1)]):
