@@ -10,6 +10,10 @@ GL-ideal generation check that compares the rank of each ideal slice with
 the kernel dimension, multidegree by multidegree.  No check asks whether one
 element lies in an ideal: ranks settle every claim.
 
+A transported component permutes and sorts each of its distinct monomials
+once: its elements share one monomial table for their permutation, made per
+call and not kept on the algebra (see FreeAlgebra.s_act).
+
 Each rank stops at a ceiling that is proven, because rows past it cannot
 change the answer, and `rank_up_to` applies every one of them:
 - the Nakayama span F_+ . ker lies in ker, so once its rank is dim ker_alpha
@@ -177,8 +181,9 @@ def _kernel_basis_sorted(n, m, alpha, cap):
         # relation c_i 2^{k_i}; c is coprime, so its gcd is a power of two
         coeffs = {i: c << images[i][1] for i, c in combo.items()}
         g = gcd(*coeffs.values())
-        poly = Polynomial(algebra.universe,
-                          {monos[i]: c // g for i, c in coeffs.items()})
+        # nonzero ints on distinct monomials: already the stored form
+        poly = Polynomial._of(algebra.universe,
+                              {monos[i]: c // g for i, c in coeffs.items()})
         basis.append(FreeElement(algebra, poly))
     count = (algebra.count_of_weight(alpha)
              - invariant_dimension(algebra.params, alpha))
@@ -192,8 +197,10 @@ def _kernel_basis_sorted(n, m, alpha, cap):
 
 def kernel_basis_at(n, m, alpha, resource_cap=None):
     """Kernel basis at an arbitrary multidegree, by permutation transport
-    from the weakly decreasing representative.  The list is the caller's
-    own: changing it leaves the algebra's copy intact."""
+    from the weakly decreasing representative.  One monomial table is
+    shared by the component's elements, so each distinct monomial is
+    permuted and sorted once per call (see FreeAlgebra.s_act).  The list
+    is the caller's own: changing it leaves the algebra's copy intact."""
     cap = resolve_resource_cap(resource_cap)
     alpha = as_multidegree(alpha, m)
     sorted_alpha, perm = sort_permutation(alpha)
@@ -201,7 +208,8 @@ def kernel_basis_at(n, m, alpha, resource_cap=None):
     if alpha == sorted_alpha:
         return list(basis)
     algebra = free_algebra(n, m)
-    return [algebra.s_act(perm, e) for e in basis]
+    images = {}
+    return [algebra.s_act(perm, e, images) for e in basis]
 
 
 # ---------------------------------------------------------------------------

@@ -568,7 +568,11 @@ def test_module_entry_point_prints_what_the_runner_prints(runner):
     ["report", "paper", "--n", "4"],
     ["kernel", "basis", "--n", "4", "--m", "3", "--degree", "8"],
     ["groebner", "demo", "--n", "5"],
-], ids=["report-paper", "kernel-basis", "groebner-demo"])
+    ["kernel", "mingens", "--n", "4", "--m", "4"],
+    ["decompose", "kernel", "--n", "4", "--m", "3"],
+    ["hironaka", "verify", "--n", "4", "--m", "3", "--model", "cyclic"],
+], ids=["report-paper", "kernel-basis", "groebner-demo", "kernel-mingens",
+        "decompose-kernel", "hironaka-cyclic"])
 def test_report_bytes_do_not_depend_on_the_hash_seed(args):
     # byte-stable output must not lean on set or dict order of hashed keys:
     # term dicts and staircase sets are keyed by monomial tuples

@@ -489,8 +489,18 @@ def test_phi_intertwines_s_action():
     e = A.pi((2, 1, 1)) * A.rho((0, 1, 1)) - 2 * A.rho((2, 0, 0)) ** 3
     for perm in [(2, 1, 3), (3, 1, 2), (2, 3, 1)]:
         assert phi(A.s_act(perm, e)) == s_act_xy(perm, phi(e))
-    with pytest.raises(ValueError):
-        A.s_act((1, 1, 2), e)
+
+
+@pytest.mark.parametrize("perm", [(1, 1, 2), (1, 2), (0, 1, 2),
+                                  (1, 2, 3, 4)])
+def test_s_act_rejects_a_non_permutation_with_or_without_table(perm):
+    A = free_algebra(4, 3)
+    e = A.pi((2, 1, 1)) * A.rho((0, 1, 1))
+    for images in (None, {}):
+        with pytest.raises(ValueError, match="permutation of 1..3"):
+            A.s_act(perm, e, images)
+    # the check comes first: the table was not filled
+    assert images == {}
 
 
 def test_s_act_composition():

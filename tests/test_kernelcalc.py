@@ -234,6 +234,43 @@ def test_kernel_transport_to_unsorted_weight():
     assert phi(basis[0]).is_zero()
 
 
+@pytest.mark.parametrize("n, m, D", [(4, 3, 10), (6, 3, 8)])
+def test_transport_shares_one_table_per_component(monkeypatch, n, m, D):
+    # each transported component equals its elements moved one at a time
+    # with no table, and the one table its call shares holds exactly the
+    # distinct monomials of the sorted component
+    A = free_algebra(n, m)
+    tables = []
+    real_s_act = FreeAlgebra.s_act
+
+    def s_act(self, perm, e, images=None):
+        tables.append(images)
+        return real_s_act(self, perm, e, images)
+
+    for d in range(D + 1):
+        for alpha in all_multidegrees(m, d):
+            sorted_alpha, perm = sort_permutation(alpha)
+            if alpha == sorted_alpha:
+                continue
+            source = kernel_basis_at(n, m, sorted_alpha)
+            want = [A.s_act(perm, e) for e in source]
+            tables.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(FreeAlgebra, "s_act", s_act)
+                got = kernel_basis_at(n, m, alpha)
+            assert [e.poly.terms for e in got] \
+                == [e.poly.terms for e in want]
+            assert len(tables) == len(source)
+            if not source:
+                continue
+            table = tables[0]
+            assert all(t is table for t in tables)
+            assert set(table) == {mono for e in source
+                                  for mono in e.poly.terms}
+            assert set(table.values()) == {mono for e in got
+                                           for mono in e.poly.terms}
+
+
 def test_kernel_odd_degrees_empty():
     assert _kernel_in_degree(4, 3, 7) == []
     assert kernel_basis_at(4, 3, (3, 3, 1)) == []

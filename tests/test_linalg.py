@@ -329,3 +329,65 @@ def test_rank_up_to_matches_fraction_elimination(vecs):
         assert fraction_rank(vecs[:drawn.count - 1]) == want - 1
     else:
         assert drawn.count == 0
+
+
+class ReferenceRowSpace(RowSpace):
+    """The reduction loop that divides the content out after every step,
+    scaling by the pivot factor even when it is 1: the reference that
+    `RowSpace.reduce` must agree with, pivot for pivot."""
+
+    def reduce(self, row):
+        pivots = self.pivots
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                break
+            a = prow[col]
+            b = row[col]
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            new = {}
+            for k, v in row.items():
+                new[k] = a * v
+            for k, v in prow.items():
+                w = new.get(k, 0) - b * v
+                if w:
+                    new[k] = w
+                elif k in new:
+                    del new[k]
+            row = content_free(new)
+        return row
+
+
+def content_free(row):
+    g = reduce(gcd, row.values(), 0)
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def sparse_rows(max_size):
+    # small entries make unit pivot factors common, so both branches of a
+    # step run; a few columns make rows meet many pivots
+    entries = st.integers(-6, 6).filter(bool)
+    return st.lists(st.dictionaries(st.integers(0, 7), entries, max_size=6),
+                    max_size=max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(12), sparse_rows(6))
+def test_reduce_and_insert_row_match_the_reference_loop(inserted, probes):
+    space, reference = RowSpace(), ReferenceRowSpace()
+    for row in inserted:
+        before = dict(row)
+        remainder = space.reduce(row)
+        assert remainder == reference.reduce(row)
+        assert row == before
+        assert space.insert_row(row) == reference.insert_row(row)
+        assert row == before
+        assert space.pivots == reference.pivots
+    for row in probes:
+        remainder = space.reduce(row)
+        assert remainder == reference.reduce(row)
+        if remainder and remainder is not row:
+            assert content_free(remainder) == remainder
