@@ -16,6 +16,7 @@ from .rings import (
     monomial_product,
     monomial_text,
     parse_polynomial,
+    renamed_monomial,
     rhopi_universe,
     xy_universe,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "nullspace_combinations",
     "parse_polynomial",
     "rank_up_to",
+    "renamed_monomial",
     "rhopi_universe",
     "s_polynomial",
     "scaled_row_from_polynomial",

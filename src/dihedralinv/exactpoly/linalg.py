@@ -61,15 +61,10 @@ class RowSpace:
 
     def reduce(self, row):
         """Eliminate a sparse integer row against the stored pivots and
-        return the remainder; it is empty iff the row lies in the span.
-        The content is divided out after each step that scaled the row by
-        a pivot factor other than 1, and once at the end if the last step
-        did not.  In between, each remainder is a positive multiple of the
-        one that a division after every step gives, so the pivots met and
-        the primitive remainder are the same.  `row` is never modified,
-        but comes back as it is when no pivot meets it."""
+        return the remainder (gcd divided out after each step); it is empty
+        iff the row lies in the span.  `row` is never modified, but comes
+        back as it is when no pivot meets it."""
         pivots = self.pivots
-        divided = True  # the caller's row, or one with its content out
         while row:
             col = min(row)
             prow = pivots.get(col)
@@ -88,9 +83,8 @@ class RowSpace:
                     new[k] = w
                 elif k in new:
                     del new[k]
-            divided = a != 1
-            row = _gcd_normalize(new) if divided else new
-        return row if divided else _gcd_normalize(row)
+            row = _gcd_normalize(new)
+        return row
 
     def insert_row(self, row):
         """Insert a sparse integer row; True iff the rank grew."""
@@ -150,8 +144,8 @@ class PolynomialSpace:
 def _canonical_relation(combo):
     """An integer relation as a dict index -> coefficient with ascending
     keys, first entry positive.  `combo` is a remainder of `reduce`, so its
-    entries are already coprime: `reduce` divides the content out of a row
-    that a step met, and a row no step met still holds its unit entry."""
+    entries are already coprime: each elimination step divides the gcd
+    out, and a row no step met still holds its unit entry."""
     keys = sorted(combo)
     sign = -1 if combo[keys[0]] < 0 else 1
     return {k: sign * combo[k] for k in keys}

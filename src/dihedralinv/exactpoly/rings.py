@@ -199,6 +199,12 @@ def monomial_product(a, b):
     return tuple(out) + a[i:] + b[j:]
 
 
+def renamed_monomial(mono, var_map):
+    """The monomial with each variable v renamed var_map[v], where var_map
+    is a permutation of the variable indices: the pairs re-sorted."""
+    return tuple(sorted([(var_map[v], e) for v, e in mono]))
+
+
 def monomial_degree(mono):
     """Total degree: every variable counts 1."""
     return sum(e for _, e in mono)
@@ -432,8 +438,7 @@ class Polynomial:
         """Rename variables via the index map `var_map` (a permutation of the
         universe's variable indices)."""
         return Polynomial._of(self.universe, {
-            tuple(sorted([(var_map[v], e) for v, e in m])): c
-            for m, c in self.terms.items()})
+            renamed_monomial(m, var_map): c for m, c in self.terms.items()})
 
     # -- text form -------------------------------------------------------
 

@@ -10,9 +10,10 @@ GL-ideal generation check that compares the rank of each ideal slice with
 the kernel dimension, multidegree by multidegree.  No check asks whether one
 element lies in an ideal: ranks settle every claim.
 
-A transported component permutes and sorts each of its distinct monomials
-once: its elements share one monomial table for their permutation, made per
-call and not kept on the algebra (see FreeAlgebra.s_act).
+A transported component renames and sorts each of its distinct monomials
+once: its elements share the algebra's monomial table for their
+permutation, which holds only the last permutation's images (see
+FreeAlgebra.s_act).
 
 Each rank stops at a ceiling that is proven, because rows past it cannot
 change the answer, and `rank_up_to` applies every one of them:
@@ -197,10 +198,10 @@ def _kernel_basis_sorted(n, m, alpha, cap):
 
 def kernel_basis_at(n, m, alpha, resource_cap=None):
     """Kernel basis at an arbitrary multidegree, by permutation transport
-    from the weakly decreasing representative.  One monomial table is
-    shared by the component's elements, so each distinct monomial is
-    permuted and sorted once per call (see FreeAlgebra.s_act).  The list
-    is the caller's own: changing it leaves the algebra's copy intact."""
+    from the weakly decreasing representative.  The component's elements
+    share one monomial table, so each distinct monomial is renamed and
+    sorted once (see FreeAlgebra.s_act).  The list is the caller's own:
+    changing it leaves the algebra's copy intact."""
     cap = resolve_resource_cap(resource_cap)
     alpha = as_multidegree(alpha, m)
     sorted_alpha, perm = sort_permutation(alpha)
@@ -208,8 +209,7 @@ def kernel_basis_at(n, m, alpha, resource_cap=None):
     if alpha == sorted_alpha:
         return list(basis)
     algebra = free_algebra(n, m)
-    images = {}
-    return [algebra.s_act(perm, e, images) for e in basis]
+    return [algebra.s_act(perm, e) for e in basis]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from dihedralinv.exactpoly import (
     PolynomialSpace,
     monomial,
     parse_polynomial,
+    renamed_monomial,
 )
 from dihedralinv.dihedral import (
     DihedralParams,
     all_multidegrees,
+    apply_perm,
     gl_act_xy,
     is_invariant,
     p_pol,
@@ -493,14 +495,35 @@ def test_phi_intertwines_s_action():
 
 @pytest.mark.parametrize("perm", [(1, 1, 2), (1, 2), (0, 1, 2),
                                   (1, 2, 3, 4)])
-def test_s_act_rejects_a_non_permutation_with_or_without_table(perm):
-    A = free_algebra(4, 3)
+def test_s_act_rejects_a_non_permutation(perm):
+    A = FreeAlgebra(4, 3)
     e = A.pi((2, 1, 1)) * A.rho((0, 1, 1))
-    for images in (None, {}):
-        with pytest.raises(ValueError, match="permutation of 1..3"):
-            A.s_act(perm, e, images)
-    # the check comes first: the table was not filled
-    assert images == {}
+    A.s_act((2, 1, 3), e)
+    moved = A._moved
+    with pytest.raises(ValueError, match="permutation of 1..3"):
+        A.s_act(perm, e)
+    # the check comes first: the table kept is still that of (2, 1, 3)
+    assert A._moved is moved
+
+
+def test_s_act_keeps_the_table_of_the_last_permutation_only():
+    # moving by one permutation, again, by others and back gives the term
+    # by term renaming each time; the table kept is the last permutation's
+    A = FreeAlgebra(4, 3)
+    e = A.pi((2, 1, 1)) * A.rho((0, 1, 1)) - 2 * A.rho((2, 0, 0)) ** 3
+    f = A.pi((4, 0, 0)) - A.rho((1, 1, 0)) * A.rho((2, 0, 0))
+    for perm, x in [((2, 1, 3), e), ((2, 1, 3), f), ((3, 1, 2), f),
+                    ((1, 2, 3), e), ((2, 1, 3), e)]:
+        var_map = {v: A._vars[apply_perm(perm, w)]
+                   for v, w in enumerate(A._weights)}
+        assert A.s_act(perm, x).poly.terms \
+            == x.poly.permute_variables(var_map).terms
+        moved, _, table = A._moved
+        assert moved == perm
+        assert table == {mono: renamed_monomial(mono, var_map)
+                         for mono in table}
+    # (2, 1, 3) came back after (1, 2, 3): only e's monomials are held
+    assert set(table) == set(e.poly.terms)
 
 
 def test_s_act_composition():

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedralinv import dihedral, kernelcalc
+from dihedralinv import dihedral, freealgebra, kernelcalc
 from dihedralinv.cli import main, named_relations
 from dihedralinv.dihedral import (
     DihedralParams,
@@ -33,6 +33,7 @@ from dihedralinv.exactpoly import (
     monomial,
     parse_polynomial,
     rank_up_to,
+    renamed_monomial,
     xy_universe,
 )
 from dihedralinv.freealgebra import (
@@ -235,40 +236,36 @@ def test_kernel_transport_to_unsorted_weight():
 
 
 @pytest.mark.parametrize("n, m, D", [(4, 3, 10), (6, 3, 8)])
-def test_transport_shares_one_table_per_component(monkeypatch, n, m, D):
-    # each transported component equals its elements moved one at a time
-    # with no table, and the one table its call shares holds exactly the
-    # distinct monomials of the sorted component
+def test_transport_renames_each_monomial_once_per_component(
+        monkeypatch, n, m, D):
+    # each transported component equals its elements renamed term by term
+    # by Polynomial.permute_variables, and one call renames each distinct
+    # monomial of the component once, unless the table kept for its
+    # permutation already held it
     A = free_algebra(n, m)
-    tables = []
-    real_s_act = FreeAlgebra.s_act
+    renamed = []
 
-    def s_act(self, perm, e, images=None):
-        tables.append(images)
-        return real_s_act(self, perm, e, images)
+    def counted(mono, var_map):
+        renamed.append(mono)
+        return renamed_monomial(mono, var_map)
 
+    monkeypatch.setattr(freealgebra, "renamed_monomial", counted)
     for d in range(D + 1):
         for alpha in all_multidegrees(m, d):
             sorted_alpha, perm = sort_permutation(alpha)
             if alpha == sorted_alpha:
                 continue
             source = kernel_basis_at(n, m, sorted_alpha)
-            want = [A.s_act(perm, e) for e in source]
-            tables.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(FreeAlgebra, "s_act", s_act)
-                got = kernel_basis_at(n, m, alpha)
-            assert [e.poly.terms for e in got] \
-                == [e.poly.terms for e in want]
-            assert len(tables) == len(source)
-            if not source:
-                continue
-            table = tables[0]
-            assert all(t is table for t in tables)
-            assert set(table) == {mono for e in source
-                                  for mono in e.poly.terms}
-            assert set(table.values()) == {mono for e in got
-                                           for mono in e.poly.terms}
+            var_map = {v: A._vars[apply_perm(perm, w)]
+                       for v, w in enumerate(A._weights)}
+            moved, _, table = A._moved
+            held = set(table) if moved == perm else set()
+            renamed.clear()
+            got = kernel_basis_at(n, m, alpha)
+            assert [e.poly.terms for e in got] == [
+                e.poly.permute_variables(var_map).terms for e in source]
+            distinct = {mono for e in source for mono in e.poly.terms}
+            assert sorted(renamed) == sorted(distinct - held)
 
 
 def test_kernel_odd_degrees_empty():
