@@ -167,23 +167,15 @@ def _reduce_basis(basis, order):
                 break
         if not redundant:
             keep.append(b)
-    # fully reduce each survivor against the others, repeat to a fixed point
-    changed = True
-    while changed:
-        changed = False
-        nxt = []
-        for i, b in enumerate(keep):
-            others = keep[:i] + keep[i + 1:]
-            r = normal_form(b, others, order)
-            if r != b:
-                changed = True
-            if r.terms:
-                nxt.append(r)
-        keep = nxt
+    # no survivor's leading monomial is divisible by another's, so reducing
+    # each against the others moves no leading monomial, and one pass gives
+    # the reduced basis (Cox, Little and O'Shea, *Ideals, Varieties, and
+    # Algorithms*, section 2.7)
     monic = []
-    for b in keep:
-        _, c = leading_term(b, order)
-        monic.append(b.scale(Fraction(1, c)))
+    for i, b in enumerate(keep):
+        r = normal_form(b, keep[:i] + keep[i + 1:], order)
+        _, c = leading_term(r, order)
+        monic.append(r.scale(Fraction(1, c)))
     monic.sort(key=lambda b: key(leading_term(b, order)[0]))
     return monic
 

@@ -7,9 +7,11 @@ cross-multiplication and divides out the gcd of each stored or reduced row,
 so no rational arithmetic happens anywhere.
 Pivoting is deterministic: the pivot of a row is its smallest column id.
 A nullspace numbers its columns by a monomial basis that the caller knows up
-front (every graded or multigraded component does), because the pivot order
-fixes which relation comes out.  A rank does not depend on the column order,
-so `PolynomialSpace` numbers each monomial the first time it sees one.
+front (every graded or multigraded component does), so that a monomial
+outside the component is a ValueError.  Neither a rank nor a relation
+depends on the column order: a relation is a dependent row minus its unique
+expansion in the earlier independent rows, which the row order alone picks.
+`PolynomialSpace` numbers each monomial the first time it sees one.
 
 `RowSpace` has a single reduction loop, which serves ranks and relations
 alike.  `nullspace_combinations` finds relations by row-reducing

@@ -81,7 +81,6 @@ class FreeAlgebra:
         self._phi_monomials = {}
         # weight -> suffix counts of that weight (see _suffix_counts)
         self._counts = {}
-        self._perm_maps = {}  # perm -> variable index map
         # the last permutation s_act moved by, its variable index map and
         # its table monomial -> image
         self._moved = (None, None, {})
@@ -194,18 +193,17 @@ class FreeAlgebra:
         component share their monomials, so each distinct monomial is
         renamed and sorted once per component (7 757 times where 32 768
         terms move on `kernel dim` n6 m3).  A table kept for every
-        permutation made that command 1.7 MB larger at its peak."""
+        permutation made that command 1.7 MB larger at its peak.  The
+        permutation is checked and its variable map built only when it
+        changes: 73 times in those 5 135 calls."""
         perm = tuple(perm)
         moved, var_map, images = self._moved
         if perm != moved:
-            var_map = self._perm_maps.get(perm)
-            if var_map is None:
-                if sorted(perm) != list(range(1, self.m + 1)):
-                    raise ValueError("perm must be a permutation of 1..%d, "
-                                     "got %r" % (self.m, perm))
-                var_map = self._perm_maps[perm] = {
-                    v: self._vars[apply_perm(perm, w)]
-                    for v, w in enumerate(self._weights)}
+            if sorted(perm) != list(range(1, self.m + 1)):
+                raise ValueError("perm must be a permutation of 1..%d, "
+                                 "got %r" % (self.m, perm))
+            var_map = {v: self._vars[apply_perm(perm, w)]
+                       for v, w in enumerate(self._weights)}
             images = {}
             self._moved = (perm, var_map, images)
         terms = {}

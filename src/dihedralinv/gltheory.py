@@ -207,8 +207,9 @@ class DecompositionReport:
 
     The table is taken as it is, not checked or copied: it must already
     be normal, with positive int multiplicities on normalised partitions of
-    height <= m (the builders below only make such tables).  Reports
-    support + and -, the latter erroring on any negative result."""
+    height <= m (the builders below only make such tables).  A report is a
+    read-only table with no arithmetic: the builders add and subtract
+    multiplicities where they assemble a table."""
 
     __slots__ = ("m", "entries")
 
@@ -229,32 +230,6 @@ class DecompositionReport:
     def __eq__(self, other):
         return (isinstance(other, DecompositionReport)
                 and self.m == other.m and self.entries == other.entries)
-
-    def __add__(self, other):
-        if self.m != other.m:
-            raise ValueError("mixed ambient dimensions %d vs %d"
-                             % (self.m, other.m))
-        merged = dict(self.entries)
-        for lam, mult in other.entries.items():
-            merged[lam] = merged.get(lam, 0) + mult
-        return DecompositionReport(self.m, merged)
-
-    def __sub__(self, other):
-        if self.m != other.m:
-            raise ValueError("mixed ambient dimensions %d vs %d"
-                             % (self.m, other.m))
-        merged = dict(self.entries)
-        for lam, mult in other.entries.items():
-            value = merged.get(lam, 0) - mult
-            if value < 0:
-                raise ValueError(
-                    "negative multiplicity %d for %r in difference"
-                    % (value, lam))
-            if value:
-                merged[lam] = value
-            else:
-                merged.pop(lam, None)
-        return DecompositionReport(self.m, merged)
 
     def total_dim(self):
         """Dimension of the underlying vector space."""
@@ -395,24 +370,21 @@ def ambient_truncated(n, m, D):
     if D > 2 * n + 2:
         raise ValueError("decomposition formula only covers degree <= 2n+2 "
                          "(asked for %d > %d)" % (D, 2 * n + 2))
-    table = {t: DecompositionReport(m, {}) for t in range(D + 1)}
     dbar = dbar_truncated(m, D)
+    table = {}
     for t in range(D + 1):
-        if t % 2 == 0:
-            table[t] = table[t] + dbar[t]
+        parts = Counter(dbar[t].entries)
         if t >= n and (t - n) % 2 == 0:
             for lam in partitions((t - n) // 2, 2):
-                lam2 = tuple(2 * p for p in lam)
-                table[t] = table[t] + pieri_row(lam2, n, m)
+                parts.update(
+                    pieri_row(tuple(2 * p for p in lam), n, m).entries)
         if t == 2 * n:
-            table[t] = table[t] + sym2_of_symn(n, m)
+            parts.update(sym2_of_symn(n, m).entries)
         if t == 2 * n + 2:
-            total = DecompositionReport(m, {})
-            for lam, mult in sym2_of_symn(n, m).items():
-                row = pieri_row(lam, 2, m)
-                for _ in range(mult):
-                    total = total + row
-            table[t] = table[t] + total
+            # every multiplicity of the symmetric square is 1
+            for lam in sym2_of_symn(n, m).entries:
+                parts.update(pieri_row(lam, 2, m).entries)
+        table[t] = DecompositionReport(m, parts)
     return table
 
 
@@ -423,7 +395,16 @@ def kernel_decomposition(n, m, D):
     the two tables is wrong)."""
     ambient = ambient_truncated(n, m, D)
     invariants = invariants_truncated(n, m, D)
-    return {t: ambient[t] - invariants[t] for t in range(D + 1)}
+    table = {}
+    for t in range(D + 1):
+        left = Counter(ambient[t].entries)
+        left.subtract(invariants[t].entries)
+        for lam, mult in left.items():
+            if mult < 0:
+                raise ValueError("negative multiplicity %d for %r in "
+                                 "difference" % (mult, lam))
+        table[t] = DecompositionReport(m, +left)
+    return table
 
 
 def cauchy_dim(m, d):

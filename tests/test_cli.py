@@ -201,6 +201,28 @@ def test_decompose_kernel_json(runner):
     assert {"degree": 10, "partition": [8, 2], "multiplicity": 3} in rows
 
 
+@pytest.mark.parametrize("args,digest", [
+    (["ambient", "--n", "4", "--m", "3"],
+     "e65f002672c342cf04d35360136dfecfb336564d77c89dc172c06aa1fda2cfdf"),
+    (["ambient", "--n", "5", "--m", "4"],
+     "ec3839ee48734142627deb81aa57e0e92857ef3d78f410014213c2a0e4fa531e"),
+    (["kernel", "--n", "4", "--m", "3"],
+     "9936e332719063b919d11d5f084e8de04048ff19f5d9319147fa85cf6083a3ab"),
+    (["kernel", "--n", "5", "--m", "4"],
+     "06d6cae85da5a328b88cc3809156434cbf501023d7d724e98f20116cd58f32f4"),
+    (["invariants", "--n", "4", "--m", "3"],
+     "ff185484801e752c785dc9496379f9ac8d16c9cebd8c697709061d05b99cbf3b"),
+    (["invariants", "--n", "5", "--m", "4"],
+     "178a14b1112b02dea57a55a3974c9df9e076af8f599a8c72341042d88b573b3c"),
+], ids=["ambient-n4-m3", "ambient-n5-m4", "kernel-n4-m3", "kernel-n5-m4",
+        "invariants-n4-m3", "invariants-n5-m4"])
+def test_decompose_json_digest(runner, args, digest):
+    # every multiplicity of every degree of the GL_m tables, byte for byte
+    result = run(runner, ["decompose"] + args + ["--format", "json"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
 def test_decompose_invariants_matches_ambient_minus_kernel(runner):
     inv = json.loads(run(runner, ["decompose", "invariants", "--n", "4",
                                   "--m", "2", "--format", "json"]).output)

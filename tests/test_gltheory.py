@@ -5,6 +5,7 @@ the linear-algebra route lives in the kernel tests, and the acceptance suite
 cross-checks the two against each other.
 """
 
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -249,15 +250,6 @@ def test_report_basics():
                              {"partition": [2, 2], "multiplicity": 2}]
 
 
-def test_report_algebra():
-    a = DecompositionReport(3, {(2,): 1, (1, 1): 2})
-    b = DecompositionReport(3, {(1, 1): 1})
-    assert (a - b).multiplicity((1, 1)) == 1
-    assert (a + b).multiplicity((1, 1)) == 3
-    with pytest.raises(ValueError):
-        b - a
-
-
 # ---------------------------------------------------------------------------
 # Pieri and plethysms
 
@@ -376,6 +368,28 @@ def test_kernel_decomposition_low_degrees():
     assert dict(table[6].items()) == {(4, 2): 1}
     assert dict(table[8].items()) == {(6, 2): 2, (5, 3): 1, (4, 4): 2,
                                       (5, 2, 1): 1, (4, 2, 2): 1}
+
+
+@pytest.mark.parametrize("lam", [(4,), (3, 1)])
+def test_kernel_decomposition_refuses_a_negative_multiplicity(
+        monkeypatch, lam):
+    # one extra copy of S^lam in degree 4 of the invariant table, where the
+    # ambient table holds (4) as often and (3, 1) not at all: a table that
+    # holds more than the ambient one is wrong, and the difference names
+    # the partition instead of dropping it
+    real = gltheory.invariants_truncated
+
+    def one_copy_too_many(n, m, D):
+        table = real(n, m, D)
+        entries = dict(table[4].entries)
+        entries[lam] = entries.get(lam, 0) + 1
+        table[4] = DecompositionReport(m, entries)
+        return table
+
+    monkeypatch.setattr(gltheory, "invariants_truncated", one_copy_too_many)
+    with pytest.raises(ValueError, match=r"negative multiplicity -1 for %s"
+                       % re.escape(repr(lam))):
+        kernel_decomposition(4, 3, 8)
 
 
 def test_cauchy_identity():

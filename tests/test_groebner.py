@@ -92,6 +92,33 @@ def _assert_criterion(basis, order):
                                basis, order).is_zero()
 
 
+def _reduced_case(case):
+    """(basis, order) of a named ideal."""
+    if case.startswith("fixture-n"):
+        return fixture_basis(int(case[len("fixture-n"):])), LEX_Y_FIRST
+    if case.startswith("second-"):
+        order = LEX_X_FIRST if case == "second-x-first" else LEX_Y_FIRST
+        return buchberger([P("x1^2 + y1"), P("x1*y1 + x1")], order), order
+    # over x1, y1, x2, y2: reducing against the other generators changes
+    # the basis that Buchberger's pairs leave here
+    U2 = xy_universe(2)
+    order = MonomialOrder([0, 2, 1, 3])
+    return buchberger([parse_polynomial(text, U2) for text in
+                       ("x1*x2 - y1", "x1^2 - x2", "x1*y2 - 1")],
+                      order), order
+
+
+@pytest.mark.parametrize("case", ["fixture-n%d" % n for n in range(3, 9)]
+                         + ["second-x-first", "second-y-first",
+                            "two-vectors"])
+def test_buchberger_returns_a_reduced_basis(case):
+    # each generator is monic and no term of it reduces by the others
+    basis, order = _reduced_case(case)
+    for i, g in enumerate(basis):
+        assert leading_term(g, order)[1] == 1
+        assert normal_form(g, basis[:i] + basis[i + 1:], order) == g
+
+
 def test_normal_form_idempotent_and_member():
     basis = fixture_basis(4)
     f = P("x1^6 + x1^2*y1^3 + y1^5 + x1 + 1")

@@ -8,6 +8,7 @@ acceptance suite.
 
 import hashlib
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -31,6 +32,7 @@ from dihedralinv.exactpoly import (
     PolynomialSpace,
     RowSpace,
     monomial,
+    nullspace_combinations,
     parse_polynomial,
     rank_up_to,
     renamed_monomial,
@@ -233,6 +235,25 @@ def test_kernel_transport_to_unsorted_weight():
     assert len(basis) == 1
     assert basis[0].weight() == (2, 4)
     assert phi(basis[0]).is_zero()
+
+
+@pytest.mark.parametrize("n, m, D", [(4, 3, 10), (6, 3, 12)])
+def test_kernel_relations_do_not_depend_on_the_column_order(n, m, D):
+    # a relation is P_d minus its unique expansion in the earlier
+    # independent rows, and which rows are independent depends on the row
+    # order only: reversed or shuffled columns give the same relations
+    A = free_algebra(n, m)
+    rng = random.Random(n)
+    for d in range(D + 1):
+        for alpha in decreasing_multidegrees(m, d):
+            polys = [A.phi_monomial(mo)[0]
+                     for mo in A.monomials_of_weight(alpha)]
+            columns = xy_monomials(m, alpha)
+            shuffled = list(columns)
+            rng.shuffle(shuffled)
+            relations = nullspace_combinations(polys, columns)
+            assert nullspace_combinations(polys, columns[::-1]) == relations
+            assert nullspace_combinations(polys, shuffled) == relations
 
 
 @pytest.mark.parametrize("n, m, D", [(4, 3, 10), (6, 3, 8)])
