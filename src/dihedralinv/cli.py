@@ -17,6 +17,7 @@ import sys
 
 from .dihedral import DihedralParams, all_multidegrees
 from .exactpoly import (
+    STAIRCASE_CAP,
     MonomialOrder,
     buchberger,
     leading_term,
@@ -40,12 +41,12 @@ from .gltheory import (
     kernel_decomposition,
 )
 from .kernelcalc import (
+    DEFAULT_RESOURCE_CAP,
     ResourceCapError,
     cyclic_table_n4_m3,
     gl_generation_report,
     kernel_basis_at,
     minimal_generators_by_degree,
-    resolve_resource_cap,
     secondary_table_m2,
     secondary_table_n4_m3,
     verify_hironaka_xy,
@@ -62,13 +63,6 @@ SCHEMA_VERSION = "1"
 # plumbing
 
 
-def _check_cap(ctx, param, value):
-    try:
-        return resolve_resource_cap(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
-
-
 def degree_option(name, **kwargs):
     return click.option(name, type=click.IntRange(min=0), **kwargs)
 
@@ -81,8 +75,8 @@ format_option = click.option("--format", "fmt",
                              type=click.Choice(["text", "json"]),
                              default="text", show_default=True,
                              help="output format")
-cap_option = click.option("--resource-cap", type=int, default=None,
-                          callback=_check_cap,
+cap_option = click.option("--resource-cap", type=click.IntRange(min=1),
+                          default=DEFAULT_RESOURCE_CAP, show_default=True,
                           help="largest component basis size to attempt")
 force_option = click.option("--force", is_flag=True,
                             help="allow degree caps beyond the proven "
@@ -466,7 +460,9 @@ def groebner():
 
 
 @groebner.command("demo")
-@n_option
+# the demo ideal's staircase has 2n monomials
+@click.option("--n", "n", type=click.IntRange(3, STAIRCASE_CAP // 2),
+              required=True, help="order parameter of the rotation")
 @format_option
 def groebner_demo(n, fmt):
     """Groebner basis of (xy, x^n + y^n) under lex with x < y, its

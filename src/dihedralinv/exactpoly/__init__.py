@@ -28,6 +28,7 @@ from .linalg import (
     scaled_row_from_polynomial,
 )
 from .groebner import (
+    STAIRCASE_CAP,
     MonomialOrder,
     buchberger,
     leading_term,
@@ -38,6 +39,7 @@ from .groebner import (
 )
 
 __all__ = [
+    "STAIRCASE_CAP",
     "MonomialOrder",
     "Polynomial",
     "PolynomialSpace",

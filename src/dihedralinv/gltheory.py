@@ -364,7 +364,7 @@ def ambient_truncated(n, m, D):
     t >= n with t-n even, one degree-n factor times the quadratic part of
     degree t-n (a Pieri product); at t = 2n the symmetric square of the
     degree-n space; and at t = 2n+2 that square times one quadratic factor."""
-    n = _whole(n, "n")
+    n = _whole(n, "n", 3)
     m = _whole(m, "m", 0)
     D = _whole(D, "degree bound", 0)
     if D > 2 * n + 2:

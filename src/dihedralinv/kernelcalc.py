@@ -48,7 +48,6 @@ once per multidegree while the degrees still to come can reach it.
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial, gcd, prod
@@ -79,7 +78,6 @@ from .exactpoly import (
 from .freealgebra import FreeElement, free_algebra, phi, submodule_basis
 
 DEFAULT_RESOURCE_CAP = 20000
-RESOURCE_CAP_ENV = "DIHEDRALINV_RESOURCE_CAP"
 
 
 class ResourceCapError(RuntimeError):
@@ -87,21 +85,12 @@ class ResourceCapError(RuntimeError):
 
 
 def resolve_resource_cap(cap=None):
-    """The explicit cap, else the environment's, else the default.  An
-    explicit cap that is not an int is a TypeError, neither truncated nor
-    parsed; an environment value that is not an integer, or a cap that is
-    not positive, is a ValueError."""
+    """The explicit cap, else the default.  A cap that is not an int is a
+    TypeError, neither truncated nor parsed; one that is not positive is a
+    ValueError."""
     if cap is None:
-        env = os.environ.get(RESOURCE_CAP_ENV)
-        if not env:
-            return DEFAULT_RESOURCE_CAP
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError("%s=%r is not an integer"
-                             % (RESOURCE_CAP_ENV, env)) from None
-    else:
-        cap = operator.index(cap)
+        return DEFAULT_RESOURCE_CAP
+    cap = operator.index(cap)
     if cap <= 0:
         raise ValueError("the resource cap must be positive, got %d" % cap)
     return cap
@@ -118,9 +107,9 @@ def _degree_bound(D):
 def _guard(size, cap, what, unit="basis monomials"):
     if size > cap:
         raise ResourceCapError(
-            "%s needs %d %s, above the cap of %d "
-            "(raise it via --resource-cap or %s)"
-            % (what, size, unit, cap, RESOURCE_CAP_ENV))
+            "%s needs %d %s, above the cap of %d (raise it via "
+            "--resource-cap, or resource_cap= in a library call)"
+            % (what, size, unit, cap))
 
 
 def _guard_invariant(alpha, cap):

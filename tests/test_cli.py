@@ -280,6 +280,20 @@ def test_groebner_demo_json_digest(runner):
         == "5a404da5b2b84c6a8f80f427a5eea5f12b6650f789cfdb4b2fd349d4b058aff0"
 
 
+def test_groebner_demo_n_is_bounded_by_its_staircase(runner):
+    # the staircase of (xy, x^n + y^n) has 2n monomials, and the staircase
+    # cap is 20000: the largest n fills it, the next is a usage error
+    result = run(runner, ["groebner", "demo", "--n", "10000"])
+    assert result.exit_code == 0
+    assert "staircase: 20000 monomials" in result.output
+    result = runner.invoke(main, ["groebner", "demo", "--n", "10001"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("Error:")]
+    assert errors == ["Error: Invalid value for '--n': 10001 is not in "
+                      "the range 3<=x<=10000."]
+
+
 def test_hironaka_verify_two_slots(runner):
     result = run(runner, ["hironaka", "verify", "--n", "4", "--m", "2"])
     assert result.exit_code == 0
@@ -337,21 +351,20 @@ def test_resource_cap_exit_code(runner):
         or "resource cap" in (result.stderr or "").lower()
 
 
-def test_malformed_resource_cap_env_exits_2(runner, monkeypatch):
-    monkeypatch.setenv("DIHEDRALINV_RESOURCE_CAP", "abc")
-    result = runner.invoke(main, ["kernel", "dim", "--n", "4", "--m", "2"])
-    assert result.exit_code == 2
-    assert "DIHEDRALINV_RESOURCE_CAP='abc' is not an integer" \
-        in result.output
-
-
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_nonpositive_resource_cap_exits_2(runner, cap):
     result = runner.invoke(main, ["kernel", "dim", "--n", "4", "--m", "2",
                                   "--resource-cap", cap])
     assert result.exit_code == 2
-    assert "the resource cap must be positive" in result.output
+    assert ("Invalid value for '--resource-cap': %s is not in the range "
+            "x>=1." % cap) in result.output
     assert "basis monomials" not in result.output
+
+
+def test_resource_cap_default_is_shown(runner):
+    # the JSON digests pin params.resource_cap, 20000 by default
+    help_text = run(runner, ["kernel", "dim", "--help"]).output
+    assert "[default: 20000; x>=1]" in " ".join(help_text.split())
 
 
 @pytest.mark.parametrize("args", [
@@ -609,6 +622,11 @@ def test_report_bytes_do_not_depend_on_the_hash_seed(args):
     (["kernel", "dim", "--n", "2"], "--n"),
     (["kernel", "dim", "--n", "4", "--m", "0"], "--m"),
     (["report", "paper", "--n", "2"], "--n"),
+    (["groebner", "demo", "--n", "10001"], "--n"),
+    (["kernel", "dim", "--n", "4", "--resource-cap", "0"], "--resource-cap"),
+    (["kernel", "dim", "--n", "4", "--resource-cap", "-5"], "--resource-cap"),
+    (["kernel", "dim", "--n", "4", "--resource-cap", "abc"],
+     "--resource-cap"),
 ])
 def test_module_entry_point_rejects_out_of_range(args, option):
     result = _run_module(args)

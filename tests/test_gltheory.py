@@ -344,6 +344,18 @@ def test_ambient_rejects_degrees_beyond_bound():
         ambient_truncated(4, 3, 12)
 
 
+@pytest.mark.parametrize("build, n", [
+    (lambda n: ambient_truncated(n, 2, 2), 0),
+    (lambda n: kernel_decomposition(n, 1, 6), 2),
+    (lambda n: kernel_decomposition(n, 2, 4), 1),
+], ids=["ambient-n0", "kernel-n2", "kernel-n1"])
+def test_ambient_tables_refuse_n_below_3(build, n):
+    # the formula holds for n >= 3 only: below it the ambient table came
+    # out wrong, or the kernel difference blamed the tables for the argument
+    with pytest.raises(ValueError, match="n must be at least 3, got %d" % n):
+        build(n)
+
+
 @pytest.mark.parametrize("build", [
     lambda D: invariants_truncated(4, 3, D),
     lambda D: ambient_truncated(4, 3, D),

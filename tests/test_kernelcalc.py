@@ -90,26 +90,16 @@ def test_permutation_helpers():
                     == apply_perm(perm, A.universe.weight(v))
 
 
-def test_resource_cap_resolution(monkeypatch):
-    monkeypatch.delenv("DIHEDRALINV_RESOURCE_CAP", raising=False)
+def test_resource_cap_resolution():
     assert resolve_resource_cap() == 20000
-    assert resolve_resource_cap(77) == 77
-    monkeypatch.setenv("DIHEDRALINV_RESOURCE_CAP", "123")
-    assert resolve_resource_cap() == 123
     assert resolve_resource_cap(77) == 77
     for bad in (0, -5):
         with pytest.raises(ValueError, match="must be positive"):
             resolve_resource_cap(bad)
-    monkeypatch.setenv("DIHEDRALINV_RESOURCE_CAP", "abc")
-    with pytest.raises(ValueError, match="is not an integer"):
-        resolve_resource_cap()
-    assert resolve_resource_cap(77) == 77
 
 
-def test_explicit_cap_is_neither_truncated_nor_parsed(monkeypatch):
-    # 13.99 once read as a cap of 13; the environment's string is parsed,
-    # an explicit one is not
-    monkeypatch.setenv("DIHEDRALINV_RESOURCE_CAP", "123")
+def test_explicit_cap_is_neither_truncated_nor_parsed():
+    # 13.99 once read as a cap of 13
     for bad in (77.9, 13.99, "50"):
         with pytest.raises(TypeError):
             resolve_resource_cap(bad)

@@ -19,7 +19,8 @@ through; an override replaces a method of a framework base class, which the
 framework calls.
 
 Every module also reads every name it imports, the package root imports no
-submodule, and `gltheory` loads no other module of the package."""
+submodule, `gltheory` loads no other module of the package, and no module
+reads the environment."""
 
 import ast
 import importlib
@@ -198,3 +199,24 @@ def test_gltheory_loads_no_other_package_module_and_no_fractions():
     assert [name for name in loaded if name.startswith("dihedralinv.")] \
         == ["dihedralinv.gltheory"]
     assert "fractions" not in loaded
+
+
+def test_no_module_reads_the_environment():
+    # a library result is a function of its arguments, and a CLI limit has
+    # one source, its option
+    reads = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "os" \
+                    and node.attr in ("environ", "getenv"):
+                reads.append("%s:%d: os.%s"
+                             % (path.relative_to(PACKAGE), node.lineno,
+                                node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                    and {"environ", "getenv"} & {a.name for a in node.names}:
+                reads.append("%s:%d: from os import"
+                             % (path.relative_to(PACKAGE), node.lineno))
+    assert reads == [], "environment read in the package: %s" \
+        % ", ".join(reads)
