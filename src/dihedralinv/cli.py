@@ -43,6 +43,7 @@ from .gltheory import (
 from .kernelcalc import (
     DEFAULT_RESOURCE_CAP,
     ResourceCapError,
+    check_cap,
     cyclic_table_n4_m3,
     gl_generation_report,
     kernel_basis_at,
@@ -328,10 +329,16 @@ def decompose():
 @degree_option("--max-degree", default=None,
                help="largest total degree [default: 2n+2]")
 @format_option
-def decompose_invariants(n, m, max_degree, fmt):
+@cap_option
+def decompose_invariants(n, m, max_degree, fmt, resource_cap):
     """Multiplicity of each Schur module in the invariant ring, degree by
     degree."""
     D = max_degree if max_degree is not None else 2 * n + 2
+    # the table visits every partition of each t <= D with at most
+    # min(2, m) parts: one at m = 1, else t//2 + 1, summed in closed form
+    visits = D + 1 if m == 1 else D + 1 + (D // 2) * ((D + 1) // 2)
+    check_cap(visits, resource_cap, "the invariant table through degree %d",
+              D, unit="partitions")
     tables, lines = _decomposition_tables(
         invariants_truncated(n, m, D), "invariant_multiplicities")
     emit("decompose invariants", {"n": n, "m": m, "max_degree": D},
@@ -443,10 +450,13 @@ def hironaka_verify(n, m, max_degree, model, fmt, resource_cap, force):
 @degree_option("--max-degree", default=None,
                help="expand through this degree [default: 2n]")
 @format_option
-def hilbert(n, max_degree, fmt):
+@cap_option
+def hilbert(n, max_degree, fmt, resource_cap):
     """Coefficients of the one-vector invariant Hilbert series
     1/((1-t^2)(1-t^n))."""
     D = max_degree if max_degree is not None else 2 * n
+    check_cap(D + 1, resource_cap, "the series through degree %d", D,
+              unit="coefficients")
     coeffs = [hilbert_h(n, d) for d in range(D + 1)]
     rows = [{"degree": d, "dimension": c} for d, c in enumerate(coeffs)]
     emit("hilbert", {"n": n, "max_degree": D},

@@ -109,18 +109,19 @@ def decreasing_multidegrees(m, total):
 def xy_monomials(m, alpha):
     """All monomials of multidegree alpha in the coordinate ring of m plane
     vectors: choose the x-exponent a_i <= alpha_i in each slot, y picks up
-    the rest.  Enumerated in descending lex order of the x-exponent vector."""
+    the rest.  Enumerated in descending lex order of the x-exponent vector.
+    Each slot's (x_i, a), (y_i, alpha_i - a) pairs, zero exponents dropped,
+    are built once, and a monomial joins one from every slot; x_i < y_i <
+    x_{i+1}, so the pairs are in variable order already."""
     alpha = as_multidegree(alpha, m)
-    out = []
-    for xs in product(*[range(a, -1, -1) for a in alpha]):
-        pairs = []
-        for i, (a, total) in enumerate(zip(xs, alpha), start=1):
-            if a:
-                pairs.append((x_index(i), a))
-            if total - a:
-                pairs.append((y_index(i), total - a))
-        # x_i < y_i < x_{i+1}: the pairs are in variable order already
-        out.append(tuple(pairs))
+    out = [()]
+    for i, total in enumerate(alpha, start=1):
+        if total < 0:
+            return []
+        x, y = x_index(i), y_index(i)
+        slot = [((x, a), (y, total - a)) for a in range(total - 1, 0, -1)]
+        slot = [((x, total),), *slot, ((y, total),)] if total else [()]
+        out = [head + pairs for head in out for pairs in slot]
     return out
 
 

@@ -64,9 +64,12 @@ class RowSpace:
     def reduce(self, row):
         """Eliminate a sparse integer row against the stored pivots and
         return the remainder (gcd divided out after each step); it is empty
-        iff the row lies in the span.  `row` is never modified, but comes
-        back as it is when no pivot meets it."""
+        iff the row lies in the span.  The first step copies `row`, or
+        scales it into a new dict, and later steps update that dict in
+        place, so `row` is never modified, but comes back as it is when no
+        pivot meets it."""
         pivots = self.pivots
+        owned = False
         while row:
             col = min(row)
             prow = pivots.get(col)
@@ -78,14 +81,18 @@ class RowSpace:
             a //= g
             b //= g
             # row := a*row - b*prow  (kills `col`)
-            new = dict(row) if a == 1 else {k: a * v for k, v in row.items()}
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            elif not owned:
+                row = dict(row)
+            owned = True
             for k, v in prow.items():
-                w = new.get(k, 0) - b * v
+                w = row.get(k, 0) - b * v
                 if w:
-                    new[k] = w
-                elif k in new:
-                    del new[k]
-            row = _gcd_normalize(new)
+                    row[k] = w
+                elif k in row:
+                    del row[k]
+            row = _gcd_normalize(row)
         return row
 
     def insert_row(self, row):

@@ -55,7 +55,9 @@ def normalize_partition(lam):
 
 def partitions(d, max_height=None):
     """All partitions of d (optionally with at most max_height parts), in
-    descending lexicographic order."""
+    descending lexicographic order.  A first part below remaining/slots
+    would leave the rest more than slots - 1 parts can hold, so it is not
+    tried, and every branch yields."""
     if max_height is None:
         max_height = d
 
@@ -66,7 +68,8 @@ def partitions(d, max_height=None):
         if not slots:
             return
         top = min(remaining, biggest)
-        for first in range(top, 0, -1):
+        low = max(1, -(-remaining // slots))
+        for first in range(top, low - 1, -1):
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
@@ -313,11 +316,12 @@ def hilbert_h(n, d):
     d = _whole(d, "degree")
     if d < 0:
         return 0
-    count = 0
-    for b in range(d // n + 1):
-        if (d - n * b) % 2 == 0:
-            count += 1
-    return count
+    # d - n*b must be even for some 0 <= b <= d//n: every b when n is even
+    # (and d even), else the b of the parity of d
+    top, odd = d // n, d % 2
+    if n % 2 == 0:
+        return 0 if odd else top + 1
+    return (top - odd) // 2 + 1 if top >= odd else 0
 
 
 def invariant_multiplicity(lam, n):

@@ -104,20 +104,23 @@ def _degree_bound(D):
     return D
 
 
-def _guard(size, cap, what, unit="basis monomials"):
+def check_cap(size, cap, what, *args, unit="basis monomials"):
+    """ResourceCapError if size > cap.  The message names `what % args`,
+    formatted only then, since a kept kernel basis is checked on every
+    call (533 times on `kernel dim --n 6 --m 3`)."""
     if size > cap:
         raise ResourceCapError(
             "%s needs %d %s, above the cap of %d (raise it via "
             "--resource-cap, or resource_cap= in a library call)"
-            % (what, size, unit, cap))
+            % (what % args, size, unit, cap))
 
 
 def _guard_invariant(alpha, cap):
     """Cap check on the coordinate-ring component of multidegree alpha
     before it is enumerated: slot i splits alpha_i between x_i and y_i in
     alpha_i + 1 ways."""
-    _guard(prod(a + 1 for a in alpha), cap,
-           "invariant component %r" % (alpha,))
+    check_cap(prod(a + 1 for a in alpha), cap, "invariant component %r",
+              alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +158,8 @@ def _kernel_basis_sorted(n, m, alpha, cap):
     invariant_dimension(alpha), which is dim ker_alpha because phi is onto
     the invariants in every multidegree."""
     algebra = free_algebra(n, m)
-    _guard(algebra.count_of_weight(alpha), cap,
-           "kernel component %r of F(%d,%d)" % (alpha, n, m))
+    check_cap(algebra.count_of_weight(alpha), cap,
+              "kernel component %r of F(%d,%d)", alpha, n, m)
     _guard_invariant(alpha, cap)
     hit = algebra.kernels.get(alpha)
     if hit is not None:
@@ -285,9 +288,9 @@ class TruncatedIdeal:
             delta = tuple(a - wi for a, wi in zip(alpha, w))
             if all(x >= 0 for x in delta):
                 factors.append((g, delta))
-        _guard(sum(algebra.count_of_weight(d) for _, d in factors),
-               self.resource_cap, "ideal slice %r" % (alpha,),
-               "generator products")
+        check_cap(sum(algebra.count_of_weight(d) for _, d in factors),
+                  self.resource_cap, "ideal slice %r", alpha,
+                  unit="generator products")
         out = []
         for g, delta in factors:
             for mono in algebra.monomials_of_weight(delta):
@@ -299,8 +302,8 @@ class TruncatedIdeal:
         bound on it: rows stop going in once the rank reaches it.  Nothing
         is kept."""
         alpha = as_multidegree(alpha, self.algebra.m)
-        _guard(self.algebra.count_of_weight(alpha), self.resource_cap,
-               "ideal slice %r" % (alpha,))
+        check_cap(self.algebra.count_of_weight(alpha), self.resource_cap,
+                  "ideal slice %r", alpha)
         return rank_up_to(PolynomialSpace(self.algebra.universe).insert,
                           self.spanning_polys(alpha), ceiling)
 

@@ -637,6 +637,38 @@ def test_module_entry_point_rejects_out_of_range(args, option):
     assert "Invalid value for '%s'" % option in errors[0]
 
 
+@pytest.mark.parametrize("args,size", [
+    # D + 1 coefficients
+    (["hilbert", "--n", "3", "--max-degree", "49"], 50),
+    # every partition of t <= D with at most min(2, m) parts
+    (["decompose", "invariants", "--n", "3", "--m", "1",
+      "--max-degree", "49"], 50),
+    (["decompose", "invariants", "--n", "3", "--m", "3",
+      "--max-degree", "12"], sum(t // 2 + 1 for t in range(13))),
+])
+def test_series_commands_count_against_the_resource_cap(runner, args,
+                                                        size):
+    assert run(runner, args + ["--resource-cap", str(size)]).exit_code == 0
+    result = runner.invoke(main, args + ["--resource-cap", str(size - 1)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("resource cap exceeded: ")
+    assert "needs %d " % size in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["hilbert", "--n", "3", "--max-degree", "3000000"],
+    ["decompose", "invariants", "--n", "3", "--m", "2",
+     "--max-degree", "5000"],
+])
+def test_series_cap_overrun_exits_2_on_one_line(args):
+    # checked before the work: neither query gets to its first degree
+    result = _run_module(args)
+    assert (result.returncode, result.stdout) == (2, "")
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("resource cap exceeded: ")
+
+
 def test_module_entry_point_reports_a_cap_overrun_on_one_line():
     result = _run_module(["kernel", "dim", "--n", "4", "--m", "2",
                           "--resource-cap", "3"])

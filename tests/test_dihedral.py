@@ -104,6 +104,18 @@ def test_xy_monomials_order_and_count():
     assert monos[-1] == monomial([(y1, 2), (y2, 1)])
 
 
+def test_xy_monomials_are_in_stored_form():
+    # the columns are joined from per-slot pair tables: no zero exponent
+    # and no pair out of variable order, empty slots included
+    for m in range(1, 5):
+        for total in range(11):
+            for alpha in all_multidegrees(m, total):
+                for mono in xy_monomials(m, alpha):
+                    assert monomial(mono) == mono, (alpha, mono)
+    assert xy_monomials(2, (0, 0)) == [()]
+    assert xy_monomials(2, (3, -1)) == []
+
+
 def test_xy_monomials_are_in_descending_grlex():
     # the kernel and Hironaka code use this order as the column order: all
     # monomials of one multidegree share a degree and y_i = alpha_i - x_i,

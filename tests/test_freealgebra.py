@@ -146,6 +146,29 @@ def test_pruned_enumeration_matches_reference(nm_alpha):
     assert A.count_of_weight(alpha) == len(want)
 
 
+def test_enumeration_memo_changes_no_list():
+    # an algebra keeps the enumeration branches of every multidegree it has
+    # met: the lists of a fresh algebra, and of one warmed by the same
+    # queries in reverse order, are the unmemoised reference's
+    alphas = [alpha for total in range(9)
+              for alpha in all_multidegrees(3, total)]
+    warmed = FreeAlgebra(4, 3)
+    for alpha in reversed(alphas):
+        warmed.monomials_of_weight(alpha)
+    for alpha in alphas:
+        want = reference_monomials(warmed, alpha)
+        assert FreeAlgebra(4, 3).monomials_of_weight(alpha) == want
+        assert warmed.monomials_of_weight(alpha) == want
+
+
+def test_enumeration_of_a_negative_multidegree_is_empty():
+    A = FreeAlgebra(4, 2)
+    assert A.monomials_of_weight((6, -2)) == []
+    A.monomials_of_weight((6, 2))
+    assert A.monomials_of_weight((6, -2)) == []
+    assert A.monomials_of_weight((-1, 0)) == []
+
+
 def test_phi_monomial_deep_power():
     # a fresh algebra, so the image of a high power is built from nothing;
     # it must not recurse once per factor, and it caches every power

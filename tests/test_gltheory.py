@@ -74,6 +74,15 @@ def test_partitions_enumeration():
     assert list(partitions(4, max_height=2)) == [(4,), (3, 1), (2, 2)]
 
 
+def test_bounded_partitions_are_the_short_ones_in_order():
+    # a first part too small to leave room for the rest is never tried,
+    # which drops no partition and moves none
+    for d in range(13):
+        for height in range(d + 2):
+            assert list(partitions(d, height)) == [
+                lam for lam in partitions(d) if len(lam) <= height]
+
+
 # ---------------------------------------------------------------------------
 # Kostka numbers
 
@@ -303,6 +312,14 @@ def test_dbar_matches_sym_powers_for_two_slots():
 
 def test_hilbert_coefficients_n4():
     assert [hilbert_h(4, d) for d in range(9)] == [1, 0, 1, 0, 2, 0, 2, 0, 3]
+
+
+def test_hilbert_closed_form_matches_the_count():
+    # hilbert_h counts the solutions of 2a + n*b = d in closed form
+    for n in range(1, 15):
+        for d in range(-3, 400):
+            want = sum(1 for b in range(d // n + 1) if (d - n * b) % 2 == 0)
+            assert hilbert_h(n, d) == want, (n, d)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -23,6 +23,7 @@ TRACED_RUN = """
 import contextlib
 import io
 
+from child import session
 from dihedralinv import cli
 from run import REQUIRED_CALLS
 from tracer import Tracer, layer_metrics
@@ -36,12 +37,13 @@ def command(args):
         cli.main(args + ["--format", "json"], standalone_mode=False)
 
 
-for workload, args in [
-        ("kernel-dim", ["kernel", "dim", "--n", "4", "--m", "3",
-                        "--max-degree", "8"]),
-        ("paper", ["report", "paper", "--n", "4"])]:
+for workload, fn, arg in [
+        ("kernel-dim", command, ["kernel", "dim", "--n", "4", "--m", "3",
+                                 "--max-degree", "8"]),
+        ("paper", command, ["report", "paper", "--n", "4"]),
+        ("gl-tables", session, 1)]:
     tracer.spans.clear()
-    tracer.run(command, args)
+    tracer.run(fn, arg)
     fired = {span[0] for span in tracer.spans}
     missing = sorted(set(REQUIRED_CALLS[workload]) - fired)
     assert not missing, (workload, missing)
