@@ -26,6 +26,7 @@ from .exactpoly import (
     compositions,
     monomial,
     monomial_multidegree,
+    pair,
     xy_universe,
 )
 
@@ -119,8 +120,9 @@ def xy_monomials(m, alpha):
         if total < 0:
             return []
         x, y = x_index(i), y_index(i)
-        slot = [((x, a), (y, total - a)) for a in range(total - 1, 0, -1)]
-        slot = [((x, total),), *slot, ((y, total),)] if total else [()]
+        slot = [(pair(x, a), pair(y, total - a))
+                for a in range(total - 1, 0, -1)]
+        slot = [(pair(x, total),), *slot, (pair(y, total),)] if total else [()]
         out = [head + pairs for head in out for pairs in slot]
     return out
 
@@ -188,12 +190,11 @@ def q_pol(alpha):
     if len(support) == 1:
         i = support[0]
         return Polynomial.from_monomial(
-            universe, ((x_index(i), 1), (y_index(i), 1)))
+            universe, monomial([(x_index(i), 1), (y_index(i), 1)]))
     i, j = support
     half = Fraction(1, 2)
     return Polynomial(universe, {
-        ((x_index(i), 1), (y_index(j), 1)): half,
-        # x_j comes after y_i in variable order
+        monomial([(x_index(i), 1), (y_index(j), 1)]): half,
         monomial([(x_index(j), 1), (y_index(i), 1)]): half,
     })
 
@@ -205,8 +206,8 @@ def p_pol(beta):
     if sum(beta) < 1:
         raise ValueError("empty multidegree for p polarization")
     universe = xy_universe(len(beta))
-    xs = tuple((x_index(i + 1), b) for i, b in enumerate(beta) if b)
-    ys = tuple((y_index(i + 1), b) for i, b in enumerate(beta) if b)
+    xs = tuple(pair(x_index(i + 1), b) for i, b in enumerate(beta) if b)
+    ys = tuple(pair(y_index(i + 1), b) for i, b in enumerate(beta) if b)
     return Polynomial(universe, {xs: 1, ys: 1})
 
 
@@ -347,7 +348,7 @@ def gl_act_xy(f, u, v):
             if not d[src]:
                 del d[src]
             d[dst] = d.get(dst, 0) + 1
-            key = tuple(sorted(d.items()))
+            key = tuple(sorted([pair(w, x) for w, x in d.items()]))
             val = out.get(key, 0) + c * e
             if val:
                 out[key] = val

@@ -1,9 +1,10 @@
 """Exact polynomial arithmetic: sparse rational polynomials over the two
 variable universes used throughout the package (the coordinate ring of m
 plane vectors, and the free polynomial ring on the rho/pi symbols), keyed by
-monomials stored as sorted (variable, exponent) pair tuples, ranks
-and nullspaces of their int polynomials as integer rows over the monomial
-bases, and a small Gröbner engine."""
+monomials stored as sorted tuples of (variable, exponent) pairs with one
+pair object per distinct value (`pair`), ranks and nullspaces of their int
+polynomials as integer rows over the monomial bases, and a small Gröbner
+engine."""
 
 from .rings import (
     Polynomial,
@@ -15,6 +16,7 @@ from .rings import (
     monomial_multidegree,
     monomial_product,
     monomial_text,
+    pair,
     parse_polynomial,
     renamed_monomial,
     rhopi_universe,
@@ -56,6 +58,7 @@ __all__ = [
     "monomial_text",
     "normal_form",
     "nullspace_combinations",
+    "pair",
     "parse_polynomial",
     "rank_up_to",
     "renamed_monomial",

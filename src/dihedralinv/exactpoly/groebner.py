@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import Polynomial, grlex_key, monomial_degree, monomial_product
+from .rings import (Polynomial, grlex_key, monomial_degree, monomial_product,
+                    pair)
 
 # the largest staircase listed before it is taken to be infinite
 STAIRCASE_CAP = 20000
@@ -62,14 +63,14 @@ def quotient(a, b):
         else:
             del d[v]
     # only variables of a are left, in a's (sorted) order
-    return tuple(d.items())
+    return tuple([pair(v, e) for v, e in d.items()])
 
 
 def lcm(a, b):
     d = dict(a)
     for v, e in b:
         d[v] = max(d.get(v, 0), e)
-    return tuple(sorted(d.items()))
+    return tuple(sorted([pair(v, e) for v, e in d.items()]))
 
 
 def leading_term(f, order):

@@ -16,15 +16,20 @@ whichever form they were built from.  A monomial is its exponents stored
 sparsely: the tuple of its (variable index, positive exponent) pairs sorted
 by variable, with () the unit monomial.  `monomial` checks pairs that come
 from outside; products and the other operations that already have their
-pairs in that form build the tuple without re-checking it.  The canonical
-term order used for serialization is graded lexicographic on exponent
-vectors.
+pairs in that form build the tuple without re-checking it.  Every pair the
+package builds is made by `pair`, which hands out one tuple object per
+distinct (variable, exponent) value for the whole process: the monomials of
+a kernel computation carry thousands of pairs but only tens of values.
+Whole monomials are not shared that way, since transient products would
+then live as long as the process.  The canonical term order used for
+serialization is graded lexicographic on exponent vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 import re
 
 
@@ -161,12 +166,26 @@ def rhopi_universe(n, m):
     return VariableUniverse("rhopi", m, n)
 
 
+_PAIRS = {}
+
+
+def pair(v, e):
+    """The one tuple (v, e) of the process: the first equal tuple built
+    here is kept in a table and returned for every later (v, e).  The table
+    holds one entry per distinct pair ever built: 111 after `kernel dim
+    --n 6 --m 3`.  v and e must be ints (`monomial` converts pairs from
+    outside)."""
+    p = (v, e)
+    return _PAIRS.setdefault(p, p)
+
+
 def monomial(pairs):
     """The monomial of (variable index, exponent) pairs given in any order:
     sorted by variable, zero exponents dropped.  A negative exponent or a
-    variable given twice is a ValueError.  This is the one check for pairs
-    from outside; the operations below build their tuples in stored form."""
-    mono = tuple(sorted((v, e) for v, e in pairs if e != 0))
+    variable given twice is a ValueError, and a non-integer one a
+    TypeError.  This is the one check for pairs from outside; the
+    operations below build their tuples in stored form."""
+    mono = tuple(sorted((index(v), index(e)) for v, e in pairs if e != 0))
     last = None
     for v, e in mono:
         if e < 0:
@@ -174,7 +193,7 @@ def monomial(pairs):
         if v == last:
             raise ValueError("repeated variable in monomial: %r" % (mono,))
         last = v
-    return mono
+    return tuple([pair(v, e) for v, e in mono])
 
 
 def monomial_product(a, b):
@@ -193,7 +212,7 @@ def monomial_product(a, b):
             out.append(b[j])
             j += 1
         else:
-            out.append((va, a[i][1] + b[j][1]))
+            out.append(pair(va, a[i][1] + b[j][1]))
             i += 1
             j += 1
     return tuple(out) + a[i:] + b[j:]
@@ -202,7 +221,7 @@ def monomial_product(a, b):
 def renamed_monomial(mono, var_map):
     """The monomial with each variable v renamed var_map[v], where var_map
     is a permutation of the variable indices: the pairs re-sorted."""
-    return tuple(sorted([(var_map[v], e) for v, e in mono]))
+    return tuple(sorted([pair(var_map[v], e) for v, e in mono]))
 
 
 def monomial_degree(mono):

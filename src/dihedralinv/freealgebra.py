@@ -42,6 +42,7 @@ from .dihedral import (
 from .exactpoly import (
     Polynomial,
     PolynomialSpace,
+    pair,
     renamed_monomial,
     rhopi_universe,
     xy_universe,
@@ -135,7 +136,7 @@ class FreeAlgebra:
             (v, e), *rest = mono
             chain.append((mono, v))
             if e > 1:
-                rest.insert(0, (v, e - 1))
+                rest.insert(0, pair(v, e - 1))
             mono = tuple(rest)
         value = cache[mono]
         polarizations, shared = self._polarizations, self._phi_monomials
@@ -177,8 +178,8 @@ class FreeAlgebra:
                 branches = self._branches(remaining)
             # a branch sorts below (start,) iff its variable is below start,
             # whatever its exponent, so bisect finds the first one allowed
-            for idx, e, rest in branches[bisect_left(branches, (start,)):]:
-                acc.append((idx, e))
+            for idx, p, rest in branches[bisect_left(branches, (start,)):]:
+                acc.append(p)
                 rec(idx + 1, rest)
                 acc.pop()
 
@@ -186,8 +187,9 @@ class FreeAlgebra:
         return out
 
     def _branches(self, remaining):
-        """Every (variable, exponent, rest) of a nonzero remaining
-        multidegree with a monomial on the later variables summing to rest,
+        """Every (variable, pair, rest) of a nonzero remaining multidegree
+        with a monomial on the later variables summing to rest, where pair
+        is the (variable, exponent) tuple every enumerated monomial takes,
         variables ascending and exponents descending, memoised in
         self._children.  The 5 350 recursion nodes of `kernel dim --n 6
         --m 3` meet 231 distinct remaining multidegrees."""
@@ -202,7 +204,7 @@ class FreeAlgebra:
             while min(rest := tuple(map(sub, rest, w))) >= 0:
                 e += 1
                 if _suffix_counts(weights, memo, rest)[idx + 1]:
-                    live.append((idx, e, rest))
+                    live.append((idx, pair(idx, e), rest))
             branches += reversed(live)
         self._children[remaining] = branches
         return branches
@@ -272,7 +274,8 @@ class FreeAlgebra:
                 else:
                     pairs[var] = exp - 1
                 pairs[target] = pairs.get(target, 0) + 1
-                shifted = tuple(sorted(pairs.items()))
+                shifted = tuple(sorted([pair(w, x)
+                                        for w, x in pairs.items()]))
                 value = out.get(shifted, 0) + c * exp * factor
                 if value:
                     out[shifted] = value

@@ -57,9 +57,12 @@ def partitions(d, max_height=None):
     """All partitions of d (optionally with at most max_height parts), in
     descending lexicographic order.  A first part below remaining/slots
     would leave the rest more than slots - 1 parts can hold, so it is not
-    tried, and every branch yields."""
+    tried, and every branch yields.  A negative max_height is a ValueError
+    when called, not at the first item."""
     if max_height is None:
         max_height = d
+    else:
+        max_height = _whole(max_height, "max_height", 0)
 
     def rec(remaining, biggest, slots):
         if not remaining:
@@ -73,7 +76,7 @@ def partitions(d, max_height=None):
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    yield from rec(d, d, max_height)
+    return rec(d, d, max_height)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from dihedralinv.exactpoly import (
     parse_polynomial,
     xy_universe,
 )
+from dihedralinv.exactpoly.rings import _PAIRS
 from dihedralinv.freealgebra import free_algebra, make_R222
 from dihedralinv.gltheory import hilbert_h
 
@@ -114,6 +115,25 @@ def test_xy_monomials_are_in_stored_form():
                     assert monomial(mono) == mono, (alpha, mono)
     assert xy_monomials(2, (0, 0)) == [()]
     assert xy_monomials(2, (3, -1)) == []
+
+
+def test_coordinate_ring_pairs_are_the_pair_tables_objects():
+    # the columns, the polarized generators and the polarization operators
+    # store each (variable, exponent) pair as the pair table's object
+    monos = []
+    for m in range(1, 4):
+        for alpha in all_multidegrees(m, 6):
+            columns = xy_monomials(m, alpha)
+            f = Polynomial(xy_universe(m), {mono: 1 for mono in columns})
+            monos += columns
+            monos += [mono for u in range(1, m + 1) for v in range(1, m + 1)
+                      for mono in gl_act_xy(f, u, v).terms]
+        for alpha in all_multidegrees(m, 2):
+            monos += q_pol(alpha).terms
+        for beta in all_multidegrees(m, 5):
+            monos += p_pol(beta).terms
+    pairs = [p for mono in monos for p in mono]
+    assert all(_PAIRS.get(p) is p for p in pairs)
 
 
 def test_xy_monomials_are_in_descending_grlex():

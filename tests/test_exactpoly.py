@@ -17,11 +17,14 @@ from dihedralinv.exactpoly import (
     monomial_degree,
     monomial_multidegree,
     monomial_product,
+    pair,
     parse_polynomial,
+    renamed_monomial,
     rhopi_universe,
     xy_universe,
 )
 from dihedralinv.exactpoly.groebner import divides, lcm, quotient
+from dihedralinv.exactpoly.rings import _PAIRS
 from dihedralinv.freealgebra import FreeElement, free_algebra
 
 U2 = xy_universe(2)
@@ -99,6 +102,15 @@ def test_monomial_rejects_non_canonical_pairs(pairs):
 
 def test_monomial_accepts_any_order_and_zero_exponents():
     assert monomial([(3, 1), (0, 0), (1, 2)]) == ((1, 2), (3, 1))
+
+
+@pytest.mark.parametrize("pairs", [[(0, 2.0)], [(1.0, 2)], [(0, "2")]],
+                         ids=["float-exponent", "float-variable", "string"])
+def test_monomial_refuses_non_integer_pairs(pairs):
+    # a float pair would enter the process-wide pair table and stand for
+    # its int value in every later monomial
+    with pytest.raises(TypeError):
+        monomial(pairs)
 
 
 def test_monomial_grlex_order():
@@ -268,6 +280,31 @@ def test_monomial_arithmetic_stays_canonical(a, b):
         assert_canonical(mono)
     assert quotient(a, a) == ()
     assert quotient(product, b) == a
+
+
+raw_pairs = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                     max_size=4, unique_by=lambda p: p[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_pairs, raw_pairs, st.permutations(range(4)))
+def test_monomial_operations_build_table_pairs(raw_a, raw_b, perm):
+    # each result equals its value-level reference, and each pair in it is
+    # the pair table's object, whatever objects the input pairs were
+    a, b = monomial(raw_a), monomial(raw_b)
+    assert a == tuple(sorted((v, e) for v, e in raw_a if e))
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    product = monomial_product(a, b)
+    assert product == tuple(sorted(exps.items()))
+    var_map = dict(enumerate(perm))
+    fresh = tuple((v, e + 0) for v, e in a)
+    renamed = renamed_monomial(fresh, var_map)
+    assert renamed == tuple(sorted((var_map[v], e) for v, e in a))
+    for mono in (a, b, product, renamed, lcm(a, b), quotient(product, b)):
+        assert all(_PAIRS.get(p) is p for p in mono)
+    assert all(pair(*p) is p for p in a)
 
 
 @settings(max_examples=100, deadline=None)

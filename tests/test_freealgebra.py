@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedralinv import kernelcalc
+from dihedralinv import freealgebra, kernelcalc
 from dihedralinv.cli import named_relations
 from dihedralinv.exactpoly import (
     Polynomial,
@@ -16,6 +16,7 @@ from dihedralinv.exactpoly import (
     parse_polynomial,
     renamed_monomial,
 )
+from dihedralinv.exactpoly.rings import _PAIRS
 from dihedralinv.dihedral import (
     DihedralParams,
     all_multidegrees,
@@ -381,6 +382,32 @@ def test_phi_cache_shares_one_monomial_per_value(monkeypatch):
     assert len(monos) > len(ids)
     assert len(ids) == len(set(monos))
     assert {id(mono) for mono in A._phi_monomials.values()} <= ids
+
+
+def test_stored_pairs_are_the_pair_tables_objects(monkeypatch):
+    # a kernel walk (sorted and transported components), the GL-modules of
+    # the named relations at m = 3 with phi of each element, and every
+    # matrix unit on the relations store each (variable, exponent) pair as
+    # the one object the pair table holds for its value
+    A = _walked_algebra(monkeypatch)
+    monkeypatch.setattr(freealgebra, "free_algebra", lambda n, m: A)
+    transported = [e for d in range(11) for alpha in all_multidegrees(3, d)
+                   if list(alpha) != sorted(alpha, reverse=True)
+                   for e in kernelcalc.kernel_basis_at(4, 3, alpha)]
+    elements = [e for basis in A.kernels.values() for e in basis]
+    assert transported and elements
+    for _, rel, _ in named_relations(4, 3):
+        for e in submodule_basis(rel):
+            assert phi(e).is_zero()
+            elements.append(e)
+        elements += [A.gl_act((u, v), rel)
+                     for u in range(1, 4) for v in range(1, 4)]
+    polys = [e.poly for e in transported + elements]
+    polys += A._phi_cache.values()
+    monos = list(A._phi_cache) + [mono for f in polys for mono in f.terms]
+    pairs = [p for mono in monos for p in mono]
+    assert len({id(p) for p in pairs}) == len(set(pairs)) < len(pairs)
+    assert all(_PAIRS.get(p) is p for p in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,19 @@ def test_bounded_partitions_are_the_short_ones_in_order():
                 lam for lam in partitions(d) if len(lam) <= height]
 
 
+def test_partitions_refuse_a_negative_height():
+    # only None means unbounded: a negative height is refused when called,
+    # and height 0 leaves only the empty partition of 0
+    with pytest.raises(ValueError,
+                       match="max_height must be at least 0, got -1"):
+        partitions(4, -1)
+    with pytest.raises(TypeError, match="max_height must be an integer"):
+        partitions(4, 1.5)
+    assert list(partitions(4, 0)) == []
+    assert list(partitions(0, 0)) == [()]
+    assert list(partitions(4, None)) == list(partitions(4, 4))
+
+
 # ---------------------------------------------------------------------------
 # Kostka numbers
 
