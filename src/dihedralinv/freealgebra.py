@@ -82,7 +82,7 @@ class FreeAlgebra:
         self._phi_cache = {(): Polynomial.constant(self.xy_universe, 1)}
         # monomial -> the one equal tuple that every cached image uses
         self._phi_monomials = {}
-        # weight -> suffix counts of that weight (see _suffix_counts)
+        # weight -> (that weight, its suffix counts) (see _suffix_counts)
         self._counts = {}
         # nonzero weight -> its enumeration branches (see _branches)
         self._children = {}
@@ -124,20 +124,25 @@ class FreeAlgebra:
     def phi_monomial(self, mono):
         """(P, k) with P = 2^k phi(mono) an int polynomial and k the total
         exponent of mixed rho symbols in mono, so P is the product of the
-        integer polarizations.  P is cached together with every prefix on
-        the way: strip one factor of the first variable at a time down to a
-        cached monomial, then multiply back up.  The cached images share
+        integer polarizations.  The walk divides by one variable a step and
+        ends at the first cached monomial: a quotient by one of the
+        monomial's own variables (the first such variable in index order)
+        when one is cached, else the monomial less one factor of its first
+        variable.  Multiplying back up caches the image of every monomial
+        the walk passes, and nothing else; so on `kernel dim --n 6 --m 3`
+        2 267 requested monomials cost 2 316 products, not the 3 021 of a
+        walk that only strips the first variable.  The cached images share
         one tuple object per distinct xy-monomial."""
         mixed = self._mixed
         k = sum(e for v, e in mono if v in mixed)
         cache = self._phi_cache
         chain = []
         while mono not in cache:
-            (v, e), *rest = mono
+            steps = [(mono[:i] + ((pair(v, e - 1),) if e > 1 else ())
+                      + mono[i + 1:], v) for i, (v, e) in enumerate(mono)]
+            quotient, v = next((s for s in steps if s[0] in cache), steps[0])
             chain.append((mono, v))
-            if e > 1:
-                rest.insert(0, pair(v, e - 1))
-            mono = tuple(rest)
+            mono = quotient
         value = cache[mono]
         polarizations, shared = self._polarizations, self._phi_monomials
         for mono, v in reversed(chain):
@@ -152,7 +157,7 @@ class FreeAlgebra:
         coefficient of t^alpha in prod_v 1/(1 - t^{w_v})), without
         enumerating them."""
         alpha = as_multidegree(alpha, self.m)
-        return _suffix_counts(self._weights, self._counts, alpha)[0]
+        return _suffix_counts(self._weights, self._counts, alpha)[1][0]
 
     def monomials_of_weight(self, alpha):
         """All monomials of F(n,m) with the given multidegree, enumerated
@@ -189,12 +194,14 @@ class FreeAlgebra:
     def _branches(self, remaining):
         """Every (variable, pair, rest) of a nonzero remaining multidegree
         with a monomial on the later variables summing to rest, where pair
-        is the (variable, exponent) tuple every enumerated monomial takes,
+        is the (variable, exponent) tuple every enumerated monomial takes
+        and rest is the count memo's own key for that multidegree,
         variables ascending and exponents descending, memoised in
         self._children.  The 5 350 recursion nodes of `kernel dim --n 6
-        --m 3` meet 231 distinct remaining multidegrees."""
+        --m 3` meet 231 distinct remaining multidegrees, and their 1 166
+        branches hold 137 distinct rests."""
         weights, memo = self._weights, self._counts
-        counts = _suffix_counts(weights, memo, remaining)
+        _, counts = _suffix_counts(weights, memo, remaining)
         branches = []
         for idx, w in enumerate(weights):
             if counts[idx] == counts[idx + 1]:
@@ -203,8 +210,9 @@ class FreeAlgebra:
             rest, e = remaining, 0
             while min(rest := tuple(map(sub, rest, w))) >= 0:
                 e += 1
-                if _suffix_counts(weights, memo, rest)[idx + 1]:
-                    live.append((idx, pair(idx, e), rest))
+                key, rest_counts = _suffix_counts(weights, memo, rest)
+                if rest_counts[idx + 1]:
+                    live.append((idx, pair(idx, e), key))
             branches += reversed(live)
         self._children[remaining] = branches
         return branches
@@ -285,9 +293,10 @@ class FreeAlgebra:
 
 
 def _suffix_counts(weights, memo, remaining):
-    """The list c with c[idx] the number of exponent vectors on
-    weights[idx:] summing to the vector `remaining` (c[len(weights)] is 1
-    iff `remaining` is zero), memoised in memo[remaining].  A vector on
+    """(key, c), with key the tuple memo holds for `remaining` and c the
+    list with c[idx] the number of exponent vectors on weights[idx:]
+    summing to the vector `remaining` (c[len(weights)] is 1 iff
+    `remaining` is zero), memoised in memo[remaining].  A vector on
     weights[idx:] either leaves variable idx out or is one factor of it
     times a vector on weights[idx:] summing to remaining - weights[idx], so
     the recursion only descends in weight: at most half the total degree
@@ -300,9 +309,9 @@ def _suffix_counts(weights, memo, remaining):
         rest = tuple(map(sub, remaining, weights[idx]))
         counts[idx] = counts[idx + 1]
         if min(rest) >= 0:
-            counts[idx] += _suffix_counts(weights, memo, rest)[idx]
-    memo[remaining] = counts
-    return counts
+            counts[idx] += _suffix_counts(weights, memo, rest)[1][idx]
+    hit = memo[remaining] = (remaining, counts)
+    return hit
 
 
 class FreeElement:

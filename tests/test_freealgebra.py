@@ -21,6 +21,7 @@ from dihedralinv.dihedral import (
     DihedralParams,
     all_multidegrees,
     apply_perm,
+    decreasing_multidegrees,
     gl_act_xy,
     is_invariant,
     p_pol,
@@ -353,6 +354,100 @@ def test_phi_matches_substitution(e):
     assert phi(e) == e.poly.substitute(oracle)
     assert phi(A.zero()) == A.zero().poly.substitute(oracle)
     assert phi(A.zero()).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(1, 3), st.data())
+def test_phi_images_in_any_request_order(n, m, data):
+    # a fresh algebra asked for the monomials of one multidegree and of
+    # every quotient of it by one symbol, in a random order, so a walk may
+    # end at any cached quotient: each image is still the product of the
+    # symbols' integer polarizations, and k the mixed rho exponent
+    A = FreeAlgebra(n, m)
+    alpha = data.draw(st.sampled_from(
+        list(all_multidegrees(m, data.draw(st.integers(2, 8))))))
+    pool = A.monomials_of_weight(alpha)
+    for w in dict.fromkeys(A.universe.weight(v)
+                           for v in range(A.universe.nvars)):
+        pool += A.monomials_of_weight(tuple(map(int.__sub__, alpha, w)))
+    oracle = _exact_polarizations(A)
+    for mono in data.draw(st.permutations(pool)):
+        image, k = A.phi_monomial(mono)
+        assert k == sum(e for v, e in mono if _is_mixed(A, v))
+        exact = Polynomial.constant(A.xy_universe, 1)
+        for v, e in mono:
+            exact = exact * oracle[v] ** e
+        assert image == exact.scale(2 ** k)
+
+
+def _walk_sorted_components(A):
+    """phi of every monomial of every weakly decreasing multidegree of
+    degree <= 10 in A = F(4, 3), in the order `kernel dim` meets them."""
+    for d in range(11):
+        for alpha in decreasing_multidegrees(3, d):
+            for mono in A.monomials_of_weight(alpha):
+                A.phi_monomial(mono)
+
+
+def _counted_products(monkeypatch):
+    """A one-item list that counts every Polynomial product from now on."""
+    calls = [0]
+    mul = Polynomial.__mul__
+
+    def counted(f, g):
+        calls[0] += 1
+        return mul(f, g)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    return calls
+
+
+def test_phi_walk_ends_at_a_cached_quotient(monkeypatch):
+    # only phi_monomial multiplies polynomials in this walk; ending at a
+    # cached quotient makes 608 products and caches 609 images, where a
+    # walk that only strips the first variable makes 797 and caches 798
+    A = FreeAlgebra(4, 3)
+    products = _counted_products(monkeypatch)
+    _walk_sorted_components(A)
+    assert products == [608]
+    assert len(A._phi_cache) == 609
+
+
+def test_a_cached_quotient_costs_one_product(monkeypatch):
+    # the quotient of rho[2,0,0] rho[0,2,0] by its second symbol is cached:
+    # one product, where stripping the first symbol would cost two
+    A = FreeAlgebra(4, 3)
+    first, second = A.rho((2, 0, 0)), A.rho((0, 2, 0))
+    (quotient,) = first.poly.terms
+    (mono,) = (first * second).poly.terms
+    A.phi_monomial(quotient)
+    products = _counted_products(monkeypatch)
+    image, k = A.phi_monomial(mono)
+    assert products == [1]
+    assert (image, k) == (q_pol((2, 0, 0)) * q_pol((0, 2, 0)), 0)
+    assert len(A._phi_cache) == 3
+
+
+def test_phi_walk_at_m1_caches_no_extra_images():
+    # every monomial of F(3, 1) at degree 300 leaves 3 926 cached images, no
+    # more than a walk that only strips the first variable leaves
+    A = FreeAlgebra(3, 1)
+    for mono in A.monomials_of_weight((300,)):
+        A.phi_monomial(mono)
+    assert len(A._phi_cache) == 3926
+
+
+def test_branch_rests_are_the_count_memos_keys():
+    # each enumeration branch holds the count memo's own key for its rest,
+    # so equal rests across the branches are one object
+    A = FreeAlgebra(4, 3)
+    _walk_sorted_components(A)
+    keys = {key: key for key in A._counts}
+    rests = [rest for branches in A._children.values()
+             for _, _, rest in branches]
+    assert len(rests) > len(set(rests))
+    assert len({id(rest) for rest in rests}) == len(set(rests))
+    assert all(keys[rest] is rest for rest in rests)
 
 
 def _walked_algebra(monkeypatch):
