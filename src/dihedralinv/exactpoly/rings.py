@@ -147,9 +147,6 @@ class VariableUniverse:
                 and self.kind == other.kind and self.m == other.m
                 and self.n == other.n)
 
-    def __hash__(self):
-        return hash((self.kind, self.m, self.n))
-
     def __repr__(self):
         if self.kind == "xy":
             return "XY(%d)" % self.m
@@ -413,10 +410,6 @@ class Polynomial:
         return (isinstance(other, Polynomial)
                 and self.universe == other.universe
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.universe,
-                     frozenset(self.terms.items())))
 
     # -- substitution --------------------------------------------------
 

@@ -16,12 +16,14 @@ gl_m acts on the symbols by shifting one unit of index between two slots
 (E_{u,v}.pi_b = b_v * pi_{b+e_u-e_v}), extended to products as a derivation;
 phi intertwines this with the polarization action on the coordinate ring.
 A matrix unit is passed as the index pair (u, v).  Highest weight vectors
-and saturation under the lowering units E_{u,v} (u > v) give exact bases of
+and saturation under the simple lowering units E_{i+1,i} give exact bases of
 the GL-submodules generated by the named relations: the 3x3 symmetric
 determinant in the rho symbols, the three-term relation of weight (n,2),
 and the weight-(2n-2k,2k) family.  Lowering units are enough because PBW
 gives U(gl_m).v = U(n-).v for a highest weight vector v (Humphreys,
-*Introduction to Lie Algebras and Representation Theory*, section 20).
+*Introduction to Lie Algebras and Representation Theory*, section 20), and
+the simple ones are enough because they generate n- as a Lie algebra:
+E_{u,v} = [E_{u,u-1}, E_{u-1,v}] for u > v + 1.
 """
 
 from __future__ import annotations
@@ -410,16 +412,19 @@ def is_highest_weight(e):
 
 def submodule_basis(e):
     """Basis of the gl_m-submodule generated by a highest weight vector e:
-    saturate breadth-first under the lowering units E_{u,v} (u > v),
+    saturate breadth-first under the m - 1 simple lowering units E_{i+1,i},
     keeping an element whenever it enlarges the exact rank of its weight
     space.  A child of E_{u,v} has weight w + e_u - e_v, so weights are
     carried along the queue, not recomputed from the terms.
     The matrix units keep elements multihomogeneous and weight spaces are
     direct summands, so that is the rank of the whole span growing.  The
-    span of the kept elements is closed under every lowering unit, and
-    U(gl_m).e = U(n-).e since the raising units kill e; an e they do not
-    kill is a ValueError.  The ranks run on integer rows, so e needs int
-    coefficients (the units act with integer factors and keep them so).
+    span of the kept elements contains e and is closed under each simple
+    unit, hence under the Lie algebra n- they generate (E_{u,v} =
+    [E_{u,u-1}, E_{u-1,v}] for u > v + 1); every kept element was built
+    from e, so the span is U(n-).e.  That is U(gl_m).e since the raising
+    units kill e; an e they do not kill is a ValueError.  The ranks run on
+    integer rows, so e needs int coefficients (the units act with integer
+    factors and keep them so).
     First-found order, deterministic."""
     if e.is_zero():
         raise ValueError("zero element generates the zero module")
@@ -428,7 +433,7 @@ def submodule_basis(e):
         raise ValueError("submodule_basis needs a multihomogeneous highest "
                          "weight vector, got %r" % (e,))
     algebra = e.algebra
-    units = [(u, v) for u in range(2, algebra.m + 1) for v in range(1, u)]
+    units = [(i + 1, i) for i in range(1, algebra.m)]
     spaces = {}  # weight -> PolynomialSpace of the kept elements
 
     def enlarges(x, w):

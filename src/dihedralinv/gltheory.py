@@ -233,10 +233,6 @@ class DecompositionReport:
     def __bool__(self):
         return bool(self.entries)
 
-    def __eq__(self, other):
-        return (isinstance(other, DecompositionReport)
-                and self.m == other.m and self.entries == other.entries)
-
     def total_dim(self):
         """Dimension of the underlying vector space."""
         return sum(mult * schur_dim(lam, self.m)

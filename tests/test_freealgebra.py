@@ -39,7 +39,7 @@ from dihedralinv.freealgebra import (
     phi,
     submodule_basis,
 )
-from dihedralinv.gltheory import weyl_dim
+from dihedralinv.gltheory import kostka, schur_dim, weyl_dim
 
 
 def test_symbol_constructors():
@@ -800,12 +800,23 @@ def _full_unit_saturation(e):
     return basis
 
 
+def assert_kostka_weights(basis, lam, m):
+    """Each weight alpha holds kostka(lam, alpha) elements of the basis and
+    the whole basis has schur_dim(lam, m) of them, so a weight the basis
+    misses has Kostka number zero: the weight multiplicities of the
+    irreducible module, counted by gltheory, which shares no code with the
+    saturation."""
+    counts = Counter(e.weight() for e in basis)
+    assert {alpha: kostka(lam, alpha) for alpha in counts} == dict(counts)
+    assert len(basis) == schur_dim(lam, m)
+
+
 @pytest.mark.parametrize("n,m", [(n, m) for n in (4, 5) for m in (2, 3, 4)])
 def test_lowering_saturation_matches_full_units(n, m):
     # the lowering span lies in the full one, so equal dimensions in every
     # weight mean equal spans; the ideal slices insert these elements as
     # integer rows, so every coefficient must be an int
-    for _, rel, _ in named_relations(n, m):
+    for _, rel, lam in named_relations(n, m):
         lowering = submodule_basis(rel)
         for e in [rel] + lowering:
             assert all(type(c) is int for c in e.poly.terms.values())
@@ -813,6 +824,13 @@ def test_lowering_saturation_matches_full_units(n, m):
         assert len(lowering) == len(full)
         assert Counter(e.weight() for e in lowering) \
             == Counter(e.weight() for e in full)
+        assert_kostka_weights(lowering, lam, m)
+
+
+def test_saturation_at_five_slots_has_kostka_weights():
+    # m = 5 without the full-unit reference, which is too slow there
+    for _, rel, lam in named_relations(4, 5):
+        assert_kostka_weights(submodule_basis(rel), lam, 5)
 
 
 def test_submodule_basis_requires_highest_weight():
@@ -825,8 +843,8 @@ def test_submodule_basis_requires_highest_weight():
 
 def test_submodule_basis_applies_lowering_units_only(monkeypatch):
     # the (4,2) module at three slots has dimension 27; the highest weight
-    # check costs m - 1 = 2 raising units and the saturation 27 * 3 lowering
-    # units, where all six units took 162 calls
+    # check costs m - 1 = 2 raising units and the saturation 27 * 2 simple
+    # lowering units, where all six units took 162 calls
     calls = []
     real = FreeAlgebra.gl_act
 
@@ -836,9 +854,9 @@ def test_submodule_basis_applies_lowering_units_only(monkeypatch):
 
     monkeypatch.setattr(FreeAlgebra, "gl_act", spy)
     assert len(submodule_basis(make_R_n2(4, 3))) == 27
-    assert len(calls) == 83
+    assert len(calls) == 56
     assert calls[:2] == [(1, 2), (2, 3)]
-    assert all(u > v for u, v in calls[2:])
+    assert all(u == v + 1 for u, v in calls[2:])
 
 
 def test_submodule_spans_lowering_family():
