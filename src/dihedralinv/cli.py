@@ -47,6 +47,7 @@ from .kernelcalc import (
     cyclic_table_n4_m3,
     gl_generation_report,
     kernel_basis_at,
+    kernel_dimensions,
     minimal_generators_by_degree,
     secondary_table_m2,
     secondary_table_n4_m3,
@@ -228,14 +229,9 @@ def kernel():
 def kernel_dim(n, m, max_degree, fmt, resource_cap, force):
     """Kernel dimension in every total degree up to the cap."""
     D = _resolve_degree(n, max_degree, force)
-    rows = []
-    lines = []
-    for d in range(D + 1):
-        dim = sum(len(kernel_basis_at(n, m, alpha,
-                                      resource_cap=resource_cap))
-                  for alpha in all_multidegrees(m, d))
-        rows.append({"degree": d, "dimension": dim})
-        lines.append("degree %d: %d" % (d, dim))
+    dims = kernel_dimensions(n, m, D, resource_cap=resource_cap)
+    rows = [{"degree": d, "dimension": dim} for d, dim in enumerate(dims)]
+    lines = ["degree %d: %d" % (d, dim) for d, dim in enumerate(dims)]
     emit("kernel dim",
          {"n": n, "m": m, "max_degree": D,
           "resource_cap": resource_cap},

@@ -152,6 +152,18 @@ class FreeAlgebra:
             cache[mono] = value
         return value, k
 
+    def release_images(self, monos):
+        """Drop the cached images of `monos`, every monomial of one
+        multidegree, and their xy-monomials from the sharing table: phi
+        is multigraded, so no image of another multidegree holds those.
+        The image of 1, where every walk ends, stays."""
+        cache, shared = self._phi_cache, self._phi_monomials
+        for mono in monos:
+            image = cache.pop(mono, None) if mono else None
+            if image is not None:
+                for xy in image.terms:
+                    shared.pop(xy, None)
+
     # -- graded components ----------------------------------------------
 
     def count_of_weight(self, alpha):

@@ -15,6 +15,15 @@ once: its elements share the algebra's monomial table for their
 permutation, which holds only the last permutation's images (see
 FreeAlgebra.s_act).
 
+The algebra keeps each kernel basis it builds, and the phi images of the
+basis's monomials, until a caller drops them.  The minimal-generator count
+and GL-generation keep theirs, since later degrees read them again (and in
+`report paper` GL-generation re-reads the bases the count built).
+`kernel_dimensions` holds one basis at a time: it drops each basis once
+every multidegree of its orbit is counted, and drops the images of a
+component as soon as its basis is built when no later degree of the walk
+reads them.
+
 Each rank stops at a ceiling that is proven, because rows past it cannot
 change the answer, and `rank_up_to` applies every one of them:
 - the Nakayama span F_+ . ker lies in ker, so once its rank is dim ker_alpha
@@ -52,6 +61,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial, gcd, prod
 
+from . import gltheory
 from .dihedral import (
     all_multidegrees,
     apply_perm,
@@ -151,12 +161,13 @@ def orbit_size(alpha):
 # kernel components
 
 
-def _kernel_basis_sorted(n, m, alpha, cap):
+def _kernel_basis_sorted(n, m, alpha, cap, keep_images=True):
     """Kernel basis at a weakly decreasing multidegree, kept by the algebra.
     Both components are checked against the cap on every call, kept or
     not.  Its length is checked against count_of_weight(alpha) -
     invariant_dimension(alpha), which is dim ker_alpha because phi is onto
-    the invariants in every multidegree."""
+    the invariants in every multidegree.  A basis built with keep_images
+    false drops the phi images of its monomials once it is built."""
     algebra = free_algebra(n, m)
     check_cap(algebra.count_of_weight(alpha), cap,
               "kernel component %r of F(%d,%d)", alpha, n, m)
@@ -185,23 +196,62 @@ def _kernel_basis_sorted(n, m, alpha, cap):
             "kernel of F(%d,%d) at %r has %d elements, but count_of_weight "
             "- invariant_dimension is %d" % (n, m, alpha, len(basis), count))
     algebra.kernels[alpha] = basis
+    if not keep_images:
+        algebra.release_images(monos)
     return basis
 
 
-def kernel_basis_at(n, m, alpha, resource_cap=None):
+def kernel_basis_at(n, m, alpha, resource_cap=None, *, _keep_images=True):
     """Kernel basis at an arbitrary multidegree, by permutation transport
     from the weakly decreasing representative.  The component's elements
     share one monomial table, so each distinct monomial is renamed and
     sorted once (see FreeAlgebra.s_act).  The list is the caller's own:
-    changing it leaves the algebra's copy intact."""
+    changing it leaves the algebra's copy intact.
+
+    The algebra keeps the representative's basis, and the phi images of
+    its monomials, until a caller drops them.  `kernel_dimensions` passes
+    _keep_images=False for a component whose images its walk reads no
+    more, and building the basis then drops them."""
     cap = resolve_resource_cap(resource_cap)
     alpha = as_multidegree(alpha, m)
     sorted_alpha, perm = sort_permutation(alpha)
-    basis = _kernel_basis_sorted(n, m, sorted_alpha, cap)
+    basis = _kernel_basis_sorted(n, m, sorted_alpha, cap, _keep_images)
     if alpha == sorted_alpha:
         return list(basis)
     algebra = free_algebra(n, m)
     return [algebra.s_act(perm, e) for e in basis]
+
+
+def kernel_dimensions(n, m, D, resource_cap=None):
+    """dim ker phi in each total degree 0..D (a list), summed over every
+    multidegree's `kernel_basis_at`.
+
+    The walk goes degree by degree and, within a degree, orbit by orbit:
+    it reads every multidegree of a weakly decreasing alpha's orbit, then
+    drops alpha's basis from the algebra, so it holds one kernel basis at a
+    time.  A phi image of degree d is read again only as the quotient of a
+    monomial of degree d + 2 (times a rho) or d + n (times a pi), so the
+    images of a component with |alpha| + 2 > D are dropped as soon as its
+    basis is built.  The images of lower degrees stay cached."""
+    D = _degree_bound(D)
+    cap = resolve_resource_cap(resource_cap)
+    kernels = free_algebra(n, m).kernels
+    dims = []
+    for d in range(D + 1):
+        # each orbit's multidegrees, keyed by the weakly decreasing one;
+        # grouping the compositions visits each once, whatever m! is
+        orbits = {}
+        for alpha in all_multidegrees(m, d):
+            orbits.setdefault(tuple(sorted(alpha, reverse=True)),
+                              []).append(alpha)
+        total = 0
+        for top, orbit in orbits.items():
+            for alpha in orbit:
+                total += len(kernel_basis_at(n, m, alpha, cap,
+                                             _keep_images=d + 2 <= D))
+            kernels.pop(top, None)
+        dims.append(total)
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +738,21 @@ def gl_generation_report(generator_hwvs, D, resource_cap=None):
     of them must lie in one, and an empty list is a ValueError.  The ideal
     lies in the kernel, so the kernel dimension is the ceiling of each
     slice's rank; the kernel basis is checked against its count where it
-    is built, and an ArithmeticError there propagates."""
+    is built, and an ArithmeticError there propagates.
+
+    Before any generator is expanded, the total size of their modules is
+    checked against the cap: a highest weight vector of weight lambda
+    spans an irreducible module of gltheory.schur_dim(lambda, m) elements.
+    A generator whose weight is no partition adds nothing there;
+    `submodule_basis` refuses it."""
     D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
+    generator_hwvs = list(generator_hwvs)
+    weights = [g.weight() for g in generator_hwvs]
+    check_cap(sum(gltheory.schur_dim(w, len(w)) for w in weights
+                  if w is not None and list(w) == sorted(w, reverse=True)),
+              cap, "expanding %d generators into GL-submodules",
+              len(generator_hwvs), unit="elements")
     expanded = []
     for g in generator_hwvs:
         if not phi(g).is_zero():

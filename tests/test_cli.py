@@ -351,6 +351,18 @@ def test_resource_cap_exit_code(runner):
         or "resource cap" in (result.stderr or "").lower()
 
 
+def test_kernel_dim_cap_overrun_line(runner):
+    # the first component over the cap, named on one stderr line, as
+    # before the walk went orbit by orbit
+    result = runner.invoke(main, ["kernel", "dim", "--n", "6", "--m", "3",
+                                  "--resource-cap", "50"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (
+        "resource cap exceeded: invariant component (5, 2, 2) needs 54 "
+        "basis monomials, above the cap of 50 (raise it via "
+        "--resource-cap, or resource_cap= in a library call)\n")
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_nonpositive_resource_cap_exits_2(runner, cap):
     result = runner.invoke(main, ["kernel", "dim", "--n", "4", "--m", "2",

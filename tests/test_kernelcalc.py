@@ -284,6 +284,89 @@ def test_kernel_odd_degrees_empty():
     assert kernel_basis_at(4, 3, (3, 3, 1)) == []
 
 
+@pytest.mark.parametrize("n, m, D", [
+    (3, 1, 12), (4, 1, 1), (4, 2, 10), (5, 2, 0), (4, 3, 10), (6, 3, 1),
+    (5, 3, 8), (4, 4, 6),
+])
+def test_kernel_dimensions_sum_every_component(monkeypatch, n, m, D):
+    # the walk's dimension in degree d is the length of the kernel basis
+    # summed over every multidegree, and count - invariant dimension summed
+    # the same way (phi is onto the invariants)
+    A = FreeAlgebra(n, m)
+    monkeypatch.setattr(kernelcalc, "free_algebra", lambda n_, m_: A)
+    got = kernelcalc.kernel_dimensions(n, m, D)
+    monkeypatch.undo()
+    params = DihedralParams(n, m)
+    assert got == [len(_kernel_in_degree(n, m, d)) for d in range(D + 1)]
+    assert got == [sum(A.count_of_weight(alpha)
+                       - dihedral.invariant_dimension(params, alpha)
+                       for alpha in all_multidegrees(m, d))
+                   for d in range(D + 1)]
+
+
+def _image_degree(A, mono):
+    return sum(A.universe.degree(v) * e for v, e in mono)
+
+
+@pytest.mark.parametrize("D", [1, 8, 10])
+def test_kernel_dimensions_drop_what_no_later_degree_reads(monkeypatch, D):
+    # the walk leaves no kernel basis and no phi image of degree above
+    # D - 2 (the image of 1 stays), and the sharing table holds just the
+    # xy-monomials of the images it keeps; what it dropped is rebuilt on
+    # demand, so a later walk, kernel basis or minimal generator count on
+    # the same algebra equals a fresh algebra's
+    A = FreeAlgebra(4, 3)
+    monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
+    dims = kernelcalc.kernel_dimensions(4, 3, D)
+    assert A.kernels == {}
+    assert (len(A._phi_cache) > 1) == (D > 2)
+    assert all(_image_degree(A, mono) <= max(D - 2, 0)
+               for mono in A._phi_cache)
+    held = {xy for mono, image in A._phi_cache.items() if mono
+            for xy in image.terms}
+    assert set(A._phi_monomials) == held
+    later = (kernelcalc.kernel_dimensions(4, 3, 10),
+             kernelcalc.kernel_dimensions(4, 3, D),
+             [[str(e) for e in kernel_basis_at(4, 3, alpha)]
+              for alpha in [(2, 2, 2), (4, 2, 0), (2, 4, 2), (6, 2, 2)]],
+             minimal_generators_by_degree(4, 3, 10))
+    monkeypatch.setattr(kernelcalc, "free_algebra",
+                        lambda n, m, fresh=FreeAlgebra(4, 3): fresh)
+    assert later == (
+        kernelcalc.kernel_dimensions(4, 3, 10), dims,
+        [[str(e) for e in kernel_basis_at(4, 3, alpha)]
+         for alpha in [(2, 2, 2), (4, 2, 0), (2, 4, 2), (6, 2, 2)]],
+        minimal_generators_by_degree(4, 3, 10))
+
+
+def test_kernel_dimensions_build_each_component_once(monkeypatch):
+    # F(6, 3) through degree 14, as `kernel dim --n 6 --m 3` walks it: one
+    # nullspace per weakly decreasing multidegree, one transport per
+    # element of every other one, and each phi image built once from a
+    # cached quotient; a dropped image that a later degree reads would
+    # show as extra products
+    A = FreeAlgebra(6, 3)
+    monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
+    counts = {"products": 0, "nullspaces": 0, "transports": 0}
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        counted("products", Polynomial.__mul__))
+    monkeypatch.setattr(kernelcalc, "nullspace_combinations",
+                        counted("nullspaces", nullspace_combinations))
+    monkeypatch.setattr(FreeAlgebra, "s_act",
+                        counted("transports", FreeAlgebra.s_act))
+    dims = kernelcalc.kernel_dimensions(6, 3, 14)
+    assert dims[14] == 4785
+    assert counts == {"products": 2316, "nullspaces": 147,
+                      "transports": 5135}
+
+
 # ---------------------------------------------------------------------------
 # minimal generators
 
@@ -875,6 +958,29 @@ def test_gl_generation_needs_generators_of_one_algebra():
         gl_generation_report([], 6)
     with pytest.raises(ValueError, match="different algebras"):
         gl_generation_report([make_R222(4, 3), make_R222(5, 3)], 6)
+
+
+def test_gl_generation_caps_the_modules_before_expanding(monkeypatch):
+    # the named relations of F(4, 2) span modules of 3 + 5 + 1 elements
+    # (highest weights (4, 2), (6, 2) and (4, 4)); a cap of that total
+    # passes, and one less stops the report before any matrix unit acts
+    gens = [g for _, g, _ in named_relations(4, 2)]
+    total = sum(schur_dim(g.weight(), 2) for g in gens)
+    assert total == 9
+    assert gl_generation_report(gens, 4, resource_cap=total)[0]
+    calls = []
+    real = FreeAlgebra.gl_act
+
+    def counted(self, E, e):
+        calls.append(E)
+        return real(self, E, e)
+
+    monkeypatch.setattr(FreeAlgebra, "gl_act", counted)
+    with pytest.raises(ResourceCapError,
+                       match=r"^expanding 3 generators into GL-submodules "
+                             r"needs 9 elements, above the cap of 8 "):
+        gl_generation_report(gens, 4, resource_cap=total - 1)
+    assert calls == []
 
 
 def test_gl_generation_rejects_non_kernel_generator():
