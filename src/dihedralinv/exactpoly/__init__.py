@@ -10,6 +10,7 @@ from .rings import (
     Polynomial,
     VariableUniverse,
     compositions,
+    divided_monomial,
     grlex_key,
     monomial,
     monomial_degree,
@@ -49,6 +50,7 @@ __all__ = [
     "VariableUniverse",
     "buchberger",
     "compositions",
+    "divided_monomial",
     "grlex_key",
     "leading_term",
     "monomial",

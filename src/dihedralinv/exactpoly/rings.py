@@ -215,6 +215,12 @@ def monomial_product(a, b):
     return tuple(out) + a[i:] + b[j:]
 
 
+def divided_monomial(mono, i):
+    """The monomial less one factor of the variable of its pair mono[i]."""
+    v, e = mono[i]
+    return mono[:i] + ((pair(v, e - 1),) if e > 1 else ()) + mono[i + 1:]
+
+
 def renamed_monomial(mono, var_map):
     """The monomial with each variable v renamed var_map[v], where var_map
     is a permutation of the variable indices: the pairs re-sorted."""

@@ -44,6 +44,7 @@ from .dihedral import (
 from .exactpoly import (
     Polynomial,
     PolynomialSpace,
+    divided_monomial,
     pair,
     renamed_monomial,
     rhopi_universe,
@@ -140,8 +141,8 @@ class FreeAlgebra:
         cache = self._phi_cache
         chain = []
         while mono not in cache:
-            steps = [(mono[:i] + ((pair(v, e - 1),) if e > 1 else ())
-                      + mono[i + 1:], v) for i, (v, e) in enumerate(mono)]
+            steps = [(divided_monomial(mono, i), v)
+                     for i, (v, _) in enumerate(mono)]
             quotient, v = next((s for s in steps if s[0] in cache), steps[0])
             chain.append((mono, v))
             mono = quotient

@@ -27,7 +27,9 @@ reads them.
 Each rank stops at a ceiling that is proven, because rows past it cannot
 change the answer, and `rank_up_to` applies every one of them:
 - the Nakayama span F_+ . ker lies in ker, so once its rank is dim ker_alpha
-  there is no new generator at alpha;
+  there is no new generator at alpha.  It is ranked in the coordinates at
+  the last monomials M_j of the basis, which is diagonal there, so they fix
+  an element of ker_alpha; a variable that divides no M_j gives zero rows;
 - an ideal slice of generators with phi(g) = 0 lies in the kernel (phi is
   GL-equivariant, so the whole submodule of g maps to zero), so its rank is
   at most dim ker_alpha.  Every kernel basis is checked against
@@ -80,6 +82,7 @@ from .exactpoly import (
     Polynomial,
     PolynomialSpace,
     RowSpace,
+    divided_monomial,
     nullspace_combinations,
     parse_polynomial,
     rank_up_to,
@@ -167,7 +170,9 @@ def _kernel_basis_sorted(n, m, alpha, cap, keep_images=True):
     not.  Its length is checked against count_of_weight(alpha) -
     invariant_dimension(alpha), which is dim ker_alpha because phi is onto
     the invariants in every multidegree.  A basis built with keep_images
-    false drops the phi images of its monomials once it is built."""
+    false drops the phi images of its monomials once it is built.  Terms
+    follow the relation's ascending keys, so an element's last term is at
+    its dependent row's monomial M_j, where no other element has a term."""
     algebra = free_algebra(n, m)
     check_cap(algebra.count_of_weight(alpha), cap,
               "kernel component %r of F(%d,%d)", alpha, n, m)
@@ -260,23 +265,22 @@ def kernel_dimensions(n, m, D, resource_cap=None):
 
 def _new_generator_count_at(n, m, alpha, cap):
     """dim ker_alpha - dim (F_+ . ker)_alpha at one weakly decreasing
-    multidegree: the span of variable times lower-kernel elements, against
-    the kernel itself."""
-    universe = free_algebra(n, m).universe
+    multidegree, in the kernel's coordinates (see the module docstring)."""
+    weight = free_algebra(n, m).universe.weight
     kernel = _kernel_basis_sorted(n, m, alpha, cap)
-
-    def products():
-        for v in range(universe.nvars):
-            beta = tuple(a - wi for a, wi in zip(alpha, universe.weight(v)))
-            if any(b < 0 for b in beta):
-                continue
-            var_poly = Polynomial.variable(universe, v)
-            for e in kernel_basis_at(n, m, beta, cap):
-                yield e.poly * var_poly
-
+    quotients = {}  # v -> [(j, M_j / x_v)] over the M_j that x_v divides
+    for j, e in enumerate(kernel):
+        last = next(reversed(e.poly.terms))
+        for i, (v, _) in enumerate(last):
+            quotients.setdefault(v, []).append((j, divided_monomial(last, i)))
+    # x_v . e has the coordinates {j: e[M_j / x_v]}
+    rows = ({j: c for j, q in quots if (c := e.poly.terms.get(q))}
+            for v, quots in quotients.items()
+            for e in kernel_basis_at(
+                n, m, tuple(map(operator.sub, alpha, weight(v))), cap))
     # the span lies in the kernel, so its rank stops at the kernel's
-    return len(kernel) - rank_up_to(PolynomialSpace(universe).insert,
-                                    products(), len(kernel))
+    return len(kernel) - rank_up_to(RowSpace().insert_row, rows,
+                                    len(kernel))
 
 
 def minimal_generators_by_degree(n, m, D, resource_cap=None):
@@ -607,6 +611,8 @@ def _hilbert_series_check(primary_weights, lstar, m, D, dims, failures):
             series[k] = series.get(k, 0) + 1
     for w in primary_weights:
         step = code(w)
+        if not step:  # a constant primary: the walk would never end
+            raise ValueError("a primary of weight %r is constant" % (w,))
         for k, c in list(series.items()):
             k += step
             while k < limit:

@@ -12,6 +12,7 @@ from dihedralinv.exactpoly import (
     Polynomial,
     VariableUniverse,
     compositions,
+    divided_monomial,
     grlex_key,
     monomial,
     monomial_degree,
@@ -305,6 +306,19 @@ def test_monomial_operations_build_table_pairs(raw_a, raw_b, perm):
     for mono in (a, b, product, renamed, lcm(a, b), quotient(product, b)):
         assert all(_PAIRS.get(p) is p for p in mono)
     assert all(pair(*p) is p for p in a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_pairs)
+def test_divided_monomial_drops_one_factor(raw):
+    # the quotient by the variable of each pair is canonical, built from
+    # the pair table's objects, and gives the monomial back times it
+    mono = monomial(raw)
+    for i, (v, _) in enumerate(mono):
+        divided = divided_monomial(mono, i)
+        assert_canonical(divided)
+        assert all(_PAIRS.get(p) is p for p in divided)
+        assert monomial_product(divided, monomial([(v, 1)])) == mono
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """The free presentation ring, its gl_m action, and the named relations."""
 
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -70,6 +71,22 @@ def test_element_arithmetic_guard():
         A.rho((2, 0)) + B.rho((2, 0))
     assert (3 * A.one()).poly.coefficient(()) == 3
     assert (A.pi((4, 0)) ** 2).degree() == 8
+
+
+def test_elements_of_different_algebras_do_not_mix():
+    # F(4, 2) and F(4, 3) have different symbols, and a private F(4, 2)
+    # has the same ones; none of them mixes with the shared F(4, 2), and
+    # neither does a bare polynomial
+    A = free_algebra(4, 2)
+    a = A.rho((2, 0))
+    others = [free_algebra(4, 3).rho((2, 0, 0)),
+              FreeAlgebra(4, 2).rho((2, 0))]
+    for b in others:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="different algebras$"):
+                op(a, b)
+    with pytest.raises(ValueError, match="different algebras$"):
+        a + a.poly
 
 
 def test_element_rejects_non_exact_scalar():

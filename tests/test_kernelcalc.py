@@ -8,12 +8,15 @@ acceptance suite.
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dihedralinv import dihedral, freealgebra, kernelcalc
@@ -31,6 +34,7 @@ from dihedralinv.exactpoly import (
     Polynomial,
     PolynomialSpace,
     RowSpace,
+    divided_monomial,
     monomial,
     nullspace_combinations,
     parse_polynomial,
@@ -401,6 +405,106 @@ def test_minimal_generators_order_robust(monkeypatch):
     assert backward != forward
 
 
+def _assert_diagonal(n, m, D):
+    """Every basis at a weakly decreasing multidegree through degree D is
+    nonzero at each element's last monomial, and zero at the others'."""
+    for d in range(D + 1):
+        for alpha in decreasing_multidegrees(m, d):
+            basis = [e.poly.terms for e in kernel_basis_at(n, m, alpha)]
+            lasts = [next(reversed(terms)) for terms in basis]
+            for i, terms in enumerate(basis):
+                assert [j for j, last in enumerate(lasts) if last in terms] \
+                    == [i], (alpha, i)
+
+
+@pytest.mark.parametrize("n,m,D", [(4, 3, 10), (5, 4, 12), (3, 5, 8)])
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "backward"])
+def test_kernel_basis_is_diagonal_at_its_last_monomials(monkeypatch, n, m,
+                                                        D, backward):
+    # the Nakayama count reads each element's coordinate at its dependent
+    # monomial, its last term; a private algebra whose enumeration lists
+    # every component backwards builds other bases, diagonal all the same
+    if backward:
+        A = FreeAlgebra(n, m)
+        monkeypatch.setattr(kernelcalc, "free_algebra", lambda n, m: A)
+        enumerate_forward = A.monomials_of_weight
+        monkeypatch.setattr(A, "monomials_of_weight",
+                            lambda alpha: enumerate_forward(alpha)[::-1])
+    _assert_diagonal(n, m, D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.integers(2, 4), st.integers(7, 10), st.data())
+def test_nakayama_coordinates_keep_the_rank(n, m, degree, data):
+    # x_v . e lies in ker_alpha, where the basis is diagonal at its last
+    # monomials M_j, so its row {j: e[M_j / x_v]} is its coefficients
+    # there, and a set of products has the same rank in those k columns
+    # as over every monomial of the component
+    A = free_algebra(n, m)
+
+    def products(alpha):
+        out = []
+        for v in range(A.universe.nvars):
+            beta = tuple(a - w for a, w in zip(alpha, A.universe.weight(v)))
+            if min(beta) >= 0:
+                out += [(v, e) for e in kernel_basis_at(n, m, beta)]
+        return out
+
+    spans = [(alpha, candidates)
+             for alpha in decreasing_multidegrees(m, degree)
+             if (candidates := products(alpha))]
+    assume(spans)
+    alpha, candidates = data.draw(st.sampled_from(spans))
+    lasts = [next(reversed(e.poly.terms))
+             for e in kernel_basis_at(n, m, alpha)]
+    size = data.draw(st.integers(1, min(40, len(candidates))))
+    chosen = data.draw(st.lists(st.integers(0, len(candidates) - 1),
+                                min_size=size, max_size=size, unique=True))
+    space, rows = PolynomialSpace(A.universe), RowSpace()
+    for v, e in map(candidates.__getitem__, chosen):
+        product = e.poly * Polynomial.variable(A.universe, v)
+        row = {j: c for j, last in enumerate(lasts)
+               if (c := product.coefficient(last))}
+        looked_up = {j: e.poly.coefficient(divided_monomial(last, i))
+                     for j, last in enumerate(lasts)
+                     for i, (u, _) in enumerate(last) if u == v}
+        assert row == {j: c for j, c in looked_up.items() if c}
+        assert space.insert(product) == rows.insert_row(row)
+    assert space.space.rank == rows.rank
+
+
+@pytest.mark.parametrize("n,D,want", [
+    (4, 10, {6: 28, 8: 75}),
+    (5, 12, {6: 1, 7: 42, 10: 165}),
+])
+def test_nakayama_count_builds_no_product(monkeypatch, n, D, want):
+    # once every kernel is built, the count is dict lookups and RowSpace
+    # inserts: no polynomial product and no PolynomialSpace
+    assert minimal_generators_by_degree(n, 3, D) == want
+    calls = []
+
+    def spy(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        spy("mul", Polynomial.__mul__))
+    monkeypatch.setattr(PolynomialSpace, "insert",
+                        spy("insert", PolynomialSpace.insert))
+    got = {}
+    for d in range(D + 1):
+        for alpha in decreasing_multidegrees(3, d):
+            count = kernelcalc._new_generator_count_at(
+                n, 3, alpha, resolve_resource_cap())
+            if count:
+                got[d] = got.get(d, 0) + count * orbit_size(alpha)
+    assert got == want
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # truncated ideals
 
@@ -764,6 +868,24 @@ def test_hironaka_constant_primary_rejected():
         verify_hironaka_xy(primaries + [one], rows, DihedralParams(4, 2), 8)
 
 
+def test_hilbert_series_check_refuses_a_zero_step():
+    # a weight-0 primary steps its geometric series by code 0, which would
+    # never pass the limit; run in a child process so that a walk that
+    # loops fails at the timeout instead of holding the suite
+    code = ("from dihedralinv.kernelcalc import _hilbert_series_check\n"
+            "try:\n"
+            "    _hilbert_series_check([(0, 0)], [((0, 0), None)], 2, 4, "
+            "{}, [])\n"
+            "except ValueError as error:\n"
+            "    print(error)\n")
+    src = os.path.dirname(os.path.dirname(kernelcalc.__file__))
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "a primary of weight (0, 0) is constant\n"
+
+
 @pytest.mark.parametrize("left,right", [
     ("x1*y2 + y1*x2", "x1*y2 - y1*x2"),  # the cross terms cancel
     ("3*x1^2 - 1/2*y1^2", "2*x1*x2 + 5*y1*y2"),
@@ -1017,17 +1139,25 @@ def test_kernel_basis_is_checked_against_its_count(monkeypatch):
 
 
 def test_nakayama_and_ideal_slice_insert_counts():
-    # PolynomialSpace inserts of the Nakayama span, and of the ideal slices
-    # alone (not the saturation) in GL-generation; each rank stops at its
+    # RowSpace inserts of the Nakayama span, with every kernel basis built
+    # beforehand, and PolynomialSpace inserts of the ideal slices alone
+    # (not the saturation) in GL-generation; each rank stops at its
     # ceiling, so a row that goes in past one shows here
+    _kernel_bases(4, 3, range(11))
+    real_row = RowSpace.insert_row
     real_insert = PolynomialSpace.insert
     real_dim = TruncatedIdeal.component_dimension
     counts = {"nakayama": 0, "slices": 0}
     counting = ["nakayama"]  # the count an insert goes to, or None
 
+    def insert_row(space, row):
+        if counting[0] == "nakayama":
+            counts["nakayama"] += 1
+        return real_row(space, row)
+
     def insert(space, poly):
-        if counting[0]:
-            counts[counting[0]] += 1
+        if counting[0] == "slices":
+            counts["slices"] += 1
         return real_insert(space, poly)
 
     def dim(ideal, alpha, ceiling):
@@ -1038,6 +1168,7 @@ def test_nakayama_and_ideal_slice_insert_counts():
             counting[0] = None
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RowSpace, "insert_row", insert_row)
         mp.setattr(PolynomialSpace, "insert", insert)
         mp.setattr(TruncatedIdeal, "component_dimension", dim)
         assert minimal_generators_by_degree(4, 3, 10) == {6: 28, 8: 75}
@@ -1068,9 +1199,11 @@ def test_gl_generation_without_one_generator(m, left_out, want):
 @given(st.sampled_from([(3, 2), (4, 2), (5, 2), (4, 3)]), st.data())
 def test_rank_rows_have_the_weight_of_their_space(nm, data):
     # a rank space numbers every monomial it meets, so only its callers keep
-    # a row of another weight out: every row of the Nakayama span and of an
-    # ideal slice has weight alpha, and each weight space of a saturation
-    # gets rows of its own weight alone
+    # a row of another weight out: every row of an ideal slice has weight
+    # alpha, and each weight space of a saturation gets rows of its own
+    # weight alone; the Nakayama span, read in kernel coordinates, puts no
+    # polynomial in a rank space, and any it did put there would be checked
+    # here too
     n, m = nm
     A = free_algebra(n, m)
     relations = [g for _, g, _ in named_relations(n, m)]
