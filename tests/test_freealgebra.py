@@ -630,6 +630,47 @@ def test_gl_act_range_check():
         A.gl_act((1, 3), A.rho((2, 0)))
 
 
+def _symbol(A, index):
+    return A.rho(index) if sum(index) == 2 else A.pi(index)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 5), st.integers(2, 5), st.data())
+def test_gl_act_is_the_leibniz_sum_on_repeated_symbols(n, m, data):
+    # a monomial holding a symbol x to a power >= 2 next to the symbol that
+    # E moves x to, and perhaps a third symbol: gl_act must equal the
+    # derivation sum of exp * E.y * (mono / y) over its symbols y, formed by
+    # products of elements.  Through phi an error that lands in ker phi
+    # would go unseen from degree n + 2 up; this compares in F(n, m) itself
+    A = free_algebra(n, m)
+    u, v = data.draw(st.permutations(range(1, m + 1)))[:2]
+    indices = list(all_multidegrees(m, 2)) + list(all_multidegrees(m, n))
+    x = data.draw(st.sampled_from([w for w in indices if w[v - 1]]))
+    target = list(x)
+    target[v - 1] -= 1
+    target[u - 1] += 1
+    exps = Counter({x: data.draw(st.integers(2, 4)),
+                    tuple(target): data.draw(st.integers(1, 3))})
+    if data.draw(st.booleans()):
+        exps[data.draw(st.sampled_from(indices))] += data.draw(
+            st.integers(1, 2))
+
+    def product(exponents):
+        out = A.one()
+        for w, e in exponents.items():
+            for _ in range(e):
+                out = out * _symbol(A, w)
+        return out
+
+    leibniz = A.zero()
+    for w, e in exps.items():
+        rest = exps.copy()
+        rest[w] -= 1
+        leibniz = leibniz + e * A.gl_act((u, v), _symbol(A, w)) \
+            * product(rest)
+    assert A.gl_act((u, v), product(exps)) == leibniz
+
+
 @settings(max_examples=80, deadline=None)
 @given(elements, st.data())
 def test_phi_intertwines_gl_action(nm, data):
@@ -784,8 +825,8 @@ def test_submodule_basis_rejects_mixed_weights():
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_submodule_sizes_match_weyl_dimension(m):
-    # the per-weight saturation against the Weyl product formula, for every
-    # named relation at n = 4
+    # the saturation against the Weyl product formula, for every named
+    # relation at n = 4
     named = [((4, 2), make_R_n2(4, m)), ((6, 2), make_R_2n2k(4, 1, m)),
              ((4, 4), make_R_2n2k(4, 2, m))]
     if m >= 3:
@@ -794,12 +835,11 @@ def test_submodule_sizes_match_weyl_dimension(m):
         assert len(submodule_basis(rel)) == weyl_dim(weight, m), weight
 
 
-def _full_unit_saturation(e):
-    """Breadth-first saturation under every matrix unit E_{u,v} (u != v),
-    keeping an element whenever it enlarges the rank of its weight space."""
+def _per_weight_saturation(e, units):
+    """Breadth-first saturation under the matrix units `units`, keeping an
+    element whenever it enlarges the rank of its weight space, with one
+    rank space per weight."""
     A = e.algebra
-    units = [(u, v) for u in range(1, A.m + 1) for v in range(1, A.m + 1)
-             if u != v]
     spaces = {}
     basis = []
 
@@ -815,6 +855,23 @@ def _full_unit_saturation(e):
             if not child.is_zero():
                 keep(child)
     return basis
+
+
+def _full_unit_saturation(e):
+    """The per-weight saturation under every matrix unit E_{u,v}
+    (u != v)."""
+    m = e.algebra.m
+    return _per_weight_saturation(e, [(u, v) for u in range(1, m + 1)
+                                      for v in range(1, m + 1) if u != v])
+
+
+def assert_per_weight_ranks_keep(basis, e):
+    """Rows of different weights share no monomial, so the one rank space
+    of submodule_basis keeps the elements that a space per weight keeps
+    under the same simple lowering units, in the same order and with the
+    same coefficients."""
+    lowering = [(i + 1, i) for i in range(1, e.algebra.m)]
+    assert basis == _per_weight_saturation(e, lowering)
 
 
 def assert_kostka_weights(basis, lam, m):
@@ -835,6 +892,7 @@ def test_lowering_saturation_matches_full_units(n, m):
     # integer rows, so every coefficient must be an int
     for _, rel, lam in named_relations(n, m):
         lowering = submodule_basis(rel)
+        assert_per_weight_ranks_keep(lowering, rel)
         for e in [rel] + lowering:
             assert all(type(c) is int for c in e.poly.terms.values())
         full = _full_unit_saturation(rel)
@@ -847,7 +905,9 @@ def test_lowering_saturation_matches_full_units(n, m):
 def test_saturation_at_five_slots_has_kostka_weights():
     # m = 5 without the full-unit reference, which is too slow there
     for _, rel, lam in named_relations(4, 5):
-        assert_kostka_weights(submodule_basis(rel), lam, 5)
+        basis = submodule_basis(rel)
+        assert_per_weight_ranks_keep(basis, rel)
+        assert_kostka_weights(basis, lam, 5)
 
 
 def test_submodule_basis_requires_highest_weight():
