@@ -10,9 +10,10 @@ no other module of the package.
 
 Kostka numbers live in one module-level memo on (shape, sorted content),
 sub-counts included, so a session of table queries counts each strip once.
-Public functions validate their arguments; the table builders hand the
-partitions they generate straight to `DecompositionReport`, which trusts
-its table.
+A Schur dimension sums them over the dominated contents alone: K(lam, mu)
+is zero unless lam dominates mu (Macdonald, I.6).  Public functions
+validate their arguments; the table builders hand the partitions they
+generate straight to `DecompositionReport`, which trusts its table.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, prod
 
 
@@ -169,15 +171,17 @@ def _dominant_weights(d, m):
 
 @lru_cache(maxsize=None)
 def _schur_dim_cached(lam, m):
-    # every rearrangement of mu is a content with Kostka number K(lam, mu)
+    # mu's rearrangements have K(lam, mu), zero unless lam dominates mu
+    bounds = tuple(accumulate(lam))
     return sum(orbit * kostka(lam, mu)
-               for mu, orbit in _dominant_weights(sum(lam), m))
+               for mu, orbit in _dominant_weights(sum(lam), m)
+               if all(map(operator.le, accumulate(mu), bounds)))
 
 
 def schur_dim(lam, m):
     """Dimension of the irreducible polynomial GL_m module labeled by the
     partition lam: zero when the height exceeds m, else the sum of Kostka
-    numbers over all contents of length m."""
+    numbers over the contents of length m that lam dominates."""
     return _schur_dim_cached(normalize_partition(lam), _whole(m, "m", 0))
 
 

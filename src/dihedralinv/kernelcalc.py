@@ -164,15 +164,14 @@ def orbit_size(alpha):
 # kernel components
 
 
-def _kernel_basis_sorted(n, m, alpha, cap, keep_images=True):
+def _kernel_basis_sorted(n, m, alpha, cap):
     """Kernel basis at a weakly decreasing multidegree, kept by the algebra.
     Both components are checked against the cap on every call, kept or
     not.  Its length is checked against count_of_weight(alpha) -
     invariant_dimension(alpha), which is dim ker_alpha because phi is onto
-    the invariants in every multidegree.  A basis built with keep_images
-    false drops the phi images of its monomials once it is built.  Terms
-    follow the relation's ascending keys, so an element's last term is at
-    its dependent row's monomial M_j, where no other element has a term."""
+    the invariants in every multidegree.  Terms follow the relation's
+    ascending keys, so an element's last term is at its dependent row's
+    monomial M_j, where no other element has a term."""
     algebra = free_algebra(n, m)
     check_cap(algebra.count_of_weight(alpha), cap,
               "kernel component %r of F(%d,%d)", alpha, n, m)
@@ -201,26 +200,21 @@ def _kernel_basis_sorted(n, m, alpha, cap, keep_images=True):
             "kernel of F(%d,%d) at %r has %d elements, but count_of_weight "
             "- invariant_dimension is %d" % (n, m, alpha, len(basis), count))
     algebra.kernels[alpha] = basis
-    if not keep_images:
-        algebra.release_images(monos)
     return basis
 
 
-def kernel_basis_at(n, m, alpha, resource_cap=None, *, _keep_images=True):
+def kernel_basis_at(n, m, alpha, resource_cap=None):
     """Kernel basis at an arbitrary multidegree, by permutation transport
     from the weakly decreasing representative.  The component's elements
     share one monomial table, so each distinct monomial is renamed and
     sorted once (see FreeAlgebra.s_act).  The list is the caller's own:
-    changing it leaves the algebra's copy intact.
-
-    The algebra keeps the representative's basis, and the phi images of
-    its monomials, until a caller drops them.  `kernel_dimensions` passes
-    _keep_images=False for a component whose images its walk reads no
-    more, and building the basis then drops them."""
+    changing it leaves the algebra's copy intact.  The algebra keeps the
+    representative's basis, and the phi images of its monomials, until a
+    caller drops them."""
     cap = resolve_resource_cap(resource_cap)
     alpha = as_multidegree(alpha, m)
     sorted_alpha, perm = sort_permutation(alpha)
-    basis = _kernel_basis_sorted(n, m, sorted_alpha, cap, _keep_images)
+    basis = _kernel_basis_sorted(n, m, sorted_alpha, cap)
     if alpha == sorted_alpha:
         return list(basis)
     algebra = free_algebra(n, m)
@@ -237,10 +231,11 @@ def kernel_dimensions(n, m, D, resource_cap=None):
     time.  A phi image of degree d is read again only as the quotient of a
     monomial of degree d + 2 (times a rho) or d + n (times a pi), so the
     images of a component with |alpha| + 2 > D are dropped as soon as its
-    basis is built.  The images of lower degrees stay cached."""
+    basis is built: descending lex lists alpha first in its orbit, so
+    before any transport.  The images of lower degrees stay cached."""
     D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
-    kernels = free_algebra(n, m).kernels
+    algebra = free_algebra(n, m)
     dims = []
     for d in range(D + 1):
         # each orbit's multidegrees, keyed by the weakly decreasing one;
@@ -252,9 +247,10 @@ def kernel_dimensions(n, m, D, resource_cap=None):
         total = 0
         for top, orbit in orbits.items():
             for alpha in orbit:
-                total += len(kernel_basis_at(n, m, alpha, cap,
-                                             _keep_images=d + 2 <= D))
-            kernels.pop(top, None)
+                total += len(kernel_basis_at(n, m, alpha, cap))
+                if alpha == top and d + 2 > D:
+                    algebra.release_images(algebra.monomials_of_weight(top))
+            algebra.kernels.pop(top, None)
         dims.append(total)
     return dims
 
@@ -337,11 +333,11 @@ class TruncatedIdeal:
         algebra = self.algebra
         alpha = as_multidegree(alpha, algebra.m)
         universe = algebra.universe
-        factors = []
-        for g, w in zip(self.generators, self._weights):
-            delta = tuple(a - wi for a, wi in zip(alpha, w))
-            if all(x >= 0 for x in delta):
-                factors.append((g, delta))
+        # the cofactor weight alpha - w, once per distinct generator weight
+        fits = {w: delta for w in set(self._weights)
+                if min(delta := tuple(map(operator.sub, alpha, w))) >= 0}
+        factors = [(g, fits[w]) for g, w in zip(self.generators, self._weights)
+                   if w in fits]
         check_cap(sum(algebra.count_of_weight(d) for _, d in factors),
                   self.resource_cap, "ideal slice %r", alpha,
                   unit="generator products")

@@ -226,11 +226,13 @@ def test_schur_dim_goldens():
 
 def test_schur_dim_calls_kostka_by_module_name(monkeypatch):
     # the benchmark traces gltheory.kostka under schur_dim; an inlined call
-    # would leave that layer empty
+    # would leave that layer empty.  K(lam, mu) = 0 unless lam dominates mu,
+    # so the sum asks for exactly the dominated partitions mu of height
+    # <= m, and still equals the Weyl dimension
     calls = []
 
     def counting(lam, alpha):
-        calls.append((lam, alpha))
+        calls.append(alpha)
         return real(lam, alpha)
 
     real = gltheory.kostka
@@ -238,6 +240,14 @@ def test_schur_dim_calls_kostka_by_module_name(monkeypatch):
     gltheory._schur_dim_cached.cache_clear()
     assert schur_dim((4, 2), 3) == 27
     assert calls
+    gltheory._schur_dim_cached.cache_clear()
+    for d in range(13):
+        for lam in partitions(d):
+            for m in range(7):
+                calls.clear()
+                assert schur_dim(lam, m) == weyl_dim(lam, m), (lam, m)
+                assert calls == [mu for mu in partitions(d, m)
+                                 if _dominates(lam, mu)], (lam, m)
 
 
 def test_schur_dim_vanishes_above_height():

@@ -369,6 +369,10 @@ def test_kernel_dimensions_build_each_component_once(monkeypatch):
     assert dims[14] == 4785
     assert counts == {"products": 2316, "nullspaces": 147,
                       "transports": 5135}
+    # the walk drops the images of degrees 13 and 14, which no later
+    # degree reads, and keeps every lower one
+    assert len(A._phi_cache) == 888
+    assert max(_image_degree(A, mono) for mono in A._phi_cache) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -556,30 +560,36 @@ def test_ideal_component_dimension_matches_kernel():
     assert total == 28
 
 
-@pytest.mark.parametrize("m", [2, 3])
+def _per_generator_products(gens, alpha):
+    # the slice as a loop over the generators, one cofactor weight each
+    algebra = gens[0].algebra
+    factors = []
+    for g in gens:
+        delta = tuple(a - wi for a, wi in zip(alpha, g.weight()))
+        if all(x >= 0 for x in delta):
+            factors.append((g, delta))
+    return [g.poly * Polynomial.from_monomial(algebra.universe, mono)
+            for g, delta in factors
+            for mono in algebra.monomials_of_weight(delta)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_spanning_polys_are_the_generator_products(m):
     # every slice of the GL-generation check is the list of products g * mu
     # over generators g and cofactor monomials mu, in that order, with the
-    # coefficients in stored form
+    # coefficients in stored form, whether or not generators share a weight
     gens = [e for _, g, _ in named_relations(4, m)
             for e in submodule_basis(g)]
+    assert len({g.weight() for g in gens}) < len(gens)
     ideal = TruncatedIdeal(gens)
-    A = free_algebra(4, m)
     rows = 0
     for t in range(11):
         for alpha in decreasing_multidegrees(m, t):
-            want = []
-            for g in gens:
-                delta = tuple(a - w for a, w in zip(alpha, g.weight()))
-                if min(delta) >= 0:
-                    want.extend(g.poly * Polynomial.from_monomial(A.universe,
-                                                                  mono)
-                                for mono in A.monomials_of_weight(delta))
             got = ideal.spanning_polys(alpha)
-            assert got == want, alpha
+            assert got == _per_generator_products(gens, alpha), alpha
             assert all(type(c) is int for p in got for c in p.terms.values())
             rows += len(got)
-    assert rows == {2: 43, 3: 411}[m]
+    assert rows == {2: 43, 3: 411, 4: 1847}[m]
 
 
 def test_spanning_polys_cap_counts_products_first(monkeypatch):
