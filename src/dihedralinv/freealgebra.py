@@ -60,7 +60,8 @@ def free_algebra(n, m):
 
 class FreeAlgebra:
     """The ring F(n,m) with its variable tables, its phi cache and the
-    kernel bases computed in it."""
+    kernel bases computed in it, kept until `release_kept` (or, for one
+    component, `release_images` and `kernels.pop`) drops them."""
 
     def __init__(self, n, m):
         self.params = DihedralParams(n, m)
@@ -165,6 +166,16 @@ class FreeAlgebra:
             if image is not None:
                 for xy in image.terms:
                     shared.pop(xy, None)
+
+    def release_kept(self):
+        """Drop every kept kernel basis and phi image, the whole sharing
+        table and the last permutation's s_act table; what a later call
+        reads again is rebuilt on demand.  The image of 1 stays, and so do
+        the symbol tables and the enumeration memos."""
+        self.kernels.clear()
+        self._phi_cache = {(): self._phi_cache[()]}
+        self._phi_monomials.clear()
+        self._moved = (None, None, {})
 
     # -- graded components ----------------------------------------------
 

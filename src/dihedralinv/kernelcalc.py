@@ -17,8 +17,9 @@ FreeAlgebra.s_act).
 
 The algebra keeps each kernel basis it builds, and the phi images of the
 basis's monomials, until a caller drops them.  The minimal-generator count
-and GL-generation keep theirs, since later degrees read them again (and in
-`report paper` GL-generation re-reads the bases the count built).
+and GL-generation keep theirs, since later degrees read them again;
+`report paper` runs GL-generation right after the count that built its
+bases, then drops them all (FreeAlgebra.release_kept).
 `kernel_dimensions` holds one basis at a time: it drops each basis once
 every multidegree of its orbit is counted, and drops the images of a
 component as soon as its basis is built when no later degree of the walk
@@ -228,11 +229,12 @@ def kernel_dimensions(n, m, D, resource_cap=None):
     The walk goes degree by degree and, within a degree, orbit by orbit:
     it reads every multidegree of a weakly decreasing alpha's orbit, then
     drops alpha's basis from the algebra, so it holds one kernel basis at a
-    time.  A phi image of degree d is read again only as the quotient of a
-    monomial of degree d + 2 (times a rho) or d + n (times a pi), so the
-    images of a component with |alpha| + 2 > D are dropped as soon as its
-    basis is built: descending lex lists alpha first in its orbit, so
-    before any transport.  The images of lower degrees stay cached."""
+    time.  No phi walk goes up, and each step goes down 2 degrees or more,
+    so an image of degree above D - 2 is never read again: the images of a
+    component with |alpha| + 2 > D are dropped as soon as its basis is
+    built (descending lex lists alpha first in its orbit, so before any
+    transport).  A walk that finds no cached quotient steps down more than
+    one symbol, so any later degree may read a lower image; those stay."""
     D = _degree_bound(D)
     cap = resolve_resource_cap(resource_cap)
     algebra = free_algebra(n, m)

@@ -403,6 +403,36 @@ def test_report_paper(runner):
     assert "GL-generation, m=3: OK" in result.output
 
 
+def test_report_paper_builds_each_component_once(runner, monkeypatch):
+    # on fresh F(4, 2) and F(4, 3): the minimal generator counts build
+    # each kernel component once, with one nullspace each, GL-generation
+    # reads them from the algebra, and once the report is out neither
+    # algebra keeps a kernel basis
+    fresh = {}
+
+    def algebra(n, m):
+        if (n, m) not in fresh:
+            fresh[n, m] = freealgebra.FreeAlgebra(n, m)
+        return fresh[n, m]
+
+    for module in (cli, freealgebra, kernelcalc):
+        monkeypatch.setattr(module, "free_algebra", algebra)
+    calls = []
+    real = kernelcalc.nullspace_combinations
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernelcalc, "nullspace_combinations", counted)
+    result = run(runner, ["report", "paper", "--n", "4"])
+    assert result.exit_code == 0
+    assert "GL-generation, m=3: OK" in result.output
+    assert len(calls) == 103
+    assert sorted(fresh) == [(4, 2), (4, 3)]
+    assert all(A.kernels == {} for A in fresh.values())
+
+
 def test_report_paper_other_n_rejected(runner):
     result = runner.invoke(main, ["report", "paper", "--n", "5"])
     assert result.exit_code == 2

@@ -478,6 +478,29 @@ def _walked_algebra(monkeypatch):
     return A
 
 
+def test_release_kept_drops_bases_images_and_the_transport_table(
+        monkeypatch):
+    # after the release the algebra holds no kernel basis, only the image
+    # of 1, an empty sharing table and no s_act table; what a later call
+    # reads is rebuilt, equal to what was dropped
+    A = _walked_algebra(monkeypatch)
+    bases = {alpha: [e.poly for e in basis]
+             for alpha, basis in A.kernels.items()}
+    images = dict(A._phi_cache)
+    assert len(bases) > 1 and len(images) > 1
+    assert A._phi_monomials and A._moved[2]
+    one = images[()]
+    A.release_kept()
+    assert A.kernels == {}
+    assert A._phi_cache == {(): one} and A._phi_cache[()] is one
+    assert A._phi_monomials == {}
+    assert A._moved == (None, None, {})
+    assert {alpha: [e.poly for e in kernelcalc.kernel_basis_at(4, 3, alpha)]
+            for alpha in bases} == bases
+    assert all(A.phi_monomial(mono)[0] == image
+               for mono, image in images.items())
+
+
 def test_phi_cache_stays_integral_over_a_kernel_walk(monkeypatch):
     A = _walked_algebra(monkeypatch)
     assert len(A._phi_cache) > 1
