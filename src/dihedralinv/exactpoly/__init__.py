@@ -40,34 +40,3 @@ from .groebner import (
     staircase_generating_function,
     staircase_monomials,
 )
-
-__all__ = [
-    "STAIRCASE_CAP",
-    "MonomialOrder",
-    "Polynomial",
-    "PolynomialSpace",
-    "RowSpace",
-    "VariableUniverse",
-    "buchberger",
-    "compositions",
-    "divided_monomial",
-    "grlex_key",
-    "leading_term",
-    "monomial",
-    "monomial_degree",
-    "monomial_multidegree",
-    "monomial_product",
-    "monomial_text",
-    "normal_form",
-    "nullspace_combinations",
-    "pair",
-    "parse_polynomial",
-    "rank_up_to",
-    "renamed_monomial",
-    "rhopi_universe",
-    "s_polynomial",
-    "scaled_row_from_polynomial",
-    "staircase_generating_function",
-    "staircase_monomials",
-    "xy_universe",
-]

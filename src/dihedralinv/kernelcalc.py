@@ -467,8 +467,9 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
     `model` picks the group: "dihedral" or "cyclic" (the index-2 rotation
     subgroup).  Primaries and secondaries are polynomials in the coordinate
     ring, multihomogeneous, of positive degree for a primary, and invariant
-    under the model's group (else a ValueError); rows are closed under
-    coordinate permutations first.
+    under the model's group (else a ValueError).  The rows given are
+    checked, then closed under coordinate permutations, which commute with
+    the group: each transported copy inherits invariance and the universe.
 
     A component is a set of integer rows.  Every input is multihomogeneous,
     so a monomial of multidegree alpha is fixed by its y-exponent vector
@@ -509,14 +510,15 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
     weights = []
     for h in primaries:
         w = h.multidegree()
-        if w is None or h.is_zero() or not any(w):
+        if w is None or not any(w):
             raise ValueError("primaries must be nonzero multihomogeneous "
                              "of positive degree")
         check(h, "primary")
         weights.append(w)
     lstar, by_beta = _expand_lstar(secondaries, m)
-    for _, g in lstar:  # listed elements come first: a failure names one
-        check(g, "secondary")
+    for _, elems in secondaries:
+        for g in elems:
+            check(g, "secondary")
     places = _places(m, D + 1)
     coded_primaries = []
     for h, w in zip(primaries, weights):
@@ -558,7 +560,7 @@ def verify_hironaka_xy(primaries, secondaries, params, D, model="dihedral",
                 b_leads, basis = basis_at(beta)
                 factors.append((h, basis))
                 leads.update([h_lead + lead for lead in b_leads])
-                if len(leads) >= want > 0 and not here:
+                if len(leads) >= want and not here:
                     break
             else:
                 space = RowSpace()

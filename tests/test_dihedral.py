@@ -180,6 +180,7 @@ def test_p_pol_fixtures():
     assert p_pol((3, 1)) == parse(2, "x1^3*x2 + y1^3*y2")
     assert p_pol((2, 2)) == parse(2, "x1^2*x2^2 + y1^2*y2^2")
     assert p_pol((1, 1, 1)) == parse(3, "x1*x2*x3 + y1*y2*y3")
+    assert p_pol((1, 0)) == parse(2, "x1 + y1")
     with pytest.raises(ValueError):
         p_pol(())
 

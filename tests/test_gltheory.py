@@ -300,6 +300,8 @@ def test_pieri_row_fixture():
     rep = pieri_row((2, 1), 2, 3)
     assert dict(rep.items()) == {(4, 1): 1, (3, 2): 1, (3, 1, 1): 1,
                                  (2, 2, 1): 1}
+    # a strip of 0 cells is allowed and adds nothing
+    assert dict(pieri_row((2, 1), 0, 3).items()) == {(2, 1): 1}
 
 
 @pytest.mark.parametrize("d,m", [(d, m) for d in range(6) for m in (1, 2, 3)])
@@ -383,6 +385,8 @@ def test_invariants_truncated_layout():
 def test_ambient_rejects_degrees_beyond_bound():
     with pytest.raises(ValueError):
         ambient_truncated(4, 3, 12)
+    with pytest.raises(ValueError, match=re.escape("(asked for 11 > 10)")):
+        ambient_truncated(4, 3, 11)
 
 
 @pytest.mark.parametrize("build, n", [
